@@ -166,9 +166,12 @@ def _init_alpha(
     var = mean_sq - mean * mean
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = mean * (1.0 - mean) / var - 1.0
-    ratio = np.where(var > 0.0, ratio, np.nan)
-    with np.errstate(invalid="ignore"):
-        a0 = np.nanmean(ratio, axis=-1)
+    # Average over the components with positive variance. A row with none
+    # gets NaN and falls back below; nanmean would warn on it.
+    valid = var > 0.0
+    count = valid.sum(axis=-1)
+    total = np.where(valid, ratio, 0.0).sum(axis=-1)
+    a0 = np.where(count > 0, total / np.maximum(count, 1), np.nan)
     k = mean_log.shape[-1]
     a0 = np.where(np.isfinite(a0) & (a0 > 0.0), a0, float(k))
     a0 = np.clip(a0, 1.0e-2, 1.0e7)

@@ -343,17 +343,13 @@ class NddParams:
     def subtree_params(self) -> tuple[tuple[str, tuple[str, ...], dirichlet.DirichletParams], ...]:
         """(label, child labels, Dirichlet over the children) per internal
         node, in pre-order."""
-        labels = _internal_labels(self.tree)
+        labels = self.tree.internal_nodes()
         out = []
         for label, node in labels:
             child_labels = _child_labels(self.tree, node, labels)
             alphas = np.array([c.alpha for c in node.children], dtype=float)
             out.append((label, child_labels, dirichlet.DirichletParams(alpha=alphas)))
         return tuple(out)
-
-
-def _internal_labels(tree: NestingTree) -> tuple[tuple[str, TreeNode], ...]:
-    return tree.internal_nodes()
 
 
 def _child_labels(
@@ -425,12 +421,6 @@ class SubtreeDecomposition:
     def n_observations(self) -> int:
         return self.blocks[0].matrix.shape[0]
 
-    def block(self, label: str) -> SubtreeBlock:
-        for blk in self.blocks:
-            if blk.label == label:
-                return blk
-        raise InputError(f"no subtree labeled {label!r}")
-
 
 def _bind_matrix(tree: NestingTree, data) -> np.ndarray:
     """Dataset columns in tree component order; plain arrays bind
@@ -463,7 +453,7 @@ def decompose(tree: NestingTree, data) -> SubtreeDecomposition:
     sum to one; the block's ``mass`` is the node's share of the whole.
     """
     matrix = _bind_matrix(tree, data)
-    labels = _internal_labels(tree)
+    labels = tree.internal_nodes()
     blocks: list[SubtreeBlock] = []
 
     def mass_of(node: TreeNode) -> np.ndarray:
@@ -574,7 +564,7 @@ def mle(tree: NestingTree, data, tol: Tolerance = Tolerance()) -> NddFitResult:
         )
 
     by_label = {f.label: f for f in fits}
-    labels = _internal_labels(tree)
+    labels = tree.internal_nodes()
     by_id = {id(node): lab for lab, node in labels}
 
     def rebuild(node: TreeNode, alpha: float | None) -> TreeNode:

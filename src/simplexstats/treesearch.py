@@ -4,6 +4,14 @@ Three stages: enumerate every distinct tree shape over the components,
 screen out shapes that contradict the signs of the sample correlation
 matrix, and fit the survivors to pick the one with the highest
 log-likelihood.
+
+A nested log-likelihood is a sum of per-node terms, and a node's term
+depends only on the leaf sets of its children, which many candidate trees
+share. Selection therefore fits each distinct node once, all nodes with the
+same number of children in one batched Dirichlet fit, and scores a tree by
+adding up its nodes' terms. Unscreened, the 2,752 candidates at K = 6 hold
+11,348 nodes, 813 of them distinct; the 39,208 at K = 7 hold 192,788, of
+which 4,012 are distinct.
 """
 
 from __future__ import annotations
@@ -13,9 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import nested
-from .composition import CompositionDataset, sample_correlation
-from .errors import InputError, NumericalError
+from . import dirichlet, nested
+from .composition import CompositionDataset, SufficientStats, sample_correlation, validate
+from .errors import DimensionMismatchError, InputError, NumericalError
 from .nested import NddParams, NestingTree, TreeNode
 from .numerics import Tolerance
 
@@ -29,6 +37,8 @@ __all__ = [
 
 # Enumeration is exhaustive and the tree count grows fast with K
 # (4, 26, 236, 2752, 39208 for K = 3..7), so cap the component count.
+# With shared node fits, an unscreened K = 7 search on 200 rows takes about
+# 6.5 s on a 2-vCPU machine, 4.3-4.7 s of it enumeration.
 MAX_COMPONENTS = 8
 
 
@@ -184,6 +194,60 @@ def _as_matrix(data) -> np.ndarray:
     return np.asarray(data, dtype=float)
 
 
+def _node_keys(tree: NestingTree) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per internal node in pre-order, the leaf sets of its children.
+
+    A node's branch compositions depend on nothing else, so trees that
+    share a key share that node's fit.
+    """
+    keys: list = []
+
+    def leaves(node: TreeNode) -> tuple[int, ...]:
+        if node.is_leaf:
+            return (node.component,)
+        slot = len(keys)
+        keys.append(None)
+        kids = tuple(leaves(c) for c in node.children)
+        keys[slot] = kids
+        return tuple(sorted(itertools.chain.from_iterable(kids)))
+
+    leaves(tree.root)
+    return tuple(keys)
+
+
+def _node_terms(keys, x: np.ndarray, tol: Tolerance) -> dict:
+    """Each node's share of a tree's log-likelihood, or None if its fit fails.
+
+    The share is the node's Dirichlet log-likelihood minus its
+    change-of-variables term (k - 1) sum log mass, as in nested.mle. Nodes
+    with the same number of children are fitted in one batch; a node whose
+    fit is unusable (too few rows, a constant branch) or does not converge
+    gets None, where dirichlet.mle would raise.
+    """
+    by_count: dict[int, list] = {}
+    for key in keys:
+        by_count.setdefault(len(key), []).append(key)
+    terms = {}
+    for group in by_count.values():
+        stats, jacobians = [], []
+        for key in group:
+            masses = np.column_stack([x[:, list(leaves)].sum(axis=1) for leaves in key])
+            mass = masses.sum(axis=1)
+            stats.append(SufficientStats.from_matrix(masses / mass[:, None]))
+            jacobians.append((len(key) - 1.0) * np.log(mass).sum())
+        _, loglik, _, converged, usable = dirichlet._fit_batch(
+            np.array([s.mean_log for s in stats]),
+            x.shape[0],
+            tol,
+            mean=np.array([s.mean for s in stats]),
+            mean_sq=np.array([s.mean_sq for s in stats]),
+        )
+        ok = usable & converged
+        for i, key in enumerate(group):
+            terms[key] = float(loglik[i]) - jacobians[i] if ok[i] else None
+    return terms
+
+
 def select_tree(
     data,
     candidates: list[TreeCandidate],
@@ -192,43 +256,50 @@ def select_tree(
 ) -> tuple[NddParams, list[TreeCandidate]]:
     """Fit every surviving candidate and rank them.
 
-    data may be a dataset (all rows pooled) or a plain matrix. Returns the
-    best fit's parameters and the full ranking, best first. criterion is
-    "loglik" (default) or "aic", which penalizes trees with more edges;
-    ties and fit failures fall back to the enumeration order, and failed
-    fits rank last with their log_likelihood left unset.
+    data may be a dataset (all rows pooled) or a plain matrix, bound to the
+    trees positionally. Returns the best fit's parameters and the full
+    ranking, best first. criterion is "loglik" (default) or "aic", which
+    penalizes trees with more edges; ties and fit failures fall back to the
+    enumeration order, and failed fits rank last with their log_likelihood
+    left unset. A tree fails when one of its node fits fails.
+
+    A tree's log-likelihood is the sum of its nodes' terms, and each
+    distinct node (the leaf sets of its children) is fitted once for all
+    candidates. Only the winner is refitted through nested.mle, for its
+    parameters. Raises InputError when the data are not compositions with
+    one column per tree component.
     """
     if criterion not in ("loglik", "aic"):
         raise InputError(f"criterion must be 'loglik' or 'aic', got {criterion!r}")
-    x = _as_matrix(data)
+    raw = _as_matrix(data)
+    x = np.atleast_2d(validate(raw))
     survivors = [c for c in candidates if not c.filtered]
     if not survivors:
         raise InputError("no surviving candidate trees to fit")
-
-    fitted: list[tuple[float, int, TreeCandidate, NddParams | None]] = []
-    for order, cand in enumerate(survivors):
-        try:
-            fit = nested.mle(cand.tree, x, tol=tol)
-        except (NumericalError, InputError):
-            fitted.append((np.inf, order, cand, None))
-            continue
-        ll = fit.log_likelihood
-        score = -ll if criterion == "loglik" else 2.0 * _parameter_count(cand.tree) - 2.0 * ll
-        fitted.append(
-            (
-                score,
-                order,
-                replace(cand, log_likelihood=ll, converged=fit.converged),
-                fit.params,
-            )
+    keys = [_node_keys(c.tree) for c in survivors]
+    # The root's children cover every component.
+    widths = {sum(map(len, tree_keys[0])) for tree_keys in keys}
+    if widths != {x.shape[1]}:
+        raise DimensionMismatchError(
+            f"{x.shape[1]} columns vs {sorted(widths)} tree components"
         )
+    terms = _node_terms({key for tree_keys in keys for key in tree_keys}, x, tol)
+    fitted: list[tuple[float, int, TreeCandidate]] = []
+    for order, (cand, tree_keys) in enumerate(zip(survivors, keys)):
+        parts = [terms[key] for key in tree_keys]
+        if None in parts:
+            fitted.append((np.inf, order, cand))
+            continue
+        ll = float(sum(parts))
+        score = -ll if criterion == "loglik" else 2.0 * _parameter_count(cand.tree) - 2.0 * ll
+        # Every node converged, or the tree would have failed.
+        fitted.append((score, order, replace(cand, log_likelihood=ll, converged=True)))
 
     fitted.sort(key=lambda item: (item[0], item[1]))
-    ranking = [item[2] for item in fitted]
-    best_params = fitted[0][3]
-    if best_params is None:
+    if fitted[0][0] == np.inf:
         raise NumericalError("every candidate tree failed to fit")
-    return best_params, ranking
+    ranking = [item[2] for item in fitted]
+    return nested.mle(ranking[0].tree, raw, tol=tol).params, ranking
 
 
 def search(

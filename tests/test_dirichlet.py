@@ -130,6 +130,47 @@ def test_mle_rejects_degenerate_inputs():
         dirichlet.mle(constant)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_batch_degenerate_row_is_silent_and_leaves_other_rows_unchanged():
+    rng = np.random.default_rng(71)
+    good = SufficientStats.from_matrix(rng.dirichlet([2.0, 3.0, 4.0], size=30))
+    p = np.array([0.2, 0.3, 0.5])
+    # Zero variance in every component: no moment ratio to average.
+    flat = SufficientStats(n=30, mean_log=np.log(p), mean=p, mean_sq=p * p)
+    tol = Tolerance()
+
+    def fit(*stats):
+        return dirichlet._fit_batch(
+            np.array([s.mean_log for s in stats]),
+            30,
+            tol,
+            mean=np.array([s.mean for s in stats]),
+            mean_sq=np.array([s.mean_sq for s in stats]),
+        )
+
+    alone = fit(good)
+    batch = fit(good, flat)
+    assert batch[4].tolist() == [True, False]
+    for a, b in zip(alone, batch):
+        assert np.array_equal(a[0], b[0])
+
+
+def test_init_alpha_matches_nanmean_reference():
+    rng = np.random.default_rng(73)
+    mean = rng.dirichlet([2.0, 3.0, 4.0, 1.0], size=40)
+    mean_sq = mean * mean + rng.uniform(0.0, 0.01, size=mean.shape)
+    mean_sq[::3, 0] = mean[::3, 0] ** 2  # no variance in one component
+    mean_sq[1::5, 2] = mean[1::5, 2] ** 2 - 1e-18  # negative by rounding
+    mean_log = np.log(mean) - 0.1
+    var = mean_sq - mean * mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(var > 0.0, mean * (1.0 - mean) / var - 1.0, np.nan)
+    a0 = np.nanmean(ratio, axis=-1)
+    a0 = np.clip(np.where(np.isfinite(a0) & (a0 > 0.0), a0, 4.0), 1.0e-2, 1.0e7)
+    expected = np.maximum(a0[:, None] * mean, dirichlet._ALPHA_FLOOR)
+    assert np.array_equal(dirichlet._init_alpha(mean_log, mean, mean_sq), expected)
+
+
 def _expected_loglik_factory(pi0, a0, n):
     """Log-likelihood with the data replaced by its expectation at (pi0, a0).
 

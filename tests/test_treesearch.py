@@ -5,9 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
-from simplexstats import nested, treesearch
-from simplexstats.composition import CompositionDataset
-from simplexstats.errors import InputError
+from simplexstats import dirichlet, nested, treesearch
+from simplexstats.composition import CompositionDataset, sample_correlation
+from simplexstats.errors import (
+    DimensionMismatchError,
+    InputError,
+    NotNormalizedError,
+    NumericalError,
+    ZeroComponentError,
+)
 from simplexstats.nested import NddParams, parse_tree
 from simplexstats.treesearch import (
     enumerate_trees,
@@ -140,6 +146,10 @@ def test_filter_validates_matrix():
         filter_impossible(cands, huge)
 
 
+def _edges(tree):
+    return sum(len(node.children) for _, node in tree.internal_nodes())
+
+
 def test_select_tree_ranks_by_log_likelihood():
     params = NddParams(
         tree=parse_tree("((AQ1:11.6,OQ:10.3):8.1,(AQ2:5.6,TQ:9.2):11.2)")
@@ -161,12 +171,8 @@ def test_select_tree_aic_penalizes_extra_edges():
     cands = enumerate_trees(3)
     best_aic, ranking = select_tree(x, cands, criterion="aic")
     assert best_aic.tree.is_flat
-
-    def edges(tree):
-        return sum(len(node.children) for _, node in tree.internal_nodes())
-
     scores = [
-        2.0 * edges(c.tree) - 2.0 * c.log_likelihood
+        2.0 * _edges(c.tree) - 2.0 * c.log_likelihood
         for c in ranking
         if c.log_likelihood is not None
     ]
@@ -202,3 +208,134 @@ def test_search_end_to_end_recovers_generating_tree():
     filtered_flags = [c.filtered for c in ranking]
     first_filtered = filtered_flags.index(True) if True in filtered_flags else len(ranking)
     assert all(filtered_flags[first_filtered:])
+
+
+def _reference_fits(x, candidates):
+    """Per-tree nested.mle of every survivor, in enumeration order: the
+    loop that select_tree's shared node fits replace."""
+    fits = []
+    for cand in candidates:
+        if cand.filtered:
+            continue
+        try:
+            fits.append((cand, nested.mle(cand.tree, x)))
+        except (NumericalError, InputError):
+            fits.append((cand, None))
+    return fits
+
+
+def _reference_ranking(fits, criterion):
+    scored = []
+    for order, (cand, fit) in enumerate(fits):
+        if fit is None:
+            scored.append((np.inf, order, cand, None, cand.converged))
+            continue
+        ll = fit.log_likelihood
+        score = -ll if criterion == "loglik" else 2.0 * _edges(cand.tree) - 2.0 * ll
+        scored.append((score, order, cand, ll, fit.converged))
+    scored.sort(key=lambda item: item[:2])
+    return scored
+
+
+def _assert_matches_reference(x, candidates, fits, criterion):
+    best, ranking = select_tree(x, candidates, criterion=criterion)
+    ref = _reference_ranking(fits, criterion)
+    assert [c.tree for c in ranking] == [r[2].tree for r in ref]
+    for cand, (_, _, _, ll, converged) in zip(ranking, ref):
+        assert cand.converged == converged
+        if ll is None:
+            assert cand.log_likelihood is None
+        else:
+            assert cand.log_likelihood == pytest.approx(ll, rel=1e-12, abs=0.0)
+    assert best == nested.mle(ranking[0].tree, x).params
+    return ranking
+
+
+def _nested_sample(text, n, seed):
+    tree = parse_tree(text)
+    return tree, nested.sample(NddParams(tree=tree), n, np.random.default_rng(seed))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("criterion", ["loglik", "aic"])
+def test_select_tree_matches_per_tree_fits_k4(criterion):
+    tree, x = _nested_sample("((AQ1:11.6,OQ:10.3):8.1,(AQ2:5.6,TQ:9.2):11.2)", 300, 5)
+    cands = enumerate_trees(4, components=tree.leaf_names)
+    _assert_matches_reference(x, cands, _reference_fits(x, cands), criterion)
+
+
+@pytest.fixture(scope="module")
+def k5_screened():
+    tree, x = _nested_sample("((a:3.0,b:4.0):5.0,(c:2.0,d:6.0,e:3.0):4.0)", 150, 9)
+    ds = CompositionDataset.from_arrays(x, ["g"] * len(x), components=tree.leaf_names)
+    cands = filter_impossible(enumerate_trees(5, tree.leaf_names), sample_correlation(ds))
+    return x, cands, _reference_fits(x, cands)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("criterion", ["loglik", "aic"])
+def test_select_tree_matches_per_tree_fits_k5(k5_screened, criterion):
+    x, cands, fits = k5_screened
+    assert sum(not c.filtered for c in cands) > 26
+    _assert_matches_reference(x, cands, fits, criterion)
+
+
+@pytest.mark.filterwarnings("error")
+def test_select_tree_fails_exactly_the_trees_with_a_failed_node():
+    # Columns 1 and 2 keep a fixed 1:2 ratio, so the node splitting c1 from
+    # c2 alone sees a constant branch composition and cannot be fitted.
+    rng = np.random.default_rng(23)
+    y = rng.dirichlet([4.0, 3.0, 5.0, 2.0], size=80)
+    x = np.column_stack([y[:, 0] / 3.0, 2.0 * y[:, 0] / 3.0, y[:, 1:]])
+    cands = enumerate_trees(5)
+    ranking = _assert_matches_reference(x, cands, _reference_fits(x, cands), "loglik")
+    failed = [c for c in ranking if c.log_likelihood is None]
+    assert len(failed) == 26
+    assert ranking[-26:] == failed
+    order = [c.tree for c in cands]
+    assert [order.index(c.tree) for c in failed] == sorted(order.index(c.tree) for c in failed)
+    for cand in failed:
+        assert any(
+            [ch.leaf_indices() for ch in node.children] == [(0,), (1,)]
+            for _, node in cand.tree.internal_nodes()
+        )
+
+
+def test_select_tree_fits_each_distinct_node_once(monkeypatch):
+    tree, x = _nested_sample("((a:3.0,b:4.0):5.0,(c:2.0,d:6.0,e:3.0):4.0)", 150, 9)
+    cands = enumerate_trees(5, tree.leaf_names)
+    keys = {
+        tuple(c.leaf_indices() for c in node.children)
+        for cand in cands
+        for _, node in cand.tree.internal_nodes()
+    }
+    rows = []
+    fit_batch = dirichlet._fit_batch
+
+    def counting(mean_log, *args, **kwargs):
+        rows.append(np.atleast_2d(mean_log).shape[0])
+        return fit_batch(mean_log, *args, **kwargs)
+
+    monkeypatch.setattr(dirichlet, "_fit_batch", counting)
+    best, _ = select_tree(x, cands)
+    child_counts = {len(key) for key in keys}
+    winner_nodes = len(best.tree.internal_nodes())
+    assert len(rows) == len(child_counts) + winner_nodes
+    assert sum(rows[: len(child_counts)]) == len(keys)
+    assert rows[len(child_counts):] == [1] * winner_nodes
+
+
+def test_select_tree_reports_bad_input():
+    cands = enumerate_trees(3)
+    x = np.random.default_rng(29).dirichlet([2.0, 3.0, 4.0], size=12)
+    zero = x.copy()
+    zero[4] = [0.0, 0.4, 0.6]
+    with pytest.raises(ZeroComponentError) as info:
+        select_tree(zero, cands)
+    assert info.value.row == 4
+    off = x.copy()
+    off[7] *= 1.1
+    with pytest.raises(NotNormalizedError):
+        select_tree(off, cands)
+    with pytest.raises(DimensionMismatchError):
+        select_tree(x, enumerate_trees(4))
