@@ -2,9 +2,9 @@
 
 A composition is a vector of positive parts that sum to one. This module
 validates raw vectors and matrices, bundles observations with group labels
-and component names, caches the sufficient statistics every fitting routine
-consumes, and provides the classical log-ratio transforms plus barycentric
-coordinates for ternary plots.
+and component names, reduces them to the sufficient statistics every fitting
+routine consumes, and provides the classical log-ratio transforms plus
+barycentric coordinates for ternary plots.
 """
 
 from __future__ import annotations
@@ -109,10 +109,12 @@ class SufficientStats:
     """Per-group summaries that the Dirichlet likelihood depends on.
 
     mean_log carries the likelihood, mean and mean_sq feed moment-based
-    initialization and degeneracy checks.
+    initialization and degeneracy checks. One dataset has (K,) arrays and
+    an int n; a stack of B datasets has (B, K) arrays and a (B,) float n,
+    which is what the batched fitters consume.
     """
 
-    n: int
+    n: int | np.ndarray
     mean_log: np.ndarray
     mean: np.ndarray
     mean_sq: np.ndarray
@@ -120,31 +122,44 @@ class SufficientStats:
     def __post_init__(self):
         for name in ("mean_log", "mean", "mean_sq"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise DimensionMismatchError(f"{name} must be a vector")
+            if arr.ndim not in (1, 2):
+                raise DimensionMismatchError(
+                    f"{name} must be a vector or a stack of vectors"
+                )
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if not (self.mean_log.shape == self.mean.shape == self.mean_sq.shape):
             raise DimensionMismatchError("sufficient statistic shapes differ")
-        if self.n < 1:
+        if np.shape(self.n) != self.mean_log.shape[:-1]:
+            raise DimensionMismatchError("need one sample size per dataset")
+        if np.any(np.asarray(self.n) < 1):
             raise EmptyGroupError("sufficient statistics need n >= 1")
+
+    @classmethod
+    def reduce(cls, x: np.ndarray) -> "SufficientStats":
+        """Statistics of an (n, K) matrix, or of each matrix in a (B, n, K)
+        stack, over the observation axis. The rows are not validated."""
+        n = x.shape[-2]
+        return cls(
+            n=n if x.ndim == 2 else np.full(x.shape[0], float(n)),
+            mean_log=np.log(x).mean(axis=-2),
+            mean=x.mean(axis=-2),
+            mean_sq=(x * x).mean(axis=-2),
+        )
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "SufficientStats":
         m = validate(matrix)
-        if m.ndim == 1:
-            m = m[None, :]
-        return cls(
-            n=m.shape[0],
-            mean_log=np.log(m).mean(axis=0),
-            mean=m.mean(axis=0),
-            mean_sq=(m * m).mean(axis=0),
-        )
+        return cls.reduce(m[None, :] if m.ndim == 1 else m)
+
+    @property
+    def stacked(self) -> bool:
+        return self.mean_log.ndim == 2
 
     @property
     def n_components(self) -> int:
-        return self.mean_log.shape[0]
+        return self.mean_log.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -209,12 +224,6 @@ class CompositionDataset:
         if not mask.any():
             raise EmptyGroupError(f"no observations with group label {label!r}")
         return self.matrix[mask]
-
-    def group_stats(self, label: str) -> SufficientStats:
-        return SufficientStats.from_matrix(self.group_matrix(label))
-
-    def pooled_stats(self) -> SufficientStats:
-        return SufficientStats.from_matrix(self.matrix)
 
     def component_index(self, name: str) -> int:
         try:

@@ -5,11 +5,12 @@ The parameter vector alpha is kept in two equivalent forms: the raw
 concentrations, and the (mean, precision) split pi = alpha / A, A = sum(alpha)
 that the inferential machinery works in.
 
-Fitting uses the classical fixed-point update: given mean log proportions,
-solve digamma(alpha_j) = digamma(sum alpha) + mean_log_j for each component
-with a Newton inverse-digamma, and repeat until the parameters stop moving.
-A private batch variant runs many independent fits as one array program; the
-public API wraps the single-dataset case.
+Fitting starts with 15 steps of the classical fixed-point update (given mean
+log proportions, solve digamma(alpha_j) = digamma(sum alpha) + mean_log_j for
+each component with a Newton inverse-digamma), then takes damped Newton steps
+in alpha until the parameters stop moving. A private batch variant runs many
+independent fits as one array program; the public API wraps the
+single-dataset case.
 """
 
 from __future__ import annotations
@@ -142,17 +143,6 @@ def _inv_digamma(y: np.ndarray) -> np.ndarray:
     return x
 
 
-def _loglik_rows(alpha: np.ndarray, mean_log: np.ndarray, n) -> np.ndarray:
-    """n * mean log-likelihood for each row of a batch."""
-    total = alpha.sum(axis=-1)
-    per_obs = (
-        _lgamma_core(total)
-        - _lgamma_core(alpha).sum(axis=-1)
-        + ((alpha - 1.0) * mean_log).sum(axis=-1)
-    )
-    return np.asarray(n) * per_obs
-
-
 def _init_alpha(
     mean_log: np.ndarray, mean: np.ndarray | None, mean_sq: np.ndarray | None
 ) -> np.ndarray:
@@ -186,6 +176,7 @@ def _degenerate_rows(mean: np.ndarray, mean_sq: np.ndarray) -> np.ndarray:
 
 
 def _per_obs_loglik(alpha: np.ndarray, mean_log: np.ndarray) -> np.ndarray:
+    """Mean log-likelihood per observation for each row of a batch."""
     return (
         _lgamma_core(alpha.sum(axis=1))
         - _lgamma_core(alpha).sum(axis=1)
@@ -195,6 +186,26 @@ def _per_obs_loglik(alpha: np.ndarray, mean_log: np.ndarray) -> np.ndarray:
 
 _FIXED_POINT_WARMUP = 15
 _MAX_BACKTRACK = 30
+
+
+def _backtrack(objective, x: np.ndarray, step: np.ndarray, base: np.ndarray):
+    """Backtracking line search for an ascent step, per row of a batch.
+
+    x and step are (B,) or (B, K); objective maps a trial point to (B,)
+    values. Each row's step length t starts at 1 and halves until
+    objective(x + t * step) is no lower than base, up to a relative slack of
+    1e-12, for at most _MAX_BACKTRACK trials. Returns (t, accepted); a row
+    that never passed should not move.
+    """
+    slack = 1.0e-12 * (1.0 + np.abs(base))
+    t = np.ones(base.shape[0])
+    for _ in range(_MAX_BACKTRACK):
+        scale = t if step.ndim == 1 else t[:, None]
+        accepted = objective(x + scale * step) >= base - slack
+        if accepted.all():
+            break
+        t = np.where(accepted, t, t / 2.0)
+    return t, accepted
 
 
 def _newton_step(alpha: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,20 +295,15 @@ def _fit_batch(
             cur, ml, grad = cur[keep], ml[keep], grad[keep]
 
         step, bad = _newton_step(cur, grad)
-        base_ll = _per_obs_loglik(cur, ml)
-        slack = 1.0e-12 * (1.0 + np.abs(base_ll))
-        t = np.ones(cur.shape[0])
-        ok = np.zeros(cur.shape[0], dtype=bool)
-        for _ in range(_MAX_BACKTRACK):
-            trial = cur + t[:, None] * step
-            positive = (trial > 0.0).all(axis=1)
-            trial_ll = np.where(
-                positive, _per_obs_loglik(np.where(positive[:, None], trial, 1.0), ml), -np.inf
+
+        def trial_loglik(trial):
+            # Rows with an untrustworthy step or a nonpositive trial never pass.
+            fine = (trial > 0.0).all(axis=1) & ~bad
+            return np.where(
+                fine, _per_obs_loglik(np.where(fine[:, None], trial, 1.0), ml), -np.inf
             )
-            ok = positive & (trial_ll >= base_ll - slack) & ~bad
-            if ok.all():
-                break
-            t = np.where(ok, t, t / 2.0)
+
+        t, ok = _backtrack(trial_loglik, cur, step, _per_obs_loglik(cur, ml))
         # Rows whose Newton step never passed fall back to the fixed point.
         fp_target = _digamma_core(cur.sum(axis=1))[:, None] + ml
         fp_new = _inv_digamma(fp_target)
@@ -309,14 +315,19 @@ def _fit_batch(
         converged[active_idx[done]] = True
         active_idx = active_idx[~done]
 
-    loglik = np.where(usable, _loglik_rows(alpha, mean_log, n_arr), np.nan)
+    loglik = np.where(usable, n_arr * _per_obs_loglik(alpha, mean_log), np.nan)
     return alpha, loglik, iterations, converged, usable
 
 
 def _as_stats(data) -> SufficientStats:
-    if isinstance(data, SufficientStats):
-        return data
-    return SufficientStats.from_matrix(np.asarray(data, dtype=float))
+    """Statistics of one dataset, from raw compositions or a carrier."""
+    if not isinstance(data, SufficientStats):
+        return SufficientStats.from_matrix(np.asarray(data, dtype=float))
+    if data.stacked:
+        raise DimensionMismatchError(
+            "expected the statistics of one dataset, got a stack"
+        )
+    return data
 
 
 def mle(data, tol: Tolerance = Tolerance()) -> FitResult:
@@ -345,7 +356,8 @@ def mle(data, tol: Tolerance = Tolerance()) -> FitResult:
         raise DegenerateDataError("data cannot support a Dirichlet fit")
     if not conv[0]:
         raise NonConvergenceError(
-            f"fixed-point iteration did not converge in {tol.max_iter} steps",
+            f"fixed-point warmup and Newton steps did not converge in "
+            f"{tol.max_iter} iterations",
             iterations=int(iters[0]),
         )
     return FitResult(

@@ -19,7 +19,6 @@ simulation harness drives the batch forms directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -97,76 +96,22 @@ class MeanDifferenceCI:
     z_value: float
 
 
-class _BatchStats(NamedTuple):
-    """Per-replicate sufficient statistics, stacked: all arrays (B, K) or
-    (B,)."""
-
-    mean_log: np.ndarray
-    mean: np.ndarray
-    mean_sq: np.ndarray
-    n: np.ndarray
-
-    @classmethod
-    def from_stats(cls, stats: SufficientStats) -> "_BatchStats":
-        return cls(
-            mean_log=stats.mean_log[None, :],
-            mean=stats.mean[None, :],
-            mean_sq=stats.mean_sq[None, :],
-            n=np.array([float(stats.n)]),
-        )
-
-    @classmethod
-    def from_matrices(cls, matrices) -> "_BatchStats":
-        ml, mn, ms, ns = [], [], [], []
-        for m in matrices:
-            ml.append(np.log(m).mean(axis=0))
-            mn.append(m.mean(axis=0))
-            ms.append((m * m).mean(axis=0))
-            ns.append(float(m.shape[0]))
-        return cls(
-            mean_log=np.array(ml),
-            mean=np.array(mn),
-            mean_sq=np.array(ms),
-            n=np.array(ns),
-        )
-
-
-def _as_stats(data) -> SufficientStats:
-    if isinstance(data, SufficientStats):
-        return data
-    return SufficientStats.from_matrix(np.asarray(data, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # One-sample uniformity test
-
-
-def _uniform_profile(a: np.ndarray, k: int, s: np.ndarray):
-    """Per-observation log-likelihood of the uniform-mean model and its first
-    two derivatives in t = log A. s is the row sum of mean logs."""
-    g = _lgamma_core(a) - k * _lgamma_core(a / k) + (a / k) * s - s
-    g1 = _digamma_core(a) - _digamma_core(a / k) + s / k
-    g2 = _trigamma_core(a) - _trigamma_core(a / k) / k
-    dt = a * g1
-    dtt = a * g1 + a * a * g2
-    return g, dt, dtt
-
-
-_MAX_BACKTRACK = 30
-_T_CAP = 34.0  # log-precision cap, beyond which the data are degenerate
-
 
 def _uniformity_null_batch(
     mean_log: np.ndarray, n: np.ndarray, init_a: np.ndarray, tol: Tolerance
 ):
     """Maximize the uniform-mean likelihood over the precision, per row.
 
-    Newton in log-precision with backtracking; the profile is concave in the
-    precision, so this is a safe globalization. Returns (a_opt, loglik_full,
-    converged).
+    The uniform mean is the common-mean model at pi = 1/K, so this iterates
+    the same damped Newton step in log-precision. A row stops when the
+    derivative falls below rel_tol or the step below abs_tol (converged), or
+    when it is pinned at _T_CAP with the likelihood still rising (not
+    converged). Returns (a_opt, loglik_full, converged).
     """
     b, k = mean_log.shape
-    s = mean_log.sum(axis=1)
+    pi = np.full(k, 1.0 / k)
     t = np.log(np.maximum(init_a, 1.0e-6))
     converged = np.zeros(b, dtype=bool)
     active = np.arange(b)
@@ -174,41 +119,18 @@ def _uniformity_null_batch(
     for _ in range(tol.max_iter):
         if active.size == 0:
             break
-        a = np.exp(t[active])
-        g, dt, dtt = _uniform_profile(a, k, s[active])
+        new_t, dt, pinned = _precision_step(pi, t[active], mean_log[active])
         done = np.abs(dt) < tol.rel_tol
-        hit_cap = (t[active] >= _T_CAP) & (dt > 0.0)
         converged[active[done]] = True
-        keep = ~(done | hit_cap)
-        active = active[keep]
-        if active.size == 0:
-            break
-        a, g, dt, dtt = a[keep], g[keep], dt[keep], dtt[keep]
-
-        step = np.where(dtt < -1.0e-300, -dt / dtt, np.sign(dt))
-        step = np.clip(step, -10.0, 10.0)
-        slack = 1.0e-12 * (1.0 + np.abs(g))
-        scale = np.ones(active.size)
-        accepted = np.zeros(active.size, dtype=bool)
-        for _ in range(_MAX_BACKTRACK):
-            trial_t = np.minimum(t[active] + scale * step, _T_CAP)
-            g_trial, _, _ = _uniform_profile(np.exp(trial_t), k, s[active])
-            accepted = g_trial >= g - slack
-            if accepted.all():
-                break
-            scale = np.where(accepted, scale, scale / 2.0)
-        new_t = np.where(
-            accepted, np.minimum(t[active] + scale * step, _T_CAP), t[active]
-        )
-        move = np.abs(new_t - t[active])
+        moving = ~(done | pinned)
+        active, new_t = active[moving], new_t[moving]
+        small = np.abs(new_t - t[active]) < tol.abs_tol
         t[active] = new_t
-        small = move < tol.abs_tol
         converged[active[small]] = True
         active = active[~small]
 
     a_opt = np.exp(t)
-    g, _, _ = _uniform_profile(a_opt, k, s)
-    return a_opt, n * g, converged
+    return a_opt, n * _group_ll(pi, a_opt, mean_log), converged
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +146,12 @@ def _uniformity_lrt_batch(x: np.ndarray, tol: Tolerance):
     Returns (statistics, ok) where ok flags rows whose constrained and
     unconstrained fits both converged.
     """
-    b, n_obs, _ = x.shape
-    ml = np.log(x).mean(axis=1)
-    mn = x.mean(axis=1)
-    msq = (x * x).mean(axis=1)
+    stats = SufficientStats.reduce(x)
     alpha, ll1, _, conv1, usable = dirichlet._fit_batch(
-        ml, n_obs, tol, mean=mn, mean_sq=msq
+        stats.mean_log, stats.n, tol, mean=stats.mean, mean_sq=stats.mean_sq
     )
     a0, ll0, conv0 = _uniformity_null_batch(
-        ml, np.full(b, float(n_obs)), np.maximum(alpha.sum(axis=1), 1.0), tol
+        stats.mean_log, stats.n, np.maximum(alpha.sum(axis=1), 1.0), tol
     )
     lam = np.maximum(-2.0 * (ll0 - ll1), 0.0)
     return lam, conv1 & conv0 & usable
@@ -327,7 +246,7 @@ def one_sample_uniformity_test(
     a Monte Carlo p-value against the simulated finite-sample null
     distribution, reported as details["calibrated_p_value"].
     """
-    stats = _as_stats(data)
+    stats = dirichlet._as_stats(data)
     k = stats.n_components
     alt = dirichlet.mle(stats, tol=tol)
     a0, ll0, conv0 = _uniformity_null_batch(
@@ -452,6 +371,31 @@ def _prec_derivs(pi: np.ndarray, a: np.ndarray, ml: np.ndarray):
     return a * g1, a * g1 + a * a * g2
 
 
+_T_CAP = 34.0  # log-precision cap, beyond which the data are degenerate
+
+
+def _precision_step(pi: np.ndarray, t: np.ndarray, ml: np.ndarray):
+    """One damped Newton step in t = log A for one group at a fixed mean pi.
+
+    The step is clipped to +-10 and the new t to _T_CAP. Returns the new t
+    (unchanged on rows where no step length passed), the derivative in t at
+    the old t, and a mask of rows pinned at the cap with the likelihood
+    still rising.
+    """
+    a = np.exp(t)
+    dt, dtt = _prec_derivs(pi, a, ml)
+    step = np.where(dtt < -1.0e-300, -dt / dtt, np.sign(dt))
+    step = np.clip(step, -10.0, 10.0)
+    scale, accepted = dirichlet._backtrack(
+        lambda trial: _group_ll(pi, np.exp(np.minimum(trial, _T_CAP)), ml),
+        t,
+        step,
+        _group_ll(pi, a, ml),
+    )
+    new_t = np.where(accepted, np.minimum(t + scale * step, _T_CAP), t)
+    return new_t, dt, (t >= _T_CAP) & (dt > 0.0)
+
+
 def _solve_ascent(neg_h: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Solve neg_h @ d = grad rowwise, falling back to the gradient where the
     system is unusable or the direction is not an ascent direction."""
@@ -471,8 +415,8 @@ def _solve_ascent(neg_h: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def _common_mean_fit(
-    stats1: _BatchStats,
-    stats2: _BatchStats,
+    stats1: SufficientStats,
+    stats2: SufficientStats,
     init_pi: np.ndarray,
     init_a1: np.ndarray,
     init_a2: np.ndarray,
@@ -564,17 +508,13 @@ def _common_mean_fit(
         neg_h -= 2.0 * s[:, None, None] * pk[:, :, None] * pk[:, None, :]
         direction = _solve_ascent(neg_h, g_theta)
 
-        base = weighted_ll(th, np.log(a1), np.log(a2), idx)
-        slack = 1.0e-12 * (1.0 + np.abs(base))
-        scale = np.ones(idx.size)
-        accepted = np.zeros(idx.size, dtype=bool)
-        for _ in range(_MAX_BACKTRACK):
-            trial = th + scale[:, None] * direction
-            val = weighted_ll(trial, np.log(a1), np.log(a2), idx)
-            accepted = val >= base - slack
-            if accepted.all():
-                break
-            scale = np.where(accepted, scale, scale / 2.0)
+        log_a1, log_a2 = np.log(a1), np.log(a2)
+        scale, accepted = dirichlet._backtrack(
+            lambda trial: weighted_ll(trial, log_a1, log_a2, idx),
+            th,
+            direction,
+            weighted_ll(th, log_a1, log_a2, idx),
+        )
         new_theta = np.where(accepted[:, None], th + scale[:, None] * direction, th)
         move = np.abs(new_theta - th).max(axis=1)
         theta[idx] = new_theta
@@ -582,21 +522,7 @@ def _common_mean_fit(
 
         # One damped Newton step per group's log-precision.
         for (t_arr, ml_g) in ((t1, m1), (t2, m2)):
-            a = np.exp(t_arr[idx])
-            dt, dtt = _prec_derivs(pi, a, ml_g)
-            step = np.where(dtt < -1.0e-300, -dt / dtt, np.sign(dt))
-            step = np.clip(step, -10.0, 10.0)
-            base_g = _group_ll(pi, a, ml_g)
-            slack_g = 1.0e-12 * (1.0 + np.abs(base_g))
-            scale = np.ones(idx.size)
-            accepted = np.zeros(idx.size, dtype=bool)
-            for _ in range(_MAX_BACKTRACK):
-                trial_ll = _group_ll(pi, np.exp(t_arr[idx] + scale * step), ml_g)
-                accepted = trial_ll >= base_g - slack_g
-                if accepted.all():
-                    break
-                scale = np.where(accepted, scale, scale / 2.0)
-            new_t = np.where(accepted, t_arr[idx] + scale * step, t_arr[idx])
+            new_t, _, _ = _precision_step(pi, t_arr[idx], ml_g)
             move = np.maximum(move, np.abs(new_t - t_arr[idx]))
             t_arr[idx] = new_t
 
@@ -611,8 +537,10 @@ def _common_mean_fit(
     return pi, a1, a2, total, converged, iterations
 
 
-def _two_sample_lrt_batch(stats1: _BatchStats, stats2: _BatchStats, tol: Tolerance):
-    """Batched two-sample likelihood-ratio test.
+def _two_sample_lrt_batch(
+    stats1: SufficientStats, stats2: SufficientStats, tol: Tolerance
+):
+    """Batched two-sample likelihood-ratio test on stacked statistics.
 
     Returns a dict of per-row arrays: statistic, usable, converged, and the
     fitted pieces needed for reporting (alt alphas, null mean/precisions).
@@ -667,11 +595,11 @@ def two_sample_dirichlet_lrt(
     is -2 log LR with K-1 degrees of freedom.
     """
     g1, g2, x1, x2 = _two_group_dataset(dataset, groups)
-    stats1 = _BatchStats.from_matrices([x1])
-    stats2 = _BatchStats.from_matrices([x2])
     if x1.shape[0] < 2 or x2.shape[0] < 2:
         raise DegenerateDataError("each group needs at least 2 observations")
-    res = _two_sample_lrt_batch(stats1, stats2, tol)
+    res = _two_sample_lrt_batch(
+        SufficientStats.reduce(x1[None]), SufficientStats.reduce(x2[None]), tol
+    )
     if not res["usable"][0]:
         raise DegenerateDataError("a group cannot support a Dirichlet fit")
     k = dataset.n_components
@@ -719,9 +647,11 @@ def two_sample_ndd_lrt(
     converged = True
     per_subtree = []
     for blk1, blk2 in zip(dec1.blocks, dec2.blocks):
-        s1 = _BatchStats.from_matrices([blk1.matrix])
-        s2 = _BatchStats.from_matrices([blk2.matrix])
-        res = _two_sample_lrt_batch(s1, s2, tol)
+        res = _two_sample_lrt_batch(
+            SufficientStats.reduce(blk1.matrix[None]),
+            SufficientStats.reduce(blk2.matrix[None]),
+            tol,
+        )
         if not res["usable"][0]:
             raise DegenerateDataError(
                 f"subtree {blk1.label!r} cannot support a Dirichlet fit"

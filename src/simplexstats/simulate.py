@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dirichlet, inference, nested
+from .composition import SufficientStats
 from .dirichlet import DirichletParams
 from .errors import InputError, NumericalError
 from .nested import NddParams, NestingTree
@@ -222,14 +223,8 @@ def _draw_stacks(spec: SimSpec):
     return x1, x2, drawn
 
 
-def _stack_stats(x: np.ndarray) -> inference._BatchStats:
-    r, n, _ = x.shape
-    return inference._BatchStats(
-        mean_log=np.log(x).mean(axis=1),
-        mean=x.mean(axis=1),
-        mean_sq=(x * x).mean(axis=1),
-        n=np.full(r, float(n)),
-    )
+def _stack_stats(x: np.ndarray) -> SufficientStats:
+    return SufficientStats.reduce(x)
 
 
 def _maugard_outcomes(spec: SimSpec, x1, x2):

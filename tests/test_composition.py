@@ -74,6 +74,32 @@ def test_sufficient_stats_from_matrix():
     assert np.allclose(s.mean_sq, (x * x).mean(axis=0))
 
 
+def test_stacked_stats_equal_per_matrix_stats_bitwise():
+    rng = np.random.default_rng(17)
+    raw = rng.dirichlet([2.0, 5.0, 3.0], size=(6, 9)) * 1.0000001
+    stacked = SufficientStats.reduce(np.stack([validate(m) for m in raw]))
+    assert stacked.stacked
+    assert stacked.n.tolist() == [9.0] * 6
+    for i, m in enumerate(raw):
+        one = SufficientStats.from_matrix(m)
+        assert not one.stacked and one.n == 9
+        for name in ("mean_log", "mean", "mean_sq"):
+            assert np.array_equal(getattr(stacked, name)[i], getattr(one, name))
+
+
+def test_sufficient_stats_reject_bad_shapes():
+    p = np.full((2, 2, 3), 1.0 / 3.0)
+    with pytest.raises(DimensionMismatchError):
+        SufficientStats(n=np.full((2, 2), 5.0), mean_log=np.log(p), mean=p, mean_sq=p * p)
+    q = p[0]
+    with pytest.raises(DimensionMismatchError):
+        SufficientStats(n=5, mean_log=np.log(q), mean=q, mean_sq=q * q)
+    with pytest.raises(DimensionMismatchError):
+        SufficientStats(n=5, mean_log=np.log(q[0]), mean=q, mean_sq=q * q)
+    with pytest.raises(InputError):
+        SufficientStats.from_matrix(p)
+
+
 def test_dataset_groups_keep_first_appearance_order():
     ds = _toy_dataset()
     assert ds.groups == ("a", "b")

@@ -7,9 +7,9 @@ import scipy.special
 import scipy.stats as st
 
 from simplexstats import dirichlet, inference, nested
-from simplexstats.composition import CompositionDataset, clr
+from simplexstats.composition import CompositionDataset, SufficientStats, clr
 from simplexstats.dirichlet import DirichletParams
-from simplexstats.errors import DegenerateDataError, InputError
+from simplexstats.errors import DegenerateDataError, DimensionMismatchError, InputError
 from simplexstats.inference import (
     calibrated_uniformity_cutoff,
     clr_hotelling_test,
@@ -20,7 +20,7 @@ from simplexstats.inference import (
     two_sample_ndd_lrt,
 )
 from simplexstats.nested import NddParams, flat_tree, parse_tree
-from simplexstats.numerics import chi_square_sf
+from simplexstats.numerics import Tolerance, chi_square_sf
 
 
 def _two_group_dataset(seed=101, n1=9, n2=11, alpha1=(6.0, 4.0, 3.0, 5.0), alpha2=None):
@@ -73,6 +73,21 @@ def test_two_sample_lrt_alternative_is_sum_of_group_fits():
     assert tr.details["log_likelihood_alt"] == pytest.approx(alt, rel=1e-10)
     lam = -2.0 * (tr.details["log_likelihood_null"] - tr.details["log_likelihood_alt"])
     assert tr.statistic == pytest.approx(max(lam, 0.0), abs=1e-9)
+
+
+def test_two_sample_lrt_equals_its_row_of_the_batch_path():
+    sets = [_two_group_dataset(seed=seed) for seed in (101, 102, 103, 104)]
+    batch = inference._two_sample_lrt_batch(
+        SufficientStats.reduce(np.stack([ds.group_matrix("one") for ds in sets])),
+        SufficientStats.reduce(np.stack([ds.group_matrix("two") for ds in sets])),
+        Tolerance(),
+    )
+    for i, ds in enumerate(sets):
+        tr = two_sample_dirichlet_lrt(ds)
+        assert tr.statistic == batch["statistic"][i]
+        assert tr.details["log_likelihood_null"] == batch["null_loglik"][i]
+        assert tr.details["null_mean"] == batch["null_mean"][i].tolist()
+        assert tr.converged == batch["converged"][i]
 
 
 def test_two_sample_lrt_report_shape():
@@ -196,6 +211,31 @@ def test_uniformity_null_matches_direct_optimizer():
     assert tr.statistic == pytest.approx(max(lam, 0.0), abs=1e-9)
     assert tr.df == (2,)
     assert tr.p_value == pytest.approx(chi_square_sf(tr.statistic, 2), abs=1e-14)
+
+
+@pytest.mark.parametrize("fit", [dirichlet.mle, one_sample_uniformity_test])
+def test_single_dataset_fits_reject_a_stacked_carrier(fit):
+    x = np.random.default_rng(41).dirichlet([3.0, 4.0, 5.0], size=(2, 10))
+    with pytest.raises(DimensionMismatchError):
+        fit(SufficientStats.reduce(x))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_uniformity_null_row_at_the_centre_stops_at_the_cap():
+    # Every part's mean log at log(1/K): the likelihood rises without bound
+    # in the precision, so the row has to stop at the cap.
+    ml = np.log(np.random.default_rng(43).dirichlet([6.0, 4.0, 3.0, 5.0], size=8)).mean(axis=0)
+    centre = np.full(4, np.log(0.25))
+    tol = Tolerance()
+    alone = inference._uniformity_null_batch(ml[None], np.array([8.0]), np.array([10.0]), tol)
+    a, ll, converged = inference._uniformity_null_batch(
+        np.stack([ml, centre]), np.array([8.0, 8.0]), np.array([10.0, 10.0]), tol
+    )
+    assert np.isfinite(a[1]) and a[1] <= np.exp(inference._T_CAP)
+    assert np.isfinite(ll[1])
+    assert alone[2][0] and converged[0]
+    for one, pair in zip(alone, (a, ll, converged)):
+        assert np.array_equal(one[0], pair[0])
 
 
 def test_uniformity_statistic_is_zero_on_symmetric_fit():

@@ -65,7 +65,7 @@ def _brute_force_shapes(k: int) -> set:
     return set(shapes(tuple(range(k))))
 
 
-@pytest.mark.parametrize("k,count", [(2, 1), (3, 4), (4, 26), (5, 236)])
+@pytest.mark.parametrize("k,count", [(2, 1), (3, 4), (4, 26), (5, 236), (6, 2752)])
 def test_enumeration_counts(k, count):
     cands = enumerate_trees(k)
     assert len(cands) == count
