@@ -141,11 +141,16 @@ class SufficientStats:
         """Statistics of an (n, K) matrix, or of each matrix in a (B, n, K)
         stack, over the observation axis. The rows are not validated."""
         n = x.shape[-2]
+        # One scratch array serves log(x) and x * x: a second full-size
+        # temporary can land in fresh memory and add a stack to peak RSS.
+        scratch = np.log(x)
+        mean_log = scratch.mean(axis=-2)
+        np.multiply(x, x, out=scratch)
         return cls(
             n=n if x.ndim == 2 else np.full(x.shape[0], float(n)),
-            mean_log=np.log(x).mean(axis=-2),
+            mean_log=mean_log,
             mean=x.mean(axis=-2),
-            mean_sq=(x * x).mean(axis=-2),
+            mean_sq=scratch.mean(axis=-2),
         )
 
     @classmethod

@@ -8,6 +8,13 @@ carries one concentration parameter (the weight of the edge above it), so an
 internal node with children weights (a_1..a_k) sends its mass through a
 Dirichlet(a_1..a_k) split.
 
+A nested likelihood is a sum of independent per-node Dirichlet terms over
+each node's branch compositions: its children's leaf-column sums divided by
+their total. ``_child_leaf_sets`` keys each node by its children's leaf sets,
+``_branch_blocks`` applies that block rule to one dataset or a stack, and
+``_assemble`` multiplies per-node splits down to the leaves; studies and
+tree search share them.
+
 The flat tree (root with K leaf children) recovers the plain Dirichlet model.
 
 Trees have a text form, e.g. ``((AQ1,OQ):8.1,(AQ2,TQ):11.2)``: parentheses
@@ -18,7 +25,8 @@ contained component index) so structurally equal trees compare equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -372,20 +380,8 @@ def _child_labels(
 def leaf_means(params: NddParams) -> np.ndarray:
     """Expected composition: product of branch mean fractions along each
     root-to-leaf path."""
-    k = params.n_components
-    out = np.empty(k, dtype=float)
-
-    def walk(node: TreeNode, acc: float):
-        if node.is_leaf:
-            out[node.component] = acc
-            return
-        alphas = np.array([c.alpha for c in node.children], dtype=float)
-        fracs = alphas / alphas.sum()
-        for c, f in zip(node.children, fracs):
-            walk(c, acc * f)
-
-    walk(params.tree.root, 1.0)
-    return out
+    splits = (dd.mean[None, :] for _, _, dd in params.subtree_params())
+    return _assemble(params.tree, splits, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -446,47 +442,53 @@ def _bind_matrix(tree: NestingTree, data) -> np.ndarray:
     return matrix
 
 
-def decompose(tree: NestingTree, data) -> SubtreeDecomposition:
-    """Branch compositions at every internal node.
+def _child_leaf_sets(tree: NestingTree) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per internal node in pre-order, the sorted leaf sets of its children.
 
-    Each block row holds the children's shares of the node's mass, so rows
-    sum to one; the block's ``mass`` is the node's share of the whole.
+    A node's branch compositions depend on nothing else, so this is the
+    node's identity: trees that share a key share that node's block and fit.
     """
-    matrix = _bind_matrix(tree, data)
-    labels = tree.internal_nodes()
-    blocks: list[SubtreeBlock] = []
+    keys: list = []
 
-    def mass_of(node: TreeNode) -> np.ndarray:
+    def leaves(node: TreeNode) -> tuple[int, ...]:
         if node.is_leaf:
-            return matrix[:, node.component]
-        return np.sum([mass_of(c) for c in node.children], axis=0)
+            return (node.component,)
+        slot = len(keys)
+        keys.append(None)
+        kids = tuple(leaves(c) for c in node.children)
+        keys[slot] = kids
+        return tuple(sorted(itertools.chain.from_iterable(kids)))
 
-    for label, node in labels:
-        node_mass = mass_of(node)
-        child_mass = np.column_stack([mass_of(c) for c in node.children])
-        blocks.append(
-            SubtreeBlock(
-                label=label,
-                child_labels=_child_labels(tree, node, labels),
-                matrix=child_mass / node_mass[:, None],
-                mass=node_mass,
-            )
-        )
-    return SubtreeDecomposition(tree=tree, blocks=tuple(blocks))
+    leaves(tree.root)
+    return tuple(keys)
 
 
-def reconstruct(decomposition: SubtreeDecomposition) -> np.ndarray:
-    """Invert decompose: rebuild compositions in tree component order."""
-    tree = decomposition.tree
-    n = decomposition.n_observations
-    k = tree.n_components
-    out = np.empty((n, k), dtype=float)
-    blocks = iter(decomposition.blocks)
+def _branch_blocks(children, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One node's branch compositions from compositions x of shape (..., n, K).
+
+    children holds the leaf set of each child. Returns (block, mass): each
+    child's leaf-column sum divided by the node's total, shape (..., n, k),
+    and that total, shape (..., n).
+    """
+    masses = np.stack([x[..., list(leaves)].sum(axis=-1) for leaves in children], axis=-1)
+    mass = masses.sum(axis=-1)
+    return masses / mass[..., None], mass
+
+
+def _assemble(tree: NestingTree, splits, n: int) -> np.ndarray:
+    """Multiply per-node splits down to the leaves.
+
+    splits yields one (n, k_children) array per internal node in pre-order
+    and is consumed in that order. Returns (n, K) leaf proportions in tree
+    component order.
+    """
+    out = np.empty((n, tree.n_components), dtype=float)
+    splits = iter(splits)
 
     def walk(node: TreeNode, mass: np.ndarray):
-        blk = next(blocks)
+        split = next(splits)
         for j, child in enumerate(node.children):
-            child_mass = blk.matrix[:, j] * mass
+            child_mass = split[:, j] * mass
             if child.is_leaf:
                 out[:, child.component] = child_mass
             else:
@@ -494,6 +496,38 @@ def reconstruct(decomposition: SubtreeDecomposition) -> np.ndarray:
 
     walk(tree.root, np.ones(n))
     return out
+
+
+def decompose(tree: NestingTree, data) -> SubtreeDecomposition:
+    """Branch compositions at every internal node.
+
+    Each block row holds the children's shares of the node's mass (their
+    leaf-column sums divided by the total), so rows sum to one; the block's
+    ``mass`` is the node's share of the whole.
+    """
+    matrix = _bind_matrix(tree, data)
+    labels = tree.internal_nodes()
+    blocks = []
+    for (label, node), children in zip(labels, _child_leaf_sets(tree)):
+        block, mass = _branch_blocks(children, matrix)
+        blocks.append(
+            SubtreeBlock(
+                label=label,
+                child_labels=_child_labels(tree, node, labels),
+                matrix=block,
+                mass=mass,
+            )
+        )
+    return SubtreeDecomposition(tree=tree, blocks=tuple(blocks))
+
+
+def reconstruct(decomposition: SubtreeDecomposition) -> np.ndarray:
+    """Invert decompose: rebuild compositions in tree component order."""
+    return _assemble(
+        decomposition.tree,
+        (blk.matrix for blk in decomposition.blocks),
+        decomposition.n_observations,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -563,14 +597,12 @@ def mle(tree: NestingTree, data, tol: Tolerance = Tolerance()) -> NddFitResult:
             )
         )
 
-    by_label = {f.label: f for f in fits}
-    labels = tree.internal_nodes()
-    by_id = {id(node): lab for lab, node in labels}
+    fits_in_order = iter(fits)
 
     def rebuild(node: TreeNode, alpha: float | None) -> TreeNode:
         if node.is_leaf:
             return TreeNode(component=node.component, alpha=alpha)
-        fit = by_label[by_id[id(node)]]
+        fit = next(fits_in_order)
         kids = tuple(
             rebuild(c, float(a))
             for c, a in zip(node.children, fit.fit.params.alpha)
@@ -590,26 +622,15 @@ def mle(tree: NestingTree, data, tol: Tolerance = Tolerance()) -> NddFitResult:
 
 def sample(params: NddParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n compositions: independent branch splits multiplied down the
-    tree. Branches are visited in pre-order, children in canonical order."""
+    tree. One Dirichlet split is drawn per internal node, in pre-order; its
+    columns follow the children's canonical order."""
     if n < 1:
         raise InputError(f"n must be at least 1, got {n}")
-    k = params.n_components
-    out = np.empty((n, k), dtype=float)
-
-    def walk(node: TreeNode, mass: np.ndarray):
-        alphas = np.array([c.alpha for c in node.children], dtype=float)
-        splits = dirichlet.sample(
-            dirichlet.DirichletParams(alpha=alphas), n, rng
-        )
-        for j, child in enumerate(node.children):
-            child_mass = splits[:, j] * mass
-            if child.is_leaf:
-                out[:, child.component] = child_mass
-            else:
-                walk(child, child_mass)
-
-    walk(params.tree.root, np.ones(n))
-    return out
+    splits = (
+        dirichlet.sample(dirichlet.DirichletParams(alpha=[c.alpha for c in node.children]), n, rng)
+        for _, node in params.tree.internal_nodes()
+    )
+    return _assemble(params.tree, splits, n)
 
 
 def delta_method_ses(params: NddParams, n: int) -> np.ndarray:

@@ -243,8 +243,8 @@ def _maugard_outcomes(spec: SimSpec, x1, x2):
             proc.calibration_seed, spec.tol,
         )
     else:
-        p1 = chi_square_sf(lam1, k - 1)
-        p2 = chi_square_sf(lam2, k - 1)
+        p1 = chi_square_sf(np.where(ok1, lam1, 0.0), k - 1)
+        p2 = chi_square_sf(np.where(ok2, lam2, 0.0), k - 1)
     r1 = p1 < spec.level
     r2 = p2 < spec.level
     outcomes = np.where(
@@ -269,26 +269,23 @@ def _lrt_outcomes(spec: SimSpec, x1, x2):
         lam = np.zeros(spec.replicates)
         ok = np.ones(spec.replicates, dtype=bool)
         df = 0
-        for _, node in tree.internal_nodes():
-            blocks1 = _node_blocks(node, x1)
-            blocks2 = _node_blocks(node, x2)
+        for children in nested._child_leaf_sets(tree):
             res = inference._two_sample_lrt_batch(
-                _stack_stats(blocks1), _stack_stats(blocks2), spec.tol
+                _stack_stats(_node_blocks(children, x1)),
+                _stack_stats(_node_blocks(children, x2)),
+                spec.tol,
             )
             lam = lam + res["statistic"]
             ok &= res["usable"] & res["converged"]
-            df += len(node.children) - 1
-    p = chi_square_sf(lam, df)
+            df += len(children) - 1
+    # An unusable row's statistic is NaN; it is tallied as a fit failure.
+    p = chi_square_sf(np.where(ok, lam, 0.0), df)
     return np.where(p < spec.level, REJECT, FAIL_TO_REJECT), ok
 
 
-def _node_blocks(node, x: np.ndarray) -> np.ndarray:
-    """Subtree composition of one internal node for a (R, n, K) stack."""
-    masses = np.stack(
-        [x[:, :, list(c.leaf_indices())].sum(axis=2) for c in node.children],
-        axis=2,
-    )
-    return masses / masses.sum(axis=2, keepdims=True)
+def _node_blocks(children, x: np.ndarray) -> np.ndarray:
+    """Branch compositions of one internal node for a (R, n, K) stack."""
+    return nested._branch_blocks(children, x)[0]
 
 
 def _run(spec: SimSpec) -> SimResult:

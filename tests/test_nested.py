@@ -111,11 +111,22 @@ def test_subtree_params_expose_each_split():
 
 def test_decompose_reconstruct_round_trip():
     rng = np.random.default_rng(41)
-    tree = parse_tree("((a,(b,c)),d,e)").strip_alphas()
-    x = rng.dirichlet([2.0, 3.0, 4.0, 5.0, 6.0], size=40)
-    dec = nested.decompose(tree, x)
-    back = nested.reconstruct(dec)
-    assert np.max(np.abs(back - x)) < 1e-12
+    for text in ["((a,(b,c)),d,e)", "(a,b,(c,(d,e,f)))", "(((a,b),(c,d)),((e,f),g))"]:
+        tree = parse_tree(text).strip_alphas()
+        k = tree.n_components
+        x = rng.dirichlet(np.arange(2.0, 2.0 + k), size=40)
+        dec = nested.decompose(tree, x)
+        back = nested.reconstruct(dec)
+        assert np.max(np.abs(back - x)) < 1e-12
+        # A (B, n, K) stack gets the blocks of each dataset on its own.
+        stack = rng.dirichlet(np.arange(2.0, 2.0 + k), size=(3, 20))
+        singles = [nested.decompose(tree, d).blocks for d in stack]
+        for i, children in enumerate(nested._child_leaf_sets(tree)):
+            block, mass = nested._branch_blocks(children, stack)
+            assert block.shape == (3, 20, len(children))
+            for b, blocks in enumerate(singles):
+                assert np.max(np.abs(block[b] - blocks[i].matrix)) <= 1e-15
+                assert np.max(np.abs(mass[b] - blocks[i].mass)) <= 1e-15
 
 
 def test_decompose_binds_dataset_columns_by_leaf_name():
@@ -232,6 +243,24 @@ def test_sampling_is_deterministic_and_normalized():
     assert np.array_equal(x1, x2)
     assert np.allclose(x1.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(x1 > 0.0)
+
+
+def test_sample_draws_one_split_per_node_in_preorder():
+    params = NddParams(tree=parse_tree("((a:2.0,(b:3.0,c:1.0):2.0):4.0,d:1.0,e:2.5)"))
+    got = nested.sample(params, 30, np.random.default_rng(19))
+    rng = np.random.default_rng(19)
+    root, n1, n2 = (
+        dirichlet.sample(dd, 30, rng) for _, _, dd in params.subtree_params()
+    )
+    # root splits into (N1, d, e), N1 into (a, N2), N2 into (b, c).
+    want = np.column_stack([
+        root[:, 0] * n1[:, 0],
+        root[:, 0] * n1[:, 1] * n2[:, 0],
+        root[:, 0] * n1[:, 1] * n2[:, 1],
+        root[:, 1],
+        root[:, 2],
+    ])
+    assert np.array_equal(got, want)
 
 
 def test_sample_means_match_leaf_means():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from simplexstats import dirichlet, inference, nested
+from simplexstats import dirichlet, inference, nested, simulate
 from simplexstats.composition import CompositionDataset
 from simplexstats.dirichlet import DirichletParams
 from simplexstats.errors import InputError
@@ -205,6 +205,42 @@ def test_maugard_study_matches_per_replicate_procedure():
     for cat, want in tally.items():
         assert res.counts[cat] == want
     assert res.counts[FIT_FAILURE] == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "procedure",
+    [
+        DirichletLRT(),
+        NddLRT(tree=parse_tree(BEST_TREE_TEXT).strip_alphas()),
+        MaugardProcedure(calibrated=False),
+    ],
+    ids=["dirichlet-lrt", "ndd-lrt", "maugard"],
+)
+def test_unusable_replicate_is_a_fit_failure(monkeypatch, procedure):
+    # Replicate 4's second group repeats one row, so every component is
+    # constant there and no fit of that replicate is usable.
+    spec = _spec(procedure=procedure, replicates=200, master_seed=3)
+    x1, x2, drawn = simulate._draw_stacks(spec)
+    bad = x2.copy()
+    bad[4] = bad[4, 0]
+    if isinstance(procedure, MaugardProcedure):
+        outcomes = simulate._maugard_outcomes
+    else:
+        outcomes = simulate._lrt_outcomes
+    base, base_ok = outcomes(spec, x1, x2)
+    got, got_ok = outcomes(spec, x1, bad)
+    assert base_ok[4] and not got_ok[4]
+    others = np.arange(spec.replicates) != 4
+    assert np.array_equal(got[others], base[others])
+    assert np.array_equal(got_ok[others], base_ok[others])
+
+    monkeypatch.setattr(simulate, "_draw_stacks", lambda _: (x1, bad, drawn))
+    res = run_type1_study(spec)
+    ok = got_ok & drawn
+    assert res.counts[FIT_FAILURE] == int((~ok).sum()) >= 1
+    for cat in procedure.categories[:-1]:
+        assert res.counts[cat] == int((got[ok] == cat).sum())
 
 
 def test_calibrated_maugard_study_runs_and_is_deterministic():

@@ -150,6 +150,16 @@ def _edges(tree):
     return sum(len(node.children) for _, node in tree.internal_nodes())
 
 
+def test_child_leaf_sets_key_each_node_and_count_edges():
+    for cand in enumerate_trees(5):
+        keys = nested._child_leaf_sets(cand.tree)
+        assert keys == tuple(
+            tuple(c.leaf_indices() for c in node.children)
+            for _, node in cand.tree.internal_nodes()
+        )
+        assert sum(map(len, keys)) == _edges(cand.tree)
+
+
 def test_select_tree_ranks_by_log_likelihood():
     params = NddParams(
         tree=parse_tree("((AQ1:11.6,OQ:10.3):8.1,(AQ2:5.6,TQ:9.2):11.2)")
