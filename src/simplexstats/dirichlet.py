@@ -8,9 +8,12 @@ that the inferential machinery works in.
 Fitting starts with 15 steps of the classical fixed-point update (given mean
 log proportions, solve digamma(alpha_j) = digamma(sum alpha) + mean_log_j for
 each component with a Newton inverse-digamma), then takes damped Newton steps
-in alpha until the parameters stop moving. A private batch variant runs many
-independent fits as one array program; the public API wraps the
-single-dataset case.
+in alpha. A fit converges when the gradient max-norm falls below rel_tol or
+the largest parameter move below abs_tol, within max_iter steps; the
+common-mean and uniform-mean null fits of the inference module stop by the
+same rule, through the one iteration driver here (_ascend). A private batch
+variant runs many independent fits as one array program; the public API
+wraps the single-dataset case.
 """
 
 from __future__ import annotations
@@ -143,16 +146,8 @@ def _inv_digamma(y: np.ndarray) -> np.ndarray:
     return x
 
 
-def _init_alpha(
-    mean_log: np.ndarray, mean: np.ndarray | None, mean_sq: np.ndarray | None
-) -> np.ndarray:
-    """Moment-matching start; falls back to geometric means when moments are
-    unavailable."""
-    if mean is None or mean_sq is None:
-        pi0 = np.exp(mean_log - mean_log.max(axis=-1, keepdims=True))
-        pi0 /= pi0.sum(axis=-1, keepdims=True)
-        k = mean_log.shape[-1]
-        return np.maximum(k * pi0, _ALPHA_FLOOR)
+def _init_alpha(mean: np.ndarray, mean_sq: np.ndarray) -> np.ndarray:
+    """Moment-matching start."""
     var = mean_sq - mean * mean
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = mean * (1.0 - mean) / var - 1.0
@@ -162,7 +157,7 @@ def _init_alpha(
     count = valid.sum(axis=-1)
     total = np.where(valid, ratio, 0.0).sum(axis=-1)
     a0 = np.where(count > 0, total / np.maximum(count, 1), np.nan)
-    k = mean_log.shape[-1]
+    k = mean.shape[-1]
     a0 = np.where(np.isfinite(a0) & (a0 > 0.0), a0, float(k))
     a0 = np.clip(a0, 1.0e-2, 1.0e7)
     return np.maximum(a0[..., None] * mean, _ALPHA_FLOOR)
@@ -208,6 +203,33 @@ def _backtrack(objective, x: np.ndarray, step: np.ndarray, base: np.ndarray):
     return t, accepted
 
 
+def _ascend(step, rows: np.ndarray, b: int, tol: Tolerance):
+    """Iterate a batched ascent over the given rows of a batch of b, for at
+    most tol.max_iter steps.
+
+    step(rows, it) takes iteration it on the active rows and returns
+    (done, stuck, move), the first two masks over rows. Rows marked done
+    meet rel_tol on the gradient and converge without moving; rows marked
+    stuck cannot move on and stop unconverged; every other row took the
+    step, move holds its largest parameter change, and a move below abs_tol
+    converges it. Returns (converged, iterations), where iterations counts
+    the steps each row took.
+    """
+    converged = np.zeros(b, dtype=bool)
+    iterations = np.zeros(b, dtype=int)
+    for it in range(tol.max_iter):
+        if rows.size == 0:
+            break
+        done, stuck, move = step(rows, it)
+        converged[rows[done]] = True
+        rows = rows[~(done | stuck)]
+        iterations[rows] = it + 1
+        small = move < tol.abs_tol
+        converged[rows[small]] = True
+        rows = rows[~small]
+    return converged, iterations
+
+
 def _newton_step(alpha: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton direction for the per-observation log-likelihood in alpha.
 
@@ -226,96 +248,57 @@ def _newton_step(alpha: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.nd
     return step, bad
 
 
-def _fit_batch(
-    mean_log: np.ndarray,
-    n,
-    tol: Tolerance,
-    mean: np.ndarray | None = None,
-    mean_sq: np.ndarray | None = None,
-    init: np.ndarray | None = None,
-):
-    """Maximum-likelihood fits over a batch of independent datasets.
+def _fit_batch(stats: SufficientStats, tol: Tolerance):
+    """Maximum-likelihood fits over one dataset or a stack of datasets.
 
-    mean_log is (B, K); n is a scalar or (B,) vector of sample sizes. Runs the
+    Every result is per row of the stack, (1, ...) for one dataset. Runs the
     fixed-point update for a short warmup, then damped Newton steps (the
     likelihood is strictly concave in alpha, so backtracking on it is a safe
-    globalizer). Stops a row when its parameter change drops below abs_tol or
-    its per-observation gradient max-norm drops below rel_tol.
+    globalizer; a row whose Newton step never passes takes the fixed-point
+    step instead), under the stopping rule of _ascend.
 
     Returns (alpha, log_likelihood, iterations, converged, usable) where
     usable marks rows that were fit at all (non-degenerate input).
     """
-    mean_log = np.atleast_2d(np.asarray(mean_log, dtype=float))
-    b, k = mean_log.shape
-    usable = np.ones(b, dtype=bool)
-    if mean is not None and mean_sq is not None:
-        usable &= ~_degenerate_rows(np.atleast_2d(mean), np.atleast_2d(mean_sq))
-    n_arr = np.broadcast_to(np.asarray(n, dtype=float), (b,))
-    usable = usable & (n_arr >= 2)
+    mean_log, mean, mean_sq = (
+        np.atleast_2d(a) for a in (stats.mean_log, stats.mean, stats.mean_sq)
+    )
+    b = mean_log.shape[0]
+    n = np.broadcast_to(np.asarray(stats.n, dtype=float), (b,))
+    usable = ~_degenerate_rows(mean, mean_sq) & (n >= 2)
+    alpha = _init_alpha(mean, mean_sq)
 
-    if init is not None:
-        alpha = np.atleast_2d(np.asarray(init, dtype=float)).copy()
-    else:
-        alpha = _init_alpha(
-            mean_log,
-            None if mean is None else np.atleast_2d(mean),
-            None if mean_sq is None else np.atleast_2d(mean_sq),
-        )
-    iterations = np.zeros(b, dtype=int)
-    converged = np.zeros(b, dtype=bool)
+    def fixed_point(cur, ml):
+        return _inv_digamma(_digamma_core(cur.sum(axis=1))[:, None] + ml)
 
-    active_idx = np.flatnonzero(usable)
-    warmup = min(_FIXED_POINT_WARMUP, tol.max_iter)
-    for it in range(warmup):
-        if active_idx.size == 0:
-            break
-        cur = alpha[active_idx]
-        target = _digamma_core(cur.sum(axis=1))[:, None] + mean_log[active_idx]
-        new = _inv_digamma(target)
-        delta = np.abs(new - cur).max(axis=1)
-        alpha[active_idx] = new
-        iterations[active_idx] = it + 1
-        done = delta < tol.abs_tol
-        converged[active_idx[done]] = True
-        active_idx = active_idx[~done]
+    def step(rows, it):
+        cur, ml = alpha[rows], mean_log[rows]
+        if it < _FIXED_POINT_WARMUP:
+            done = np.zeros(rows.size, dtype=bool)
+            new = fixed_point(cur, ml)
+        else:
+            grad = _digamma_core(cur.sum(axis=1))[:, None] - _digamma_core(cur) + ml
+            done = np.abs(grad).max(axis=1) < tol.rel_tol
+            if done.all():
+                return done, np.zeros_like(done), np.empty(0)
+            rows, cur, ml, grad = rows[~done], cur[~done], ml[~done], grad[~done]
+            direction, bad = _newton_step(cur, grad)
 
-    for it in range(warmup, tol.max_iter):
-        if active_idx.size == 0:
-            break
-        cur = alpha[active_idx]
-        ml = mean_log[active_idx]
-        grad = _digamma_core(cur.sum(axis=1))[:, None] - _digamma_core(cur) + ml
-        small_grad = np.abs(grad).max(axis=1) < tol.rel_tol
-        if small_grad.any():
-            converged[active_idx[small_grad]] = True
-            keep = ~small_grad
-            active_idx = active_idx[keep]
-            if active_idx.size == 0:
-                break
-            cur, ml, grad = cur[keep], ml[keep], grad[keep]
+            def trial_loglik(trial):
+                # Rows with an untrustworthy step or a nonpositive trial never pass.
+                fine = (trial > 0.0).all(axis=1) & ~bad
+                safe = np.where(fine[:, None], trial, 1.0)
+                return np.where(fine, _per_obs_loglik(safe, ml), -np.inf)
 
-        step, bad = _newton_step(cur, grad)
-
-        def trial_loglik(trial):
-            # Rows with an untrustworthy step or a nonpositive trial never pass.
-            fine = (trial > 0.0).all(axis=1) & ~bad
-            return np.where(
-                fine, _per_obs_loglik(np.where(fine[:, None], trial, 1.0), ml), -np.inf
+            t, ok = _backtrack(trial_loglik, cur, direction, _per_obs_loglik(cur, ml))
+            new = np.where(
+                ok[:, None], cur + t[:, None] * direction, fixed_point(cur, ml)
             )
+        alpha[rows] = new
+        return done, np.zeros_like(done), np.abs(new - cur).max(axis=1)
 
-        t, ok = _backtrack(trial_loglik, cur, step, _per_obs_loglik(cur, ml))
-        # Rows whose Newton step never passed fall back to the fixed point.
-        fp_target = _digamma_core(cur.sum(axis=1))[:, None] + ml
-        fp_new = _inv_digamma(fp_target)
-        new = np.where(ok[:, None], cur + t[:, None] * step, fp_new)
-        delta = np.abs(new - cur).max(axis=1)
-        alpha[active_idx] = new
-        iterations[active_idx] = it + 1
-        done = delta < tol.abs_tol
-        converged[active_idx[done]] = True
-        active_idx = active_idx[~done]
-
-    loglik = np.where(usable, n_arr * _per_obs_loglik(alpha, mean_log), np.nan)
+    converged, iterations = _ascend(step, np.flatnonzero(usable), b, tol)
+    loglik = np.where(usable, n * _per_obs_loglik(alpha, mean_log), np.nan)
     return alpha, loglik, iterations, converged, usable
 
 
@@ -340,20 +323,12 @@ def mle(data, tol: Tolerance = Tolerance()) -> FitResult:
     stats = _as_stats(data)
     if stats.n < 2:
         raise DegenerateDataError("maximum likelihood needs at least 2 observations")
-    if _degenerate_rows(stats.mean[None, :], stats.mean_sq[None, :])[0]:
+    if _degenerate_rows(stats.mean, stats.mean_sq):
         raise DegenerateDataError(
             "a component is constant across observations; the precision "
             "parameter diverges"
         )
-    alpha, loglik, iters, conv, usable = _fit_batch(
-        stats.mean_log[None, :],
-        stats.n,
-        tol,
-        mean=stats.mean[None, :],
-        mean_sq=stats.mean_sq[None, :],
-    )
-    if not usable[0]:
-        raise DegenerateDataError("data cannot support a Dirichlet fit")
+    alpha, loglik, iters, conv, _ = _fit_batch(stats, tol)
     if not conv[0]:
         raise NonConvergenceError(
             f"fixed-point warmup and Newton steps did not converge in "

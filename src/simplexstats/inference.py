@@ -105,30 +105,23 @@ def _uniformity_null_batch(
     """Maximize the uniform-mean likelihood over the precision, per row.
 
     The uniform mean is the common-mean model at pi = 1/K, so this iterates
-    the same damped Newton step in log-precision. A row stops when the
-    derivative falls below rel_tol or the step below abs_tol (converged), or
-    when it is pinned at _T_CAP with the likelihood still rising (not
-    converged). Returns (a_opt, loglik_full, converged).
+    the same damped Newton step in log-precision under the stopping rule of
+    dirichlet._ascend; a row pinned at _T_CAP with the likelihood still
+    rising stops unconverged. Returns (a_opt, loglik_full, converged).
     """
     b, k = mean_log.shape
     pi = np.full(k, 1.0 / k)
     t = np.log(np.maximum(init_a, 1.0e-6))
-    converged = np.zeros(b, dtype=bool)
-    active = np.arange(b)
 
-    for _ in range(tol.max_iter):
-        if active.size == 0:
-            break
-        new_t, dt, pinned = _precision_step(pi, t[active], mean_log[active])
+    def step(rows, it):
+        new_t, dt, pinned = _precision_step(pi, t[rows], mean_log[rows])
         done = np.abs(dt) < tol.rel_tol
-        converged[active[done]] = True
         moving = ~(done | pinned)
-        active, new_t = active[moving], new_t[moving]
-        small = np.abs(new_t - t[active]) < tol.abs_tol
-        t[active] = new_t
-        converged[active[small]] = True
-        active = active[~small]
+        move = np.abs(new_t[moving] - t[rows[moving]])
+        t[rows[moving]] = new_t[moving]
+        return done, pinned, move
 
+    converged, _ = dirichlet._ascend(step, np.arange(b), b, tol)
     a_opt = np.exp(t)
     return a_opt, n * _group_ll(pi, a_opt, mean_log), converged
 
@@ -147,9 +140,7 @@ def _uniformity_lrt_batch(x: np.ndarray, tol: Tolerance):
     unconstrained fits both converged.
     """
     stats = SufficientStats.reduce(x)
-    alpha, ll1, _, conv1, usable = dirichlet._fit_batch(
-        stats.mean_log, stats.n, tol, mean=stats.mean, mean_sq=stats.mean_sq
-    )
+    alpha, ll1, _, conv1, usable = dirichlet._fit_batch(stats, tol)
     a0, ll0, conv0 = _uniformity_null_batch(
         stats.mean_log, stats.n, np.maximum(alpha.sum(axis=1), 1.0), tol
     )
@@ -427,8 +418,9 @@ def _common_mean_fit(
     Block coordinate ascent: a damped Newton step in the softmax coordinates
     of the shared mean (last component pinned), then one damped Newton step
     in each group's log-precision. Gradients are on the per-observation
-    scale; a row stops when the joint gradient max-norm falls below rel_tol
-    or the parameter move falls below abs_tol.
+    scale; the stopping rule is dirichlet._ascend's, with the joint gradient
+    max-norm against rel_tol and the largest move of theta and both
+    log-precisions against abs_tol.
 
     Returns (pi, a1, a2, total_loglik, converged, iterations).
     """
@@ -445,19 +437,18 @@ def _common_mean_fit(
     theta = np.log(pi0[:, :k1] / pi0[:, k1:])
     t1 = np.log(init_a1)
     t2 = np.log(init_a2)
-    converged = np.zeros(b, dtype=bool)
-    iterations = np.zeros(b, dtype=int)
-    idx = np.arange(b)
 
     def weighted_ll(theta_, t1_, t2_, rows):
+        # A trial mean with a share softmaxed to zero scores -inf; it gets
+        # pi = 1/K first, so lgamma never sees a zero argument.
         pi = _softmax_pinned(theta_)
+        fine = (pi > 0.0).all(axis=1)
+        pi = np.where(fine[:, None], pi, 1.0 / k)
         f1 = _group_ll(pi, np.exp(t1_), ml1[rows])
         f2 = _group_ll(pi, np.exp(t2_), ml2[rows])
-        return w1[rows, 0] * f1 + w2[rows, 0] * f2
+        return np.where(fine, w1[rows, 0] * f1 + w2[rows, 0] * f2, -np.inf)
 
-    for it in range(tol.max_iter):
-        if idx.size == 0:
-            break
+    def step(idx, it):
         th = theta[idx]
         pi = _softmax_pinned(th)
         a1 = np.exp(t1[idx])
@@ -479,15 +470,14 @@ def _common_mean_fit(
             np.abs(g_theta).max(axis=1), np.maximum(np.abs(gt1), np.abs(gt2))
         )
         done = gmax < tol.rel_tol
-        converged[idx[done]] = True
-        idx = idx[~done]
-        if idx.size == 0:
-            break
+        stuck = np.zeros_like(done)
+        if done.all():
+            return done, stuck, np.empty(0)
         keep = ~done
+        idx = idx[keep]
         th, pi, a1, a2 = th[keep], pi[keep], a1[keep], a2[keep]
         m1, m2, ww1, ww2 = m1[keep], m2[keep], ww1[keep], ww2[keep]
         g_theta, u, s = g_theta[keep], u[keep], s[keep]
-        iterations[idx] = it + 1
 
         # Newton step for the shared mean in softmax coordinates.
         dvec = ww1 * (a1 * a1)[:, None] * _trigamma_core(a1[:, None] * pi)
@@ -525,11 +515,9 @@ def _common_mean_fit(
             new_t, _, _ = _precision_step(pi, t_arr[idx], ml_g)
             move = np.maximum(move, np.abs(new_t - t_arr[idx]))
             t_arr[idx] = new_t
+        return done, stuck, move
 
-        small = move < tol.abs_tol
-        converged[idx[small]] = True
-        idx = idx[~small]
-
+    converged, iterations = dirichlet._ascend(step, np.arange(b), b, tol)
     pi = _softmax_pinned(theta)
     a1 = np.exp(t1)
     a2 = np.exp(t2)
@@ -545,12 +533,8 @@ def _two_sample_lrt_batch(
     Returns a dict of per-row arrays: statistic, usable, converged, and the
     fitted pieces needed for reporting (alt alphas, null mean/precisions).
     """
-    alpha1, ll1, _, conv1, ok1 = dirichlet._fit_batch(
-        stats1.mean_log, stats1.n, tol, mean=stats1.mean, mean_sq=stats1.mean_sq
-    )
-    alpha2, ll2, _, conv2, ok2 = dirichlet._fit_batch(
-        stats2.mean_log, stats2.n, tol, mean=stats2.mean, mean_sq=stats2.mean_sq
-    )
+    alpha1, ll1, _, conv1, ok1 = dirichlet._fit_batch(stats1, tol)
+    alpha2, ll2, _, conv2, ok2 = dirichlet._fit_batch(stats2, tol)
     a1_hat = alpha1.sum(axis=1)
     a2_hat = alpha2.sum(axis=1)
     pi1 = alpha1 / a1_hat[:, None]

@@ -213,9 +213,7 @@ def _node_terms(keys, x: np.ndarray, tol: Tolerance) -> dict:
         blocks, masses = zip(*(nested._branch_blocks(key, x) for key in group))
         stats = SufficientStats.reduce(np.stack(blocks))
         jacobians = (count - 1.0) * np.log(np.stack(masses)).sum(axis=1)
-        _, loglik, _, converged, usable = dirichlet._fit_batch(
-            stats.mean_log, stats.n, tol, mean=stats.mean, mean_sq=stats.mean_sq
-        )
+        _, loglik, _, converged, usable = dirichlet._fit_batch(stats, tol)
         ok = usable & converged
         for i, key in enumerate(group):
             terms[key] = float(loglik[i]) - jacobians[i] if ok[i] else None

@@ -140,19 +140,53 @@ def test_fit_batch_degenerate_row_is_silent_and_leaves_other_rows_unchanged():
     tol = Tolerance()
 
     def fit(*stats):
-        return dirichlet._fit_batch(
-            np.array([s.mean_log for s in stats]),
-            30,
-            tol,
+        stack = SufficientStats(
+            n=np.full(len(stats), 30.0),
+            mean_log=np.array([s.mean_log for s in stats]),
             mean=np.array([s.mean for s in stats]),
             mean_sq=np.array([s.mean_sq for s in stats]),
         )
+        return dirichlet._fit_batch(stack, tol)
 
     alone = fit(good)
     batch = fit(good, flat)
+    unstacked = dirichlet._fit_batch(good, tol)
     assert batch[4].tolist() == [True, False]
-    for a, b in zip(alone, batch):
+    for a, b, c in zip(alone, batch, unstacked):
         assert np.array_equal(a[0], b[0])
+        assert c.shape == a.shape and np.array_equal(c, a)
+
+
+def test_ascend_stopping_rule():
+    # A per-row contraction x <- x * rate[row]: row 0 starts at its optimum,
+    # row 1 is stuck from the first call, row 2 halves its move each step
+    # until it falls below abs_tol, and row 3 keeps moving by 1 forever.
+    tol = Tolerance(abs_tol=1.0e-3, max_iter=20)
+    x = np.array([0.0, 1.0, 1.0, 1.0])
+    rate = np.array([0.5, 0.5, 0.5, 1.0])
+    calls = []
+
+    def step(rows, it):
+        calls.append((rows.tolist(), it))
+        done = x[rows] == 0.0
+        stuck = rows == 1
+        moving = rows[~(done | stuck)]
+        new = np.where(rate[moving] < 1.0, x[moving] * rate[moving], x[moving] + 1.0)
+        move = np.abs(new - x[moving])
+        x[moving] = new
+        return done, stuck, move
+
+    converged, iterations = dirichlet._ascend(step, np.arange(4), 5, tol)
+    # Moves of row 2 are 2**-1, 2**-2, ...; 2**-10 < 1e-3 <= 2**-9.
+    assert converged.tolist() == [True, False, True, False, False]
+    assert iterations.tolist() == [0, 0, 10, 20, 0]
+    assert calls[0] == ([0, 1, 2, 3], 0)
+    assert calls[1] == ([2, 3], 1)
+    assert calls[-1] == ([3], 19)
+    assert len(calls) == 20
+    # A batch with no rows to fit takes no step.
+    converged, iterations = dirichlet._ascend(step, np.arange(0), 3, tol)
+    assert len(calls) == 20 and not converged.any() and not iterations.any()
 
 
 def test_init_alpha_matches_nanmean_reference():
@@ -161,14 +195,13 @@ def test_init_alpha_matches_nanmean_reference():
     mean_sq = mean * mean + rng.uniform(0.0, 0.01, size=mean.shape)
     mean_sq[::3, 0] = mean[::3, 0] ** 2  # no variance in one component
     mean_sq[1::5, 2] = mean[1::5, 2] ** 2 - 1e-18  # negative by rounding
-    mean_log = np.log(mean) - 0.1
     var = mean_sq - mean * mean
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(var > 0.0, mean * (1.0 - mean) / var - 1.0, np.nan)
     a0 = np.nanmean(ratio, axis=-1)
     a0 = np.clip(np.where(np.isfinite(a0) & (a0 > 0.0), a0, 4.0), 1.0e-2, 1.0e7)
     expected = np.maximum(a0[:, None] * mean, dirichlet._ALPHA_FLOOR)
-    assert np.array_equal(dirichlet._init_alpha(mean_log, mean, mean_sq), expected)
+    assert np.array_equal(dirichlet._init_alpha(mean, mean_sq), expected)
 
 
 def _expected_loglik_factory(pi0, a0, n):

@@ -1,5 +1,7 @@
 """Monte Carlo study machinery: seeding, tallies, and guardrails."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,24 @@ def test_unusable_replicate_is_a_fit_failure(monkeypatch, procedure):
     assert res.counts[FIT_FAILURE] == int((~ok).sum()) >= 1
     for cat in procedure.categories[:-1]:
         assert res.counts[cat] == int((got[ok] == cat).sum())
+
+
+def test_common_mean_line_search_takes_no_log_of_zero():
+    # At alpha = 0.05 and n = 3 the common-mean line search tries means with
+    # a share softmaxed to zero; they must be rejected before lgamma sees a
+    # zero argument. Other warnings of this cell (trigamma of values near
+    # zero) are still open, so warnings are recorded here, not raised.
+    gen = DirichletParams(alpha=(0.05,) * 4)
+    spec = _spec(
+        generator_1=gen, generator_2=gen, n_per_group=3,
+        replicates=2000, master_seed=0,
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_type1_study(spec)
+    messages = {str(w.message) for w in caught}
+    assert "divide by zero encountered in log" not in messages
+    assert res.counts == {REJECT: 318, FAIL_TO_REJECT: 1681, FIT_FAILURE: 1}
 
 
 def test_calibrated_maugard_study_runs_and_is_deterministic():

@@ -322,9 +322,9 @@ def test_select_tree_fits_each_distinct_node_once(monkeypatch):
     rows = []
     fit_batch = dirichlet._fit_batch
 
-    def counting(mean_log, *args, **kwargs):
-        rows.append(np.atleast_2d(mean_log).shape[0])
-        return fit_batch(mean_log, *args, **kwargs)
+    def counting(stats, tol):
+        rows.append(np.atleast_2d(stats.mean_log).shape[0])
+        return fit_batch(stats, tol)
 
     monkeypatch.setattr(dirichlet, "_fit_batch", counting)
     best, _ = select_tree(x, cands)
