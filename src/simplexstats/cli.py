@@ -240,13 +240,6 @@ def _report_payload(tr: inference.TestReport) -> dict:
     return payload
 
 
-def _group_dataset(dataset: CompositionDataset, label: str) -> CompositionDataset:
-    matrix = dataset.group_matrix(label)
-    return CompositionDataset.from_arrays(
-        matrix, [label] * matrix.shape[0], components=dataset.components
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -275,7 +268,7 @@ def _cmd_fit(args) -> int:
         shape = _tree_shape(args, dataset)
         config["tree"] = shape.render(include_alphas=False)
         for label in dataset.groups:
-            sub = _group_dataset(dataset, label)
+            sub = dataset.group_dataset(label)
             fit = nested.mle(shape, sub)
             groups[label] = {
                 "n": sub.n_observations,

@@ -230,6 +230,12 @@ class CompositionDataset:
             raise EmptyGroupError(f"no observations with group label {label!r}")
         return self.matrix[mask]
 
+    def group_dataset(self, label: str) -> "CompositionDataset":
+        """One group's rows as a dataset with the same component names."""
+        matrix = self.group_matrix(label)
+        labels = (label,) * matrix.shape[0]
+        return CompositionDataset(matrix, labels, self.components, self.sum_tolerance)
+
     def component_index(self, name: str) -> int:
         try:
             return self.components.index(name)

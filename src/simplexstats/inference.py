@@ -13,7 +13,9 @@ Likelihood-ratio machinery for Dirichlet-type models:
 
 Every iterative fit exists in a private batch form operating on arrays of
 independent datasets; the public functions wrap the single-dataset case. The
-simulation harness drives the batch forms directly.
+nested test is the one-row case of _ndd_lrt_batch, which runs the two-sample
+batch once per internal node. The simulation harness drives the batch forms
+directly.
 """
 
 from __future__ import annotations
@@ -607,6 +609,21 @@ def two_sample_dirichlet_lrt(
     )
 
 
+def _ndd_lrt_batch(
+    tree: nested.NestingTree, x1: np.ndarray, x2: np.ndarray, tol: Tolerance
+):
+    """_two_sample_lrt_batch at each internal node, in pre-order, on (B, n, K)
+    stacks in tree component order."""
+    return [
+        _two_sample_lrt_batch(
+            SufficientStats.reduce(nested._branch_blocks(children, x1)[0]),
+            SufficientStats.reduce(nested._branch_blocks(children, x2)[0]),
+            tol,
+        )
+        for children in nested._child_leaf_sets(tree)
+    ]
+
+
 def two_sample_ndd_lrt(
     dataset: CompositionDataset,
     tree: nested.NestingTree,
@@ -617,61 +634,43 @@ def two_sample_ndd_lrt(
 
     Branch compositions at distinct internal nodes are independent, so the
     overall statistic is the sum of the per-subtree two-sample statistics and
-    the degrees of freedom add up to sum(k_i - 1). For the flat tree this
-    reduces to the plain two-sample test.
+    the degrees of freedom add up to sum(k_i - 1) = K - 1. For the flat tree
+    this reduces to the plain two-sample test.
     """
     g1, g2, x1, x2 = _two_group_dataset(dataset, groups)
     if x1.shape[0] < 2 or x2.shape[0] < 2:
         raise DegenerateDataError("each group needs at least 2 observations")
-    dec1 = nested.decompose(tree, _bind_group(dataset, tree, x1))
-    dec2 = nested.decompose(tree, _bind_group(dataset, tree, x2))
-
-    total = 0.0
-    total_df = 0
-    converged = True
+    m1 = nested._bind_matrix(tree, dataset.group_dataset(g1))
+    m2 = nested._bind_matrix(tree, dataset.group_dataset(g2))
+    results = _ndd_lrt_batch(tree, m1[None], m2[None], tol)
+    labels = tree.internal_nodes()
     per_subtree = []
-    for blk1, blk2 in zip(dec1.blocks, dec2.blocks):
-        res = _two_sample_lrt_batch(
-            SufficientStats.reduce(blk1.matrix[None]),
-            SufficientStats.reduce(blk2.matrix[None]),
-            tol,
-        )
+    for (label, node), res in zip(labels, results):
         if not res["usable"][0]:
             raise DegenerateDataError(
-                f"subtree {blk1.label!r} cannot support a Dirichlet fit"
+                f"subtree {label!r} cannot support a Dirichlet fit"
             )
         lam_i = float(res["statistic"][0])
-        df_i = blk1.matrix.shape[1] - 1
-        total += lam_i
-        total_df += df_i
-        converged = converged and bool(res["converged"][0])
+        df_i = len(node.children) - 1
         per_subtree.append(
             {
-                "subtree": blk1.label,
-                "children": list(blk1.child_labels),
+                "subtree": label,
+                "children": list(nested._child_labels(tree, node, labels)),
                 "statistic": lam_i,
                 "df": df_i,
                 "p_value": chi_square_sf(lam_i, df_i),
             }
         )
+    total = sum(sub["statistic"] for sub in per_subtree)
+    df = dataset.n_components - 1
     return TestReport(
         test="ndd-lrt",
         statistic=total,
-        df=(total_df,),
-        p_value=chi_square_sf(total, total_df),
+        df=(df,),
+        p_value=chi_square_sf(total, df),
         groups=(g1, g2),
-        converged=converged,
+        converged=all(bool(res["converged"][0]) for res in results),
         details={"subtrees": per_subtree, "tree": nested.render_tree(tree, False)},
-    )
-
-
-def _bind_group(dataset: CompositionDataset, tree: nested.NestingTree, matrix):
-    """Give decompose named columns when the tree carries names."""
-    if tree.leaf_names is None:
-        return matrix
-    n = matrix.shape[0]
-    return CompositionDataset(
-        matrix=matrix, labels=("x",) * n, components=dataset.components
     )
 
 
@@ -707,8 +706,8 @@ def pairwise_mean_cis(
     elif model == "ndd":
         if tree is None:
             raise InputError("the nested model needs a tree")
-        r1 = nested.mle(tree, _bind_group(dataset, tree, x1), tol=tol)
-        r2 = nested.mle(tree, _bind_group(dataset, tree, x2), tol=tol)
+        r1 = nested.mle(tree, dataset.group_dataset(g1), tol=tol)
+        r2 = nested.mle(tree, dataset.group_dataset(g2), tol=tol)
         mean1 = nested.leaf_means(r1.params)
         mean2 = nested.leaf_means(r2.params)
         se1 = nested.delta_method_ses(r1.params, x1.shape[0])

@@ -442,6 +442,24 @@ def _bind_matrix(tree: NestingTree, data) -> np.ndarray:
     return matrix
 
 
+def _renumber(tree: NestingTree, names: tuple[str, ...]) -> NestingTree:
+    """The same tree with component j named names[j], leaves matched by name.
+
+    Returns tree itself when its names are already in that order. The
+    caller checks that both name sets agree.
+    """
+    if tree.leaf_names == names:
+        return tree
+    index = {name: j for j, name in enumerate(names)}
+
+    def walk(node: TreeNode) -> TreeNode:
+        if node.is_leaf:
+            return TreeNode(component=index[tree.leaf_names[node.component]], alpha=node.alpha)
+        return TreeNode(children=tuple(walk(c) for c in node.children), alpha=node.alpha)
+
+    return NestingTree(root=walk(tree.root), leaf_names=names)
+
+
 def _child_leaf_sets(tree: NestingTree) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Per internal node in pre-order, the sorted leaf sets of its children.
 

@@ -206,6 +206,13 @@ def parse_csv(
                 values = np.array([float(row[j]) for j in ci])
             except ValueError as exc:
                 raise InputError(f"row {row_no}: {exc}") from exc
+            finite = np.isfinite(values)
+            if not finite.all():
+                j = int(np.argmin(finite))
+                raise InputError(
+                    f"row {row_no}: component {components[j]!r} is not "
+                    f"finite ({values[j]:g})"
+                )
             if zero_replace is not None and np.any(values == 0.0):
                 values = np.where(values == 0.0, zero_replace, values)
                 values = values / values.sum()

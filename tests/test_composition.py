@@ -109,6 +109,16 @@ def test_dataset_groups_keep_first_appearance_order():
     assert ds.group_matrix("b").shape == (3, 3)
 
 
+def test_group_dataset_holds_one_groups_rows_and_components():
+    ds = _toy_dataset()
+    sub = ds.group_dataset("b")
+    assert sub.components == ds.components
+    assert sub.labels == ("b", "b", "b")
+    assert np.array_equal(sub.matrix, ds.group_matrix("b"))
+    with pytest.raises(EmptyGroupError):
+        ds.group_dataset("missing")
+
+
 def test_dataset_default_component_names():
     ds = CompositionDataset.from_arrays(np.array([[0.5, 0.5]]), ["g"])
     assert ds.components == ("c1", "c2")

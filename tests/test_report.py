@@ -126,6 +126,12 @@ def test_parse_csv_value_validation(tmp_path):
     assert err.value.row == 2
     assert "1.2" in str(err.value)
 
+    # non-finite cells are named by file row and column, not by data row
+    with pytest.raises(InputError, match=r"row 4: component 'b' is not finite \(nan\)"):
+        parse_csv(_write(tmp_path, "group,a,b,c\ng1,0.2,0.3,0.5\ng2,0.3,0.2,0.5\ng2,0.2,nan,0.5\n"))
+    with pytest.raises(InputError, match=r"row 2: component 'a' is not finite \(inf\)"):
+        parse_csv(_write(tmp_path, "group,a,b\ng1,inf,0.5\n"))
+
     # looser tolerance admits mildly unnormalized rows
     ds = parse_csv(
         _write(tmp_path, "group,a,b\ng1,0.6,0.41\ng1,0.5,0.5\n"),

@@ -143,35 +143,79 @@ def test_batch_matches_per_replicate_public_test():
     assert res.counts[FAIL_TO_REJECT] == 25 - rejects
 
 
+NDD_STUDY_CASES = [
+    # test tree spelled in another leaf order than the generators
+    (BEST_TREE_TEXT, "((AQ1:6.0,OQ:14.0):8.1,(AQ2:5.6,TQ:9.2):11.2)", "((TQ,OQ),(AQ2,AQ1))"),
+    # a three-child root over a shape the generators do not share
+    ("((a:4,b:6):5,(c:3,d:7,e:5):8)", "((a:7,b:3):5,(c:3,d:7,e:5):8)", "((a,(b,c)),d,e)"),
+    # the quadrant tree itself
+    (BEST_TREE_TEXT, "((AQ1:6.0,OQ:14.0):8.1,(AQ2:5.6,TQ:9.2):11.2)", "((AQ1,OQ),(AQ2,TQ))"),
+]
+
+
 def test_ndd_study_matches_per_replicate_public_test():
-    gen1 = NddParams(tree=parse_tree(BEST_TREE_TEXT))
-    gen2 = NddParams(
-        tree=parse_tree("((AQ1:6.0,OQ:14.0):8.1,(AQ2:5.6,TQ:9.2):11.2)")
-    )
-    test_tree = gen1.tree.strip_alphas()
-    spec = _spec(
-        generator_1=gen1,
-        generator_2=gen2,
-        n_per_group=8,
-        replicates=20,
-        master_seed=19,
-        procedure=NddLRT(tree=test_tree),
-    )
-    res = run_power_study(spec)
-    names = tuple(
-        test_tree.component_name(j) for j in range(test_tree.n_components)
-    )
-    rejects = 0
-    for i in range(20):
-        rng = _replicate_rng(19, i)
-        x1 = nested.sample(gen1, 8, rng)
-        x2 = nested.sample(gen2, 8, rng)
-        ds = CompositionDataset.from_arrays(
-            np.vstack([x1, x2]), ["a"] * 8 + ["b"] * 8, components=names
+    for gen_1, gen_2, test_tree in NDD_STUDY_CASES:
+        gen1 = NddParams(tree=parse_tree(gen_1))
+        gen2 = NddParams(tree=parse_tree(gen_2))
+        tree = parse_tree(test_tree)
+        spec = _spec(
+            generator_1=gen1,
+            generator_2=gen2,
+            n_per_group=(6, 9),
+            replicates=20,
+            master_seed=19,
+            procedure=NddLRT(tree=tree),
         )
-        report = inference.two_sample_ndd_lrt(ds, test_tree)
-        rejects += int(report.p_value < 0.05)
-    assert res.counts[REJECT] == rejects
+        res = run_power_study(spec)
+        tally = {REJECT: 0, FAIL_TO_REJECT: 0, FIT_FAILURE: 0}
+        for i in range(20):
+            rng = _replicate_rng(19, i)
+            x1 = nested.sample(gen1, 6, rng)
+            x2 = nested.sample(gen2, 9, rng)
+            # Sampled columns follow generator 1's names; the test binds by name.
+            ds = CompositionDataset.from_arrays(
+                np.vstack([x1, x2]), ["a"] * 6 + ["b"] * 9, components=gen1.tree.leaf_names
+            )
+            report = inference.two_sample_ndd_lrt(ds, tree)
+            if not report.converged:
+                tally[FIT_FAILURE] += 1
+            else:
+                tally[REJECT if report.p_value < 0.05 else FAIL_TO_REJECT] += 1
+        assert res.counts == tally, test_tree
+
+
+def test_studies_bind_generator_2_and_test_tree_by_leaf_name():
+    gen = NddParams(tree=parse_tree("((a:5,b:5):3,(c:2,d:8):6)"))
+    reordered = NddParams(tree=parse_tree("((c:2,d:8):6,(a:5,b:5):3)"))
+    shape = gen.tree.strip_alphas()
+    spec = _spec(generator_1=gen, generator_2=reordered, n_per_group=10,
+                 replicates=100, master_seed=1, procedure=NddLRT(tree=shape))
+    # The same law in another leaf order is the same generator.
+    assert same_generator(spec.generator_1, spec.generator_2)
+    with pytest.raises(InputError, match="distinct"):
+        run_power_study(spec)
+    same = _spec(generator_1=gen, generator_2=gen, n_per_group=10,
+                 replicates=100, master_seed=1, procedure=NddLRT(tree=shape))
+    assert run_type1_study(spec).counts == run_type1_study(same).counts
+    # Names already in generator 1's order keep the very same test tree.
+    assert same.procedure.tree is shape
+
+    # The three pairings of four leaves are three different tests.
+    other = NddParams(tree=parse_tree("((a:5,b:9):3,(c:2,d:8):6)"))
+    tallies = {
+        text: run_power_study(
+            _spec(generator_1=gen, generator_2=other, n_per_group=10, replicates=100,
+                  master_seed=1, procedure=NddLRT(tree=parse_tree(text)))
+        ).counts[REJECT]
+        for text in ("((a,b),(c,d))", "((a,c),(b,d))", "((a,d),(b,c))")
+    }
+    assert len(set(tallies.values())) == 3
+
+    with pytest.raises(InputError, match="generator 2"):
+        _spec(generator_1=gen, generator_2=NddParams(tree=parse_tree("((a:5,b:5):3,(c:2,e:8):6)")),
+              procedure=NddLRT(tree=shape))
+    with pytest.raises(InputError, match="test tree"):
+        _spec(generator_1=gen, generator_2=gen, procedure=NddLRT(tree=parse_tree("((a,b),(c,e))")))
 
 
 def test_flat_tree_ndd_study_matches_dirichlet_study():
