@@ -36,6 +36,7 @@ from .numerics import (
     EULER_GAMMA,
     Tolerance,
     _digamma_core,
+    _digamma_trigamma_core,
     _lgamma_core,
     _trigamma_core,
 )
@@ -141,7 +142,8 @@ def _inv_digamma(y: np.ndarray) -> np.ndarray:
     x = np.where(y >= -2.22, np.exp(y) + 0.5, -1.0 / (y + EULER_GAMMA))
     x = np.maximum(x, 1.0e-300)
     for _ in range(5):
-        x = x - (_digamma_core(x) - y) / _trigamma_core(x)
+        psi, psi1 = _digamma_trigamma_core(x)
+        x = x - (psi - y) / psi1
         x = np.maximum(x, 1.0e-300)
     return x
 

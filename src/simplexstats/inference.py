@@ -35,6 +35,7 @@ from .errors import (
 from .numerics import (
     Tolerance,
     _digamma_core,
+    _digamma_trigamma_core,
     _lgamma_core,
     _trigamma_core,
     chi_square_sf,
@@ -351,16 +352,19 @@ def _group_ll(pi: np.ndarray, a: np.ndarray, ml: np.ndarray) -> np.ndarray:
     )
 
 
+def _precision_slope(pi, ml, psi_a, psi_ap):
+    """Derivative of the group log-likelihood in A, from digamma at A and
+    at A * pi."""
+    return psi_a - (pi * psi_ap).sum(axis=1) + (pi * ml).sum(axis=1)
+
+
 def _prec_derivs(pi: np.ndarray, a: np.ndarray, ml: np.ndarray):
     """First and second derivative of the group log-likelihood in t = log
     A."""
-    ap = a[:, None] * pi
-    g1 = (
-        _digamma_core(a)
-        - (pi * _digamma_core(ap)).sum(axis=1)
-        + (pi * ml).sum(axis=1)
-    )
-    g2 = _trigamma_core(a) - (pi * pi * _trigamma_core(ap)).sum(axis=1)
+    psi_a, psi1_a = _digamma_trigamma_core(a)
+    psi_ap, psi1_ap = _digamma_trigamma_core(a[:, None] * pi)
+    g1 = _precision_slope(pi, ml, psi_a, psi_ap)
+    g2 = psi1_a - (pi * pi * psi1_ap).sum(axis=1)
     return a * g1, a * g1 + a * a * g2
 
 
@@ -458,15 +462,15 @@ def _common_mean_fit(
         m1, m2 = ml1[idx], ml2[idx]
         ww1, ww2 = w1[idx], w2[idx]
 
-        gpi = ww1 * a1[:, None] * (m1 - _digamma_core(a1[:, None] * pi))
-        gpi += ww2 * a2[:, None] * (m2 - _digamma_core(a2[:, None] * pi))
+        psi_ap1 = _digamma_core(a1[:, None] * pi)
+        psi_ap2 = _digamma_core(a2[:, None] * pi)
+        gpi = ww1 * a1[:, None] * (m1 - psi_ap1)
+        gpi += ww2 * a2[:, None] * (m2 - psi_ap2)
         u = pi * gpi
         s = u.sum(axis=1)
         g_theta = u[:, :k1] - s[:, None] * pi[:, :k1]
-        d1, _ = _prec_derivs(pi, a1, m1)
-        d2, _ = _prec_derivs(pi, a2, m2)
-        gt1 = ww1[:, 0] * d1
-        gt2 = ww2[:, 0] * d2
+        gt1 = ww1[:, 0] * (a1 * _precision_slope(pi, m1, _digamma_core(a1), psi_ap1))
+        gt2 = ww2[:, 0] * (a2 * _precision_slope(pi, m2, _digamma_core(a2), psi_ap2))
 
         gmax = np.maximum(
             np.abs(g_theta).max(axis=1), np.maximum(np.abs(gt1), np.abs(gt2))

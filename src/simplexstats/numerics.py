@@ -6,6 +6,11 @@ and the tail/quantile functions derived from them. No numerical library is
 used beyond numpy's elementwise arithmetic, so results are reproducible from
 first principles and easy to audit.
 
+Log-gamma, digamma and trigamma shift the argument past 10 with their
+recurrences, then apply an asymptotic series. Where a fit needs digamma and
+trigamma at the same points, one shift loop serves both values; each matches
+its separate evaluation bit for bit.
+
 All functions accept a float or an ndarray and apply elementwise; a scalar in
 gives a Python float out. Inputs outside a function's domain raise
 :class:`~simplexstats.errors.DomainError`.
@@ -132,51 +137,72 @@ def _check_df(df, name: str) -> int:
 
 def _tail_sum(w: np.ndarray, coeffs) -> np.ndarray:
     """Evaluate sum_k c_k * w^(k+1) by Horner's rule (w = 1/z**2)."""
-    acc = np.zeros_like(w)
-    for c in reversed(coeffs):
-        acc = (acc + c) * w
+    acc = coeffs[-1] * w
+    for c in reversed(coeffs[:-1]):
+        acc += c
+        acc *= w
     return acc
 
 
-def _lgamma_core(x: np.ndarray) -> np.ndarray:
+def _reciprocal(z: np.ndarray) -> np.ndarray:
+    return 1.0 / z
+
+
+def _reciprocal_square(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (z * z)
+
+
+def _shift_up(x: np.ndarray, fill: float, *terms):
+    """Add 1 to each element of x until it is at least _SHIFT_TO.
+
+    Returns the shifted z and, per term, the sum of term(z) over the values
+    each element took below the shift point. Elements already past it see
+    term(fill), which must be exactly 0, so their sums stay put.
+    """
     z = x.astype(float, copy=True)
-    shift = np.zeros_like(z)
+    sums = [np.zeros_like(z) for _ in terms]
     for _ in range(10):
         low = z < _SHIFT_TO
         if not low.any():
             break
-        shift = np.where(low, shift + np.log(np.where(low, z, 1.0)), shift)
-        z = np.where(low, z + 1.0, z)
+        zl = np.where(low, z, fill)
+        for acc, term in zip(sums, terms):
+            acc += term(zl)
+        z += low
+    return z, sums
+
+
+def _digamma_series(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.log(z) - 0.5 / z - _tail_sum(w, _DIGAMMA_TAIL)
+
+
+def _trigamma_series(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return 1.0 / z + 0.5 * w + _tail_sum(w, _TRIGAMMA_TAIL) / z
+
+
+def _lgamma_core(x: np.ndarray) -> np.ndarray:
+    z, (shift,) = _shift_up(x, 1.0, np.log)
     w = 1.0 / (z * z)
     series = _tail_sum(w, _LGAMMA_TAIL) * z  # sum of c_k / z**(2k-1)
     return (z - 0.5) * np.log(z) - z + _LN_SQRT_2PI + series - shift
 
 
 def _digamma_core(x: np.ndarray) -> np.ndarray:
-    z = x.astype(float, copy=True)
-    shift = np.zeros_like(z)
-    for _ in range(10):
-        low = z < _SHIFT_TO
-        if not low.any():
-            break
-        shift = np.where(low, shift + 1.0 / np.where(low, z, 1.0), shift)
-        z = np.where(low, z + 1.0, z)
-    w = 1.0 / (z * z)
-    return np.log(z) - 0.5 / z - _tail_sum(w, _DIGAMMA_TAIL) - shift
+    z, (shift,) = _shift_up(x, np.inf, _reciprocal)
+    return _digamma_series(z, 1.0 / (z * z)) - shift
 
 
 def _trigamma_core(x: np.ndarray) -> np.ndarray:
-    z = x.astype(float, copy=True)
-    shift = np.zeros_like(z)
-    for _ in range(10):
-        low = z < _SHIFT_TO
-        if not low.any():
-            break
-        zz = np.where(low, z, 1.0)
-        shift = np.where(low, shift + 1.0 / (zz * zz), shift)
-        z = np.where(low, z + 1.0, z)
+    z, (shift,) = _shift_up(x, np.inf, _reciprocal_square)
+    return _trigamma_series(z, 1.0 / (z * z)) + shift
+
+
+def _digamma_trigamma_core(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Digamma and trigamma at the same points, from one shift loop; each
+    matches its single core bit for bit."""
+    z, (shift, shift_sq) = _shift_up(x, np.inf, _reciprocal, _reciprocal_square)
     w = 1.0 / (z * z)
-    return 1.0 / z + 0.5 * w + _tail_sum(w, _TRIGAMMA_TAIL) / z + shift
+    return _digamma_series(z, w) - shift, _trigamma_series(z, w) + shift_sq
 
 
 def log_gamma(x):

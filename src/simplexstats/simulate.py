@@ -118,13 +118,14 @@ def _generator_components(gen) -> int:
 def same_generator(g1, g2) -> bool:
     """Whether two generators define the same distribution.
 
-    Trees compare in their own leaf order; SimSpec has already renumbered a
-    named generator 2 to generator 1's names.
+    Trees compare by their canonical roots, positionally and names aside;
+    SimSpec has already renumbered a named generator 2 to generator 1's
+    names.
     """
     if isinstance(g1, DirichletParams) and isinstance(g2, DirichletParams):
         return bool(np.array_equal(g1.alpha, g2.alpha))
     if isinstance(g1, NddParams) and isinstance(g2, NddParams):
-        return g1.tree.render() == g2.tree.render()
+        return g1.tree.root == g2.tree.root
     return False
 
 

@@ -9,7 +9,7 @@ from simplexstats import dirichlet
 from simplexstats.composition import SufficientStats
 from simplexstats.dirichlet import DirichletParams
 from simplexstats.errors import DegenerateDataError, DomainError
-from simplexstats.numerics import Tolerance, digamma
+from simplexstats.numerics import Tolerance, _digamma_core, digamma
 
 
 def test_params_validate_and_freeze():
@@ -247,6 +247,12 @@ def _numerical_hessian(f, x0, h=1e-4):
             hess[i, j] = val
             hess[j, i] = val
     return hess
+
+
+def test_inv_digamma_recovers_its_argument():
+    x = np.geomspace(1e-3, 1e6, 1001)
+    back = dirichlet._inv_digamma(_digamma_core(x))
+    assert np.max(np.abs(back - x) / x) < 1e-13
 
 
 def test_fisher_information_matches_numerical_hessian():

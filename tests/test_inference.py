@@ -368,3 +368,21 @@ def test_pairwise_mean_cis_level_controls_width():
     wide = pairwise_mean_cis(ds, level=0.99)
     for lo, hi in zip(narrow, wide):
         assert (hi.upper - hi.lower) > (lo.upper - lo.lower)
+
+
+def test_prec_derivs_match_central_differences_of_group_loglik():
+    rng = np.random.default_rng(7)
+    b, k = 12, 4
+    pi = rng.dirichlet(np.full(k, 2.0), size=b)
+    ml = np.log(rng.dirichlet(np.full(k, 3.0), size=(b, 9))).mean(axis=1)
+    t = np.linspace(-1.0, 8.0, b)
+    d1, d2 = inference._prec_derivs(pi, np.exp(t), ml)
+
+    def f(tt):
+        return inference._group_ll(pi, np.exp(tt), ml)
+
+    h1, h2 = 1e-5, 1e-3
+    num1 = (f(t + h1) - f(t - h1)) / (2.0 * h1)
+    num2 = (f(t + h2) - 2.0 * f(t) + f(t - h2)) / (h2 * h2)
+    assert np.max(np.abs(num1 - d1) / np.abs(d1)) < 1e-7
+    assert np.max(np.abs(num2 - d2) / np.abs(d2)) < 1e-4

@@ -6,8 +6,14 @@ import pytest
 import scipy.special as sp
 import scipy.stats as st
 
+from simplexstats import numerics
 from simplexstats.errors import DomainError
 from simplexstats.numerics import (
+    _DIGAMMA_TAIL,
+    _LGAMMA_TAIL,
+    _LN_SQRT_2PI,
+    _SHIFT_TO,
+    _TRIGAMMA_TAIL,
     Tolerance,
     chi_square_cdf,
     chi_square_sf,
@@ -185,3 +191,122 @@ def test_tolerance_validates_fields():
         Tolerance(abs_tol=0.0)
     with pytest.raises(DomainError):
         Tolerance(max_iter=0)
+
+
+# Reference cores: the np.where forms of the three shift loops, kept
+# verbatim. The cores in numerics compute the same expressions in place, and
+# digamma and trigamma share one loop, so every output must match these bit
+# for bit.
+
+
+def _ref_tail_sum(w, coeffs):
+    acc = np.zeros_like(w)
+    for c in reversed(coeffs):
+        acc = (acc + c) * w
+    return acc
+
+
+def _ref_lgamma_core(x):
+    z = x.astype(float, copy=True)
+    shift = np.zeros_like(z)
+    for _ in range(10):
+        low = z < _SHIFT_TO
+        if not low.any():
+            break
+        shift = np.where(low, shift + np.log(np.where(low, z, 1.0)), shift)
+        z = np.where(low, z + 1.0, z)
+    w = 1.0 / (z * z)
+    series = _ref_tail_sum(w, _LGAMMA_TAIL) * z  # sum of c_k / z**(2k-1)
+    return (z - 0.5) * np.log(z) - z + _LN_SQRT_2PI + series - shift
+
+
+def _ref_digamma_core(x):
+    z = x.astype(float, copy=True)
+    shift = np.zeros_like(z)
+    for _ in range(10):
+        low = z < _SHIFT_TO
+        if not low.any():
+            break
+        shift = np.where(low, shift + 1.0 / np.where(low, z, 1.0), shift)
+        z = np.where(low, z + 1.0, z)
+    w = 1.0 / (z * z)
+    return np.log(z) - 0.5 / z - _ref_tail_sum(w, _DIGAMMA_TAIL) - shift
+
+
+def _ref_trigamma_core(x):
+    z = x.astype(float, copy=True)
+    shift = np.zeros_like(z)
+    for _ in range(10):
+        low = z < _SHIFT_TO
+        if not low.any():
+            break
+        zz = np.where(low, z, 1.0)
+        shift = np.where(low, shift + 1.0 / (zz * zz), shift)
+        z = np.where(low, z + 1.0, z)
+    w = 1.0 / (z * z)
+    return 1.0 / z + 0.5 * w + _ref_tail_sum(w, _TRIGAMMA_TAIL) / z + shift
+
+
+BITWISE_GRID = np.concatenate(
+    [
+        np.geomspace(1e-300, 1e8, 4001),
+        np.arange(1.0, 13.0),
+        np.nextafter(10.0, [0.0, 20.0]),
+    ]
+)
+
+
+def _reference_warns(ref, x):
+    """Mask of the arguments at which the reference core raises a
+    floating-point warning."""
+    out = np.zeros(x.shape, dtype=bool)
+    with np.errstate(all="raise"):
+        for i in range(x.size):
+            try:
+                ref(x[i : i + 1])
+            except FloatingPointError:
+                out[i] = True
+    return out
+
+
+def _evaluate(fn, x, loud):
+    """fn over x; warnings are silenced only at the loud arguments, so a
+    warning anywhere else fails the test."""
+    quiet_part = fn(x[~loud])
+    with np.errstate(all="ignore"):
+        loud_part = fn(x[loud])
+    if isinstance(quiet_part, tuple):
+        return tuple(_stitch(q, l, loud) for q, l in zip(quiet_part, loud_part))
+    return _stitch(quiet_part, loud_part, loud)
+
+
+def _stitch(quiet_part, loud_part, loud):
+    out = np.empty(loud.shape)
+    out[~loud] = quiet_part
+    out[loud] = loud_part
+    return out
+
+
+@pytest.mark.parametrize(
+    "core, ref",
+    [
+        (numerics._lgamma_core, _ref_lgamma_core),
+        (numerics._digamma_core, _ref_digamma_core),
+        (numerics._trigamma_core, _ref_trigamma_core),
+    ],
+)
+def test_special_cores_match_reference_bitwise(core, ref):
+    x = BITWISE_GRID
+    loud = _reference_warns(ref, x)
+    assert _evaluate(core, x, loud).tobytes() == _evaluate(ref, x, loud).tobytes()
+
+
+def test_fused_digamma_trigamma_matches_reference_bitwise():
+    x = BITWISE_GRID
+    loud = _reference_warns(_ref_trigamma_core, x)
+    # Trigamma warns only where x * x underflows.
+    assert loud.any() and x[loud].max() < 1e-150
+    assert not _reference_warns(_ref_digamma_core, x).any()
+    psi, psi1 = _evaluate(numerics._digamma_trigamma_core, x, loud)
+    assert psi.tobytes() == _evaluate(_ref_digamma_core, x, loud).tobytes()
+    assert psi1.tobytes() == _evaluate(_ref_trigamma_core, x, loud).tobytes()

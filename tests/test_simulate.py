@@ -9,7 +9,7 @@ from simplexstats import dirichlet, inference, nested, simulate
 from simplexstats.composition import CompositionDataset
 from simplexstats.dirichlet import DirichletParams
 from simplexstats.errors import InputError
-from simplexstats.nested import NddParams, flat_tree, parse_tree
+from simplexstats.nested import NddParams, NestingTree, flat_tree, parse_tree
 from simplexstats.simulate import (
     FAIL_TO_REJECT,
     FIT_FAILURE,
@@ -91,6 +91,12 @@ def test_same_generator():
     assert same_generator(t1, t2)
     assert not same_generator(t1, t3)
     assert not same_generator(CONTROL, t1)
+    # A named tree and its unnamed copy are one law.
+    named = NddParams(tree=parse_tree("((a:5,b:5):3,(c:2,d:8):6)"))
+    unnamed = NddParams(tree=NestingTree(root=named.tree.root))
+    assert same_generator(named, unnamed)
+    with pytest.raises(InputError, match="distinct"):
+        run_power_study(_spec(generator_1=named, generator_2=unnamed, replicates=5))
 
 
 def test_study_determinism_and_tally_math():
