@@ -13,9 +13,12 @@ Likelihood-ratio machinery for Dirichlet-type models:
 
 Every iterative fit exists in a private batch form operating on arrays of
 independent datasets; the public functions wrap the single-dataset case. The
-nested test is the one-row case of _ndd_lrt_batch, which runs the two-sample
-batch once per internal node. The simulation harness drives the batch forms
-directly.
+uniformity test is the one-row case of _uniformity_lrt_batch, the batch the
+screening study and the calibration reference sample run, and the nested test
+is the one-row case of _ndd_lrt_batch, which runs the two-sample batch once
+per internal node. The simulation harness drives the batch forms directly.
+The likelihood-ratio tests report a fit that stops short of tolerance as
+converged=False instead of raising.
 """
 
 from __future__ import annotations
@@ -103,14 +106,16 @@ class MeanDifferenceCI:
 # One-sample uniformity test
 
 def _uniformity_null_batch(
-    mean_log: np.ndarray, n: np.ndarray, init_a: np.ndarray, tol: Tolerance
+    mean_log: np.ndarray, n: int | np.ndarray, init_a: np.ndarray, tol: Tolerance
 ):
     """Maximize the uniform-mean likelihood over the precision, per row.
 
     The uniform mean is the common-mean model at pi = 1/K, so this iterates
     the same damped Newton step in log-precision under the stopping rule of
-    dirichlet._ascend; a row pinned at _T_CAP with the likelihood still
-    rising stops unconverged. Returns (a_opt, loglik_full, converged).
+    dirichlet._ascend. A row that ends within 1 of _T_CAP is unconverged:
+    there the likelihood is flat to rounding, as on a row whose mean logs
+    all sit at log(1/K), so a small step is no sign of a maximum. Returns
+    (a_opt, loglik_full, converged).
     """
     b, k = mean_log.shape
     pi = np.full(k, 1.0 / k)
@@ -126,7 +131,7 @@ def _uniformity_null_batch(
 
     converged, _ = dirichlet._ascend(step, np.arange(b), b, tol)
     a_opt = np.exp(t)
-    return a_opt, n * _group_ll(pi, a_opt, mean_log), converged
+    return a_opt, n * _group_ll(pi, a_opt, mean_log), converged & (t < _T_CAP - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -136,19 +141,27 @@ _CALIBRATION_SEED = 987654321
 _NULL_LRT_CACHE: dict[tuple[int, int, int, int], np.ndarray] = {}
 
 
-def _uniformity_lrt_batch(x: np.ndarray, tol: Tolerance):
-    """Uniformity LRT statistics for a stack of datasets, shape (B, n, K).
+def _uniformity_lrt_batch(stats: SufficientStats, tol: Tolerance):
+    """Batched uniformity LRT, per row of a statistics carrier ((1,) results
+    for one dataset); the null precision starts at the alternative's,
+    floored at 1.
 
-    Returns (statistics, ok) where ok flags rows whose constrained and
-    unconstrained fits both converged.
+    Returns a dict of per-row arrays: statistic, usable, converged, and the
+    fitted pieces needed for reporting.
     """
-    stats = SufficientStats.reduce(x)
     alpha, ll1, _, conv1, usable = dirichlet._fit_batch(stats, tol)
     a0, ll0, conv0 = _uniformity_null_batch(
-        stats.mean_log, stats.n, np.maximum(alpha.sum(axis=1), 1.0), tol
+        np.atleast_2d(stats.mean_log), stats.n, np.maximum(alpha.sum(axis=1), 1.0), tol
     )
-    lam = np.maximum(-2.0 * (ll0 - ll1), 0.0)
-    return lam, conv1 & conv0 & usable
+    return {
+        "statistic": np.maximum(-2.0 * (ll0 - ll1), 0.0),
+        "usable": usable,
+        "converged": conv1 & conv0,
+        "alt_alpha": alpha,
+        "alt_loglik": ll1,
+        "null_precision": a0,
+        "null_loglik": ll0,
+    }
 
 
 def _null_lrt_sample(
@@ -162,6 +175,10 @@ def _null_lrt_sample(
     precision (checked numerically over precisions from 2 to 1000), so one
     reference sample serves all null members of a given shape.
     """
+    if replicates < 1:
+        raise InputError(
+            f"calibration replicates must be at least 1, got {replicates}"
+        )
     key = (int(n_obs), int(k), int(replicates), int(seed))
     cached = _NULL_LRT_CACHE.get(key)
     if cached is not None:
@@ -170,9 +187,9 @@ def _null_lrt_sample(
         np.random.SeedSequence(entropy=seed, spawn_key=(n_obs, k))
     )
     draws = rng.dirichlet(np.ones(k), size=(replicates, n_obs))
-    lam, ok = _uniformity_lrt_batch(draws, tol)
-    lam = np.sort(lam[ok])
-    if lam.size < replicates // 2:
+    res = _uniformity_lrt_batch(SufficientStats.reduce(draws), tol)
+    lam = np.sort(res["statistic"][res["usable"] & res["converged"]])
+    if 2 * lam.size < replicates:
         raise NumericalError(
             "null calibration failed: fewer than half of the reference "
             "fits converged"
@@ -236,26 +253,24 @@ def one_sample_uniformity_test(
     Null: mean = (1/K, ..., 1/K) with a free precision. Alternative: any
     Dirichlet. The statistic is -2 log LR with K-1 degrees of freedom and
     the reported p-value is the asymptotic chi-square tail. That reference
-    over-rejects for small samples; pass calibration_replicates to also get
-    a Monte Carlo p-value against the simulated finite-sample null
-    distribution, reported as details["calibrated_p_value"].
+    over-rejects for small samples; pass calibration_replicates (at least 1)
+    to also get a Monte Carlo p-value against the simulated finite-sample
+    null distribution, reported as details["calibrated_p_value"].
+
+    This is the one-row case of _uniformity_lrt_batch; a fit that stops
+    short of tolerance gives converged=False.
     """
     stats = dirichlet._as_stats(data)
     k = stats.n_components
-    alt = dirichlet.mle(stats, tol=tol)
-    a0, ll0, conv0 = _uniformity_null_batch(
-        stats.mean_log[None, :],
-        np.array([float(stats.n)]),
-        np.array([alt.params.precision]),
-        tol,
-    )
-    lam = max(0.0, -2.0 * (float(ll0[0]) - alt.log_likelihood))
-    p = chi_square_sf(lam, k - 1)
+    res = _uniformity_lrt_batch(stats, tol)
+    if not res["usable"][0]:
+        raise DegenerateDataError("the data cannot support a Dirichlet fit")
+    lam = float(res["statistic"][0])
     details = {
-        "alternative_alpha": alt.params.alpha.tolist(),
-        "null_precision": float(a0[0]),
-        "log_likelihood_null": float(ll0[0]),
-        "log_likelihood_alt": alt.log_likelihood,
+        "alternative_alpha": res["alt_alpha"][0].tolist(),
+        "null_precision": float(res["null_precision"][0]),
+        "log_likelihood_null": float(res["null_loglik"][0]),
+        "log_likelihood_alt": float(res["alt_loglik"][0]),
     }
     if calibration_replicates is not None:
         details["calibrated_p_value"] = _calibrated_p(
@@ -266,9 +281,9 @@ def one_sample_uniformity_test(
         test="uniformity",
         statistic=lam,
         df=(k - 1,),
-        p_value=p,
+        p_value=chi_square_sf(lam, k - 1),
         groups=(group,) if group else (),
-        converged=alt.converged and bool(conv0[0]),
+        converged=bool(res["converged"][0]),
         details=details,
     )
 
@@ -282,7 +297,17 @@ def _two_group_dataset(dataset: CompositionDataset, groups=None):
             )
         groups = labels
     g1, g2 = groups
-    return g1, g2, dataset.group_matrix(g1), dataset.group_matrix(g2)
+    x1, x2 = dataset.group_matrix(g1), dataset.group_matrix(g2)
+    if x1.shape[0] < 2 or x2.shape[0] < 2:
+        raise DegenerateDataError("each group needs at least 2 observations")
+    return g1, g2, x1, x2
+
+
+def _maugard_verdicts(p1, p2, level: float):
+    """RejectBoth / RejectOne / FailBoth from the two groups' p-values, per
+    element of the (broadcast) p-value arrays."""
+    rejections = (np.asarray(p1) < level).astype(int) + (np.asarray(p2) < level)
+    return np.array([FAIL_BOTH, REJECT_ONE, REJECT_BOTH])[rejections]
 
 
 def maugard_procedure(
@@ -312,21 +337,16 @@ def maugard_procedure(
         raise InputError(f"level must be in (0, 1), got {level}")
     g1, g2, x1, x2 = _two_group_dataset(dataset, groups)
     cal = calibration_replicates if calibrated else None
-    r1 = one_sample_uniformity_test(
-        x1, tol=tol, group=g1,
-        calibration_replicates=cal, calibration_seed=calibration_seed,
+    r1, r2 = (
+        one_sample_uniformity_test(
+            x, tol=tol, group=g,
+            calibration_replicates=cal, calibration_seed=calibration_seed,
+        )
+        for g, x in ((g1, x1), (g2, x2))
     )
-    r2 = one_sample_uniformity_test(
-        x2, tol=tol, group=g2,
-        calibration_replicates=cal, calibration_seed=calibration_seed,
-    )
-    if calibrated:
-        p1 = r1.details["calibrated_p_value"]
-        p2 = r2.details["calibrated_p_value"]
-    else:
-        p1, p2 = r1.p_value, r2.p_value
-    rejections = int(p1 < level) + int(p2 < level)
-    verdict = {0: FAIL_BOTH, 1: REJECT_ONE, 2: REJECT_BOTH}[rejections]
+    key = "calibrated_p_value"
+    p1, p2 = (r.details[key] if calibrated else r.p_value for r in (r1, r2))
+    verdict = str(_maugard_verdicts(p1, p2, level))
     return MaugardResult(verdict=verdict, reports=(r1, r2), level=level)
 
 
@@ -585,8 +605,6 @@ def two_sample_dirichlet_lrt(
     is -2 log LR with K-1 degrees of freedom.
     """
     g1, g2, x1, x2 = _two_group_dataset(dataset, groups)
-    if x1.shape[0] < 2 or x2.shape[0] < 2:
-        raise DegenerateDataError("each group needs at least 2 observations")
     res = _two_sample_lrt_batch(
         SufficientStats.reduce(x1[None]), SufficientStats.reduce(x2[None]), tol
     )
@@ -642,8 +660,6 @@ def two_sample_ndd_lrt(
     this reduces to the plain two-sample test.
     """
     g1, g2, x1, x2 = _two_group_dataset(dataset, groups)
-    if x1.shape[0] < 2 or x2.shape[0] < 2:
-        raise DegenerateDataError("each group needs at least 2 observations")
     m1 = nested._bind_matrix(tree, dataset.group_dataset(g1))
     m2 = nested._bind_matrix(tree, dataset.group_dataset(g2))
     results = _ndd_lrt_batch(tree, m1[None], m2[None], tol)
@@ -759,8 +775,6 @@ def clr_hotelling_test(
     g1, g2, x1, x2 = _two_group_dataset(dataset, groups)
     k = dataset.n_components
     n1, n2 = x1.shape[0], x2.shape[0]
-    if n1 < 2 or n2 < 2:
-        raise DegenerateDataError("each group needs at least 2 observations")
     if n1 + n2 - k < 1:
         raise DegenerateDataError(
             f"need n1 + n2 > K for the pooled covariance; have {n1}+{n2} vs K={k}"

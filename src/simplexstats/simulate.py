@@ -268,29 +268,19 @@ def _stack_stats(x: np.ndarray) -> SufficientStats:
 def _maugard_outcomes(spec: SimSpec, x1, x2):
     proc = spec.procedure
     k = spec.n_components
-    n1, n2 = spec.n_pair
-    lam1, ok1 = inference._uniformity_lrt_batch(x1, spec.tol)
-    lam2, ok2 = inference._uniformity_lrt_batch(x2, spec.tol)
-    if proc.calibrated:
-        p1 = inference._calibrated_p(
-            lam1, n1, k, proc.calibration_replicates,
-            proc.calibration_seed, spec.tol,
-        )
-        p2 = inference._calibrated_p(
-            lam2, n2, k, proc.calibration_replicates,
-            proc.calibration_seed, spec.tol,
-        )
-    else:
-        p1 = chi_square_sf(np.where(ok1, lam1, 0.0), k - 1)
-        p2 = chi_square_sf(np.where(ok2, lam2, 0.0), k - 1)
-    r1 = p1 < spec.level
-    r2 = p2 < spec.level
-    outcomes = np.where(
-        r1 & r2,
-        inference.REJECT_BOTH,
-        np.where(r1 ^ r2, inference.REJECT_ONE, inference.FAIL_BOTH),
-    )
-    return outcomes, ok1 & ok2
+    p, ok = [], []
+    for x, n in zip((x1, x2), spec.n_pair):
+        res = inference._uniformity_lrt_batch(_stack_stats(x), spec.tol)
+        good = res["usable"] & res["converged"]
+        if proc.calibrated:
+            p.append(inference._calibrated_p(
+                res["statistic"], n, k, proc.calibration_replicates,
+                proc.calibration_seed, spec.tol,
+            ))
+        else:
+            p.append(chi_square_sf(np.where(good, res["statistic"], 0.0), k - 1))
+        ok.append(good)
+    return inference._maugard_verdicts(p[0], p[1], spec.level), ok[0] & ok[1]
 
 
 def _lrt_outcomes(spec: SimSpec, x1, x2):

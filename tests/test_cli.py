@@ -215,6 +215,19 @@ def test_maugard_verdict_matches_library(capsys):
     assert doc["config"]["calibrated"] is True
 
 
+@pytest.mark.parametrize("replicates", ["0", "-5"])
+@pytest.mark.parametrize("method", ["maugard", "uniformity"])
+def test_calibration_replicates_must_be_positive(capsys, method, replicates):
+    argv = ["test", "--method", method, FIXTURE, "--calibration-replicates", replicates]
+    if method == "uniformity":
+        argv += ["--group", "control"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("simplexstats: error: calibration replicates")
+    assert "Traceback" not in captured.err
+
+
 def test_ci_matches_library(capsys):
     ds = parse_csv(FIXTURE)
     assert main(["ci", FIXTURE, "--json"]) == 0

@@ -9,7 +9,12 @@ import scipy.stats as st
 from simplexstats import dirichlet, inference, nested
 from simplexstats.composition import CompositionDataset, SufficientStats, clr
 from simplexstats.dirichlet import DirichletParams
-from simplexstats.errors import DegenerateDataError, DimensionMismatchError, InputError
+from simplexstats.errors import (
+    DegenerateDataError,
+    DimensionMismatchError,
+    InputError,
+    NumericalError,
+)
 from simplexstats.inference import (
     calibrated_uniformity_cutoff,
     clr_hotelling_test,
@@ -223,19 +228,85 @@ def test_single_dataset_fits_reject_a_stacked_carrier(fit):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_uniformity_null_row_at_the_centre_stops_at_the_cap():
     # Every part's mean log at log(1/K): the likelihood rises without bound
-    # in the precision, so the row has to stop at the cap.
-    ml = np.log(np.random.default_rng(43).dirichlet([6.0, 4.0, 3.0, 5.0], size=8)).mean(axis=0)
-    centre = np.full(4, np.log(0.25))
+    # in the precision, so the row has to stop at the cap, unconverged, and
+    # leave its neighbour's fit as it is alone.
     tol = Tolerance()
-    alone = inference._uniformity_null_batch(ml[None], np.array([8.0]), np.array([10.0]), tol)
-    a, ll, converged = inference._uniformity_null_batch(
-        np.stack([ml, centre]), np.array([8.0, 8.0]), np.array([10.0, 10.0]), tol
-    )
-    assert np.isfinite(a[1]) and a[1] <= np.exp(inference._T_CAP)
-    assert np.isfinite(ll[1])
-    assert alone[2][0] and converged[0]
-    for one, pair in zip(alone, (a, ll, converged)):
-        assert np.array_equal(one[0], pair[0])
+    for k in (2, 3, 4, 6):
+        alpha = (6.0, 4.0, 3.0, 5.0, 2.0, 7.0)[:k]
+        ml = np.log(np.random.default_rng(43).dirichlet(alpha, size=8)).mean(axis=0)
+        centre = np.full(k, np.log(1.0 / k))
+        alone = inference._uniformity_null_batch(ml[None], np.array([8.0]), np.array([10.0]), tol)
+        a, ll, converged = inference._uniformity_null_batch(
+            np.stack([ml, centre]), np.array([8.0, 8.0]), np.array([10.0, 10.0]), tol
+        )
+        assert np.isfinite(a[1]) and a[1] <= np.exp(inference._T_CAP)
+        assert np.isfinite(ll[1])
+        assert not converged[1], k
+        assert alone[2][0] and converged[0]
+        for one, pair in zip(alone, (a, ll, converged)):
+            assert one[0].tobytes() == pair[0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "alpha, n, small", [((0.2, 0.2, 0.2), 10, True), ((6.0, 4.0, 3.0, 5.0), 9, False)]
+)
+def test_uniformity_test_equals_its_row_of_the_batch_path(alpha, n, small):
+    x = np.random.default_rng(47).dirichlet(alpha, size=n)
+    tol = Tolerance()
+    # The one-dataset carrier gives the batch's (1,) results.
+    res = inference._uniformity_lrt_batch(SufficientStats.from_matrix(x), tol)
+    assert (res["alt_alpha"][0].sum() < 1.0) == small
+    tr = one_sample_uniformity_test(x, tol)
+    lam = res["statistic"][0]
+    assert repr(tr.statistic) == repr(float(lam))
+    assert repr(tr.p_value) == repr(chi_square_sf(float(lam), len(alpha) - 1))
+    assert tr.converged is bool(res["converged"][0]) is True
+    assert tr.details == {
+        "alternative_alpha": res["alt_alpha"][0].tolist(),
+        "null_precision": float(res["null_precision"][0]),
+        "log_likelihood_null": float(res["null_loglik"][0]),
+        "log_likelihood_alt": float(res["alt_loglik"][0]),
+    }
+
+
+def test_uniformity_test_reports_nonconvergence():
+    x = np.random.default_rng(53).dirichlet([6.0, 4.0, 3.0, 5.0], size=9)
+    tr = one_sample_uniformity_test(x, Tolerance(max_iter=3))
+    assert tr.converged is False
+    assert tr.statistic >= 0.0
+    assert one_sample_uniformity_test(x).converged is True
+
+
+def test_uniformity_test_rejects_unusable_data():
+    x = np.random.default_rng(59).dirichlet([6.0, 4.0, 3.0], size=6)
+    with pytest.raises(DegenerateDataError):
+        one_sample_uniformity_test(x[:1])
+    with pytest.raises(DegenerateDataError):
+        one_sample_uniformity_test(np.repeat(x[:1], 6, axis=0))
+
+
+@pytest.mark.parametrize("replicates", [0, -5])
+def test_calibration_needs_at_least_one_replicate(replicates):
+    x = np.random.default_rng(29).dirichlet([9.0, 6.0, 6.0, 6.0], size=7)
+    with pytest.raises(InputError, match="at least 1"):
+        one_sample_uniformity_test(x, calibration_replicates=replicates)
+    with pytest.raises(InputError, match="at least 1"):
+        calibrated_uniformity_cutoff(7, 4, replicates=replicates)
+
+
+def test_calibration_refuses_a_sample_with_half_the_fits_failed(monkeypatch):
+    # At one replicate the reference sample must not come back empty.
+    batch = inference._uniformity_lrt_batch
+
+    def unconverged(stats, tol):
+        res = batch(stats, tol)
+        res["converged"] = np.zeros_like(res["converged"])
+        return res
+
+    monkeypatch.setattr(inference, "_uniformity_lrt_batch", unconverged)
+    with pytest.raises(NumericalError, match="fewer than half"):
+        inference._null_lrt_sample(7, 4, 1, 13, Tolerance())
+    assert (7, 4, 1, 13) not in inference._NULL_LRT_CACHE
 
 
 def test_uniformity_statistic_is_zero_on_symmetric_fit():

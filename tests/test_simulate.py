@@ -233,13 +233,15 @@ def test_flat_tree_ndd_study_matches_dirichlet_study():
     assert rd.counts[FAIL_TO_REJECT] == rn.counts[FAIL_TO_REJECT]
 
 
-def test_maugard_study_matches_per_replicate_procedure():
+@pytest.mark.parametrize("calibrated", [False, True], ids=["uncalibrated", "calibrated"])
+def test_maugard_study_matches_per_replicate_procedure(calibrated):
     spec = _spec(
-        procedure=MaugardProcedure(calibrated=False),
+        procedure=MaugardProcedure(calibrated=calibrated, calibration_replicates=500),
         replicates=20,
         master_seed=31,
     )
     res = run_type1_study(spec)
+    outcomes, ok = simulate._maugard_outcomes(spec, *simulate._draw_stacks(spec)[:2])
     tally = {
         inference.REJECT_BOTH: 0,
         inference.REJECT_ONE: 0,
@@ -252,7 +254,10 @@ def test_maugard_study_matches_per_replicate_procedure():
         ds = CompositionDataset.from_arrays(
             np.vstack([x1, x2]), ["a"] * 7 + ["b"] * 7
         )
-        verdict = inference.maugard_procedure(ds, calibrated=False).verdict
+        verdict = inference.maugard_procedure(
+            ds, calibrated=calibrated, calibration_replicates=500
+        ).verdict
+        assert verdict == outcomes[i] and ok[i]
         tally[verdict] += 1
     for cat, want in tally.items():
         assert res.counts[cat] == want
