@@ -139,24 +139,48 @@ class SufficientStats:
     @classmethod
     def reduce(cls, x: np.ndarray) -> "SufficientStats":
         """Statistics of an (n, K) matrix, or of each matrix in a (B, n, K)
-        stack, over the observation axis. The rows are not validated."""
-        n = x.shape[-2]
+        stack, over the observation axis. The rows are not validated.
+
+        A matrix reduces as the one-row stack, and each row's statistics
+        depend on its matrix alone, bit for bit; so a matrix's statistics
+        equal its row of any stack, and a stack reduced in parts and joined
+        with concat equals the whole.
+        """
+        if x.ndim == 2:
+            row = cls.reduce(x[None])
+            return cls(
+                n=x.shape[0],
+                mean_log=row.mean_log[0],
+                mean=row.mean[0],
+                mean_sq=row.mean_sq[0],
+            )
         # One scratch array serves log(x) and x * x: a second full-size
         # temporary can land in fresh memory and add a stack to peak RSS.
         scratch = np.log(x)
-        mean_log = scratch.mean(axis=-2)
+        mean_log = scratch.mean(axis=1)
         np.multiply(x, x, out=scratch)
         return cls(
-            n=n if x.ndim == 2 else np.full(x.shape[0], float(n)),
+            n=np.full(x.shape[0], float(x.shape[1])),
             mean_log=mean_log,
-            mean=x.mean(axis=-2),
-            mean_sq=scratch.mean(axis=-2),
+            mean=x.mean(axis=1),
+            mean_sq=scratch.mean(axis=1),
+        )
+
+    @classmethod
+    def concat(cls, parts) -> "SufficientStats":
+        """Stacked carriers joined along the dataset axis, in order."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls(
+            n=np.concatenate([p.n for p in parts]),
+            mean_log=np.concatenate([p.mean_log for p in parts]),
+            mean=np.concatenate([p.mean for p in parts]),
+            mean_sq=np.concatenate([p.mean_sq for p in parts]),
         )
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "SufficientStats":
-        m = validate(matrix)
-        return cls.reduce(m[None, :] if m.ndim == 1 else m)
+        return cls.reduce(np.atleast_2d(validate(matrix)))
 
     @property
     def stacked(self) -> bool:

@@ -16,7 +16,8 @@ independent datasets; the public functions wrap the single-dataset case. The
 uniformity test is the one-row case of _uniformity_lrt_batch, the batch the
 screening study and the calibration reference sample run, and the nested test
 is the one-row case of _ndd_lrt_batch, which runs the two-sample batch once
-per internal node. The simulation harness drives the batch forms directly.
+per internal node on the carriers _ndd_node_stats reduces. The simulation
+harness drives the batch forms directly.
 The likelihood-ratio tests report a fit that stops short of tolerance as
 converged=False instead of raising.
 """
@@ -139,6 +140,19 @@ def _uniformity_null_batch(
 
 _CALIBRATION_SEED = 987654321
 _NULL_LRT_CACHE: dict[tuple[int, int, int, int], np.ndarray] = {}
+# Draws per chunk (replicates x observations x components): the calibration
+# and the studies draw and reduce one chunk of replicates at a time, so they
+# hold one 3.3 MB stack, never all R replicates' draws. Chunks sized in
+# replicates made small-n fits slower (the 10,000-row calibration at n = 7
+# by 1.5x): glibc's malloc sets its trim threshold from the largest block
+# freed, and with stacks smaller than the fits' (R, K) temporaries it gave
+# that memory back to the system and faulted it in again every iteration.
+_CHUNK_DRAWS = 1024 * 100 * 4
+
+
+def _chunk_rows(n_obs: int, k: int) -> int:
+    """Replicates per chunk of (n_obs, K) draws."""
+    return max(1, _CHUNK_DRAWS // (n_obs * k))
 
 
 def _uniformity_lrt_batch(stats: SufficientStats, tol: Tolerance):
@@ -186,8 +200,16 @@ def _null_lrt_sample(
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(n_obs, k))
     )
-    draws = rng.dirichlet(np.ones(k), size=(replicates, n_obs))
-    res = _uniformity_lrt_batch(SufficientStats.reduce(draws), tol)
+    # One generator draws the chunks in turn, so they hold the same draws
+    # as one (replicates, n, K) call would.
+    rows = _chunk_rows(n_obs, k)
+    parts = [
+        SufficientStats.reduce(
+            rng.dirichlet(np.ones(k), size=(min(rows, replicates - lo), n_obs))
+        )
+        for lo in range(0, replicates, rows)
+    ]
+    res = _uniformity_lrt_batch(SufficientStats.concat(parts), tol)
     lam = np.sort(res["statistic"][res["usable"] & res["converged"]])
     if 2 * lam.size < replicates:
         raise NumericalError(
@@ -335,6 +357,11 @@ def maugard_procedure(
     """
     if not (0.0 < level < 1.0):
         raise InputError(f"level must be in (0, 1), got {level}")
+    if calibrated and calibration_replicates is None:
+        raise InputError(
+            "calibrated decisions need calibration_replicates; pass a count "
+            "of at least 1, or calibrated=False"
+        )
     g1, g2, x1, x2 = _two_group_dataset(dataset, groups)
     cal = calibration_replicates if calibrated else None
     r1, r2 = (
@@ -631,19 +658,19 @@ def two_sample_dirichlet_lrt(
     )
 
 
-def _ndd_lrt_batch(
-    tree: nested.NestingTree, x1: np.ndarray, x2: np.ndarray, tol: Tolerance
-):
-    """_two_sample_lrt_batch at each internal node, in pre-order, on (B, n, K)
-    stacks in tree component order."""
+def _ndd_node_stats(tree: nested.NestingTree, x: np.ndarray) -> list[SufficientStats]:
+    """Per internal node in pre-order, the carrier of its branch compositions
+    for a (B, n, K) stack in tree component order."""
     return [
-        _two_sample_lrt_batch(
-            SufficientStats.reduce(nested._branch_blocks(children, x1)[0]),
-            SufficientStats.reduce(nested._branch_blocks(children, x2)[0]),
-            tol,
-        )
+        SufficientStats.reduce(nested._branch_blocks(children, x)[0])
         for children in nested._child_leaf_sets(tree)
     ]
+
+
+def _ndd_lrt_batch(nodes1, nodes2, tol: Tolerance):
+    """_two_sample_lrt_batch at each internal node, on the groups' per-node
+    carriers from _ndd_node_stats."""
+    return [_two_sample_lrt_batch(s1, s2, tol) for s1, s2 in zip(nodes1, nodes2)]
 
 
 def two_sample_ndd_lrt(
@@ -662,7 +689,9 @@ def two_sample_ndd_lrt(
     g1, g2, x1, x2 = _two_group_dataset(dataset, groups)
     m1 = nested._bind_matrix(tree, dataset.group_dataset(g1))
     m2 = nested._bind_matrix(tree, dataset.group_dataset(g2))
-    results = _ndd_lrt_batch(tree, m1[None], m2[None], tol)
+    results = _ndd_lrt_batch(
+        _ndd_node_stats(tree, m1[None]), _ndd_node_stats(tree, m2[None]), tol
+    )
     labels = tree.internal_nodes()
     per_subtree = []
     for (label, node), res in zip(labels, results):

@@ -7,9 +7,16 @@ generator seeded by SeedSequence(entropy=master_seed, spawn_key=(i,)),
 group 1 first and group 2 second from the same stream, so the tally never
 depends on batching or thread count.
 
+A study draws its replicates in chunks of a fixed number of draws
+(inference._CHUNK_DRAWS: 1,024 replicates at n = 100, K = 4), reduces each
+chunk to the sufficient statistics its procedure fits, and drops the chunk's
+draws before drawing the next. Memory is O(chunk + R * K), not
+O(R * n * K). Reductions are per replicate and the fits run once on the
+joined (R, K) statistics, so results do not depend on the chunk size.
+
 Drawn columns follow generator 1; SimSpec binds named trees to them by leaf
-name. The nested test runs through inference._ndd_lrt_batch, the per-node
-path of inference.two_sample_ndd_lrt.
+name. The nested test runs through inference._ndd_node_stats and
+inference._ndd_lrt_batch, the per-node path of inference.two_sample_ndd_lrt.
 """
 
 from __future__ import annotations
@@ -234,30 +241,29 @@ def _draw(gen, n: int, rng: np.random.Generator) -> np.ndarray:
     return nested.sample(gen, n, rng)
 
 
-def _draw_stacks(spec: SimSpec):
-    """Per-replicate draws, stacked to (R, n, K) per group.
+def _draw_stacks(spec: SimSpec, lo: int, hi: int):
+    """Draws of replicates lo to hi - 1, stacked to (hi - lo, n, K) per group.
 
     Returns (x1, x2, drawn) where drawn flags replicates whose draws
     succeeded; failed rows hold a uniform placeholder and are excluded
     from the tally as fit failures.
     """
-    r = spec.replicates
     n1, n2 = spec.n_pair
     k = spec.n_components
-    x1 = np.empty((r, n1, k))
-    x2 = np.empty((r, n2, k))
-    drawn = np.ones(r, dtype=bool)
-    for i in range(r):
+    x1 = np.empty((hi - lo, n1, k))
+    x2 = np.empty((hi - lo, n2, k))
+    drawn = np.ones(hi - lo, dtype=bool)
+    for j, i in enumerate(range(lo, hi)):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=spec.master_seed, spawn_key=(i,))
         )
         try:
-            x1[i] = _draw(spec.generator_1, n1, rng)
-            x2[i] = _draw(spec.generator_2, n2, rng)
+            x1[j] = _draw(spec.generator_1, n1, rng)
+            x2[j] = _draw(spec.generator_2, n2, rng)
         except NumericalError:
-            x1[i] = 1.0 / k
-            x2[i] = 1.0 / k
-            drawn[i] = False
+            x1[j] = 1.0 / k
+            x2[j] = 1.0 / k
+            drawn[j] = False
     return x1, x2, drawn
 
 
@@ -265,12 +271,49 @@ def _stack_stats(x: np.ndarray) -> SufficientStats:
     return SufficientStats.reduce(x)
 
 
-def _maugard_outcomes(spec: SimSpec, x1, x2):
+def _node_blocks(tree: NestingTree, x: np.ndarray) -> list[SufficientStats]:
+    """Per-node carriers of a (B, n, K) stack, as the nested test fits them."""
+    return inference._ndd_node_stats(tree, x)
+
+
+def _carriers(spec: SimSpec, x: np.ndarray) -> list[SufficientStats]:
+    """What the procedure fits of one group's (B, n, K) stack: one carrier
+    per internal node of the nested test's tree, else one carrier."""
+    if isinstance(spec.procedure, NddLRT):
+        return _node_blocks(spec.procedure.tree, x)
+    return [_stack_stats(x)]
+
+
+def _stream(spec: SimSpec):
+    """Draw and reduce the replicates a chunk at a time.
+
+    A chunk's stacks are dropped before the next chunk is drawn, so memory
+    holds one chunk's draws and the (R, K) carriers. Returns each group's
+    joined carriers and the drawn mask; reductions are per row, so they do
+    not depend on the chunk size.
+    """
+    r = spec.replicates
+    rows = inference._chunk_rows(max(spec.n_pair), spec.n_components)
+    parts1, parts2, drawn = [], [], []
+    for lo in range(0, r, rows):
+        x1, x2, ok = _draw_stacks(spec, lo, min(lo + rows, r))
+        parts1.append(_carriers(spec, x1))
+        parts2.append(_carriers(spec, x2))
+        drawn.append(ok)
+        del x1, x2
+    return (
+        [SufficientStats.concat(p) for p in zip(*parts1)],
+        [SufficientStats.concat(p) for p in zip(*parts2)],
+        np.concatenate(drawn),
+    )
+
+
+def _maugard_outcomes(spec: SimSpec, c1, c2):
     proc = spec.procedure
     k = spec.n_components
     p, ok = [], []
-    for x, n in zip((x1, x2), spec.n_pair):
-        res = inference._uniformity_lrt_batch(_stack_stats(x), spec.tol)
+    for (stats,), n in zip((c1, c2), spec.n_pair):
+        res = inference._uniformity_lrt_batch(stats, spec.tol)
         good = res["usable"] & res["converged"]
         if proc.calibrated:
             p.append(inference._calibrated_p(
@@ -283,38 +326,25 @@ def _maugard_outcomes(spec: SimSpec, x1, x2):
     return inference._maugard_verdicts(p[0], p[1], spec.level), ok[0] & ok[1]
 
 
-def _lrt_outcomes(spec: SimSpec, x1, x2):
-    if isinstance(spec.procedure, DirichletLRT):
-        res = inference._two_sample_lrt_batch(
-            _stack_stats(x1), _stack_stats(x2), spec.tol
-        )
-        lam = res["statistic"]
-        ok = res["usable"] & res["converged"]
-    else:
-        lam = np.zeros(spec.replicates)
-        ok = np.ones(spec.replicates, dtype=bool)
-        for res in inference._ndd_lrt_batch(spec.procedure.tree, x1, x2, spec.tol):
-            lam = lam + res["statistic"]
-            ok &= res["usable"] & res["converged"]
+def _lrt_outcomes(spec: SimSpec, c1, c2):
+    # The plain test is the one-node case: a single carrier per group.
+    lam, ok = 0.0, True
+    for res in inference._ndd_lrt_batch(c1, c2, spec.tol):
+        lam = lam + res["statistic"]
+        ok = ok & res["usable"] & res["converged"]
     # An unusable row's statistic is NaN; it is tallied as a fit failure.
     # Every tree's per-node degrees of freedom add up to K - 1.
     p = chi_square_sf(np.where(ok, lam, 0.0), spec.n_components - 1)
     return np.where(p < spec.level, REJECT, FAIL_TO_REJECT), ok
 
 
-# No library caller: the benchmark tracer wraps this name and needs it defined.
-def _node_blocks(children, x: np.ndarray) -> np.ndarray:
-    """Branch compositions of one internal node for a (R, n, K) stack."""
-    return nested._branch_blocks(children, x)[0]
-
-
 def _run(spec: SimSpec) -> SimResult:
     t0 = time.perf_counter()
-    x1, x2, drawn = _draw_stacks(spec)
+    c1, c2, drawn = _stream(spec)
     if isinstance(spec.procedure, MaugardProcedure):
-        outcomes, ok = _maugard_outcomes(spec, x1, x2)
+        outcomes, ok = _maugard_outcomes(spec, c1, c2)
     else:
-        outcomes, ok = _lrt_outcomes(spec, x1, x2)
+        outcomes, ok = _lrt_outcomes(spec, c1, c2)
     ok = ok & drawn
 
     counts = {cat: 0 for cat in spec.procedure.categories}

@@ -75,16 +75,31 @@ def test_sufficient_stats_from_matrix():
 
 
 def test_stacked_stats_equal_per_matrix_stats_bitwise():
-    rng = np.random.default_rng(17)
-    raw = rng.dirichlet([2.0, 5.0, 3.0], size=(6, 9)) * 1.0000001
-    stacked = SufficientStats.reduce(np.stack([validate(m) for m in raw]))
-    assert stacked.stacked
-    assert stacked.n.tolist() == [9.0] * 6
-    for i, m in enumerate(raw):
-        one = SufficientStats.from_matrix(m)
-        assert not one.stacked and one.n == 9
-        for name in ("mean_log", "mean", "mean_sq"):
-            assert np.array_equal(getattr(stacked, name)[i], getattr(one, name))
+    cases = (
+        np.random.default_rng(17).dirichlet([2.0, 5.0, 3.0], size=(6, 9)) * 1.0000001,
+        # Validation moves these rows by up to 1.1e-16, which moves one mean
+        # log of the raw draws' statistics by 4.4e-16.
+        np.random.default_rng(47).dirichlet([6.0, 4.0, 3.0, 5.0], size=(1, 9)),
+    )
+    for raw in cases:
+        stacked = SufficientStats.reduce(np.stack([validate(m) for m in raw]))
+        assert stacked.stacked
+        assert stacked.n.tolist() == [9.0] * raw.shape[0]
+        for i, m in enumerate(raw):
+            one = SufficientStats.from_matrix(m)
+            assert not one.stacked and one.n == 9
+            for name in ("mean_log", "mean", "mean_sq"):
+                assert np.array_equal(getattr(stacked, name)[i], getattr(one, name))
+
+
+def test_stats_reduced_in_parts_and_joined_equal_the_whole_bitwise():
+    x = np.random.default_rng(23).dirichlet([0.5, 2.0, 7.0, 1.5], size=(9, 6))
+    whole = SufficientStats.reduce(x)
+    joined = SufficientStats.concat(
+        [SufficientStats.reduce(x[lo:hi]) for lo, hi in ((0, 1), (1, 5), (5, 9))]
+    )
+    for name in ("n", "mean_log", "mean", "mean_sq"):
+        assert np.array_equal(getattr(joined, name), getattr(whole, name))
 
 
 def test_sufficient_stats_reject_bad_shapes():

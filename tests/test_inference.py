@@ -386,6 +386,28 @@ def test_maugard_uncalibrated_uses_asymptotic_pvalues():
         assert "calibrated_p_value" not in tr.details
 
 
+def test_maugard_calibrated_without_a_replicate_count_is_an_input_error():
+    rng = np.random.default_rng(37)
+    x = rng.dirichlet([9.0, 6.0, 6.0, 6.0], size=14)
+    ds = CompositionDataset.from_arrays(x, ["a"] * 7 + ["b"] * 7)
+    with pytest.raises(InputError, match="calibration_replicates"):
+        maugard_procedure(ds, calibration_replicates=None)
+    res = maugard_procedure(ds, calibrated=False, calibration_replicates=None)
+    assert res.verdict in ("FailBoth", "RejectOne", "RejectBoth")
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_calibration_sample_drawn_in_chunks_equals_one_draw(monkeypatch, k):
+    tol = Tolerance()
+    samples = []
+    for rows in (250, 100):  # one draw, then 100 + 100 + 50 replicates
+        monkeypatch.setattr(inference, "_NULL_LRT_CACHE", {})
+        monkeypatch.setattr(inference, "_CHUNK_DRAWS", rows * 7 * k)
+        assert inference._chunk_rows(7, k) == rows
+        samples.append(inference._null_lrt_sample(7, k, 250, 19, tol))
+    assert np.array_equal(samples[1], samples[0])
+
+
 def test_pairwise_mean_cis_dirichlet():
     ds = _two_group_dataset(seed=41)
     cis = pairwise_mean_cis(ds)

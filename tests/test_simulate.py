@@ -1,5 +1,6 @@
 """Monte Carlo study machinery: seeding, tallies, and guardrails."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -241,7 +242,10 @@ def test_maugard_study_matches_per_replicate_procedure(calibrated):
         master_seed=31,
     )
     res = run_type1_study(spec)
-    outcomes, ok = simulate._maugard_outcomes(spec, *simulate._draw_stacks(spec)[:2])
+    x1, x2, _ = simulate._draw_stacks(spec, 0, spec.replicates)
+    outcomes, ok = simulate._maugard_outcomes(
+        spec, simulate._carriers(spec, x1), simulate._carriers(spec, x2)
+    )
     tally = {
         inference.REJECT_BOTH: 0,
         inference.REJECT_ONE: 0,
@@ -278,26 +282,88 @@ def test_unusable_replicate_is_a_fit_failure(monkeypatch, procedure):
     # Replicate 4's second group repeats one row, so every component is
     # constant there and no fit of that replicate is usable.
     spec = _spec(procedure=procedure, replicates=200, master_seed=3)
-    x1, x2, drawn = simulate._draw_stacks(spec)
+    x1, x2, drawn = simulate._draw_stacks(spec, 0, spec.replicates)
     bad = x2.copy()
     bad[4] = bad[4, 0]
     if isinstance(procedure, MaugardProcedure):
         outcomes = simulate._maugard_outcomes
     else:
         outcomes = simulate._lrt_outcomes
-    base, base_ok = outcomes(spec, x1, x2)
-    got, got_ok = outcomes(spec, x1, bad)
+    c1 = simulate._carriers(spec, x1)
+    base, base_ok = outcomes(spec, c1, simulate._carriers(spec, x2))
+    got, got_ok = outcomes(spec, c1, simulate._carriers(spec, bad))
     assert base_ok[4] and not got_ok[4]
     others = np.arange(spec.replicates) != 4
     assert np.array_equal(got[others], base[others])
     assert np.array_equal(got_ok[others], base_ok[others])
 
-    monkeypatch.setattr(simulate, "_draw_stacks", lambda _: (x1, bad, drawn))
+    monkeypatch.setattr(
+        simulate, "_draw_stacks",
+        lambda _, lo, hi: (x1[lo:hi], bad[lo:hi], drawn[lo:hi]),
+    )
     res = run_type1_study(spec)
     ok = got_ok & drawn
     assert res.counts[FIT_FAILURE] == int((~ok).sum()) >= 1
     for cat in procedure.categories[:-1]:
         assert res.counts[cat] == int((got[ok] == cat).sum())
+
+
+@pytest.mark.parametrize(
+    "procedure",
+    [
+        DirichletLRT(),
+        NddLRT(tree=parse_tree(BEST_TREE_TEXT).strip_alphas()),
+        MaugardProcedure(calibration_replicates=300),
+    ],
+    ids=["dirichlet-lrt", "ndd-lrt", "maugard"],
+)
+def test_streamed_study_equals_one_chunk_bitwise(monkeypatch, procedure):
+    chunk = 8
+    draw_stacks = simulate._draw_stacks
+    calls = []
+
+    def counted(spec, lo, hi):
+        calls.append((lo, hi))
+        return draw_stacks(spec, lo, hi)
+
+    monkeypatch.setattr(simulate, "_draw_stacks", counted)
+    for r in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        spec = _spec(procedure=procedure, replicates=r, master_seed=13)
+        runs = []
+        for rows in (r, chunk):
+            draws = rows * max(spec.n_pair) * spec.n_components
+            monkeypatch.setattr(inference, "_CHUNK_DRAWS", draws)
+            calls.clear()
+            c1, c2, drawn = simulate._stream(spec)
+            res = run_type1_study(spec)
+            runs.append((c1 + c2, drawn, res.counts))
+        assert len(calls) == 2 * -(-r // chunk)  # _stream, then the study
+        (whole, whole_drawn, whole_counts), (parts, drawn, counts) = runs
+        assert counts == whole_counts
+        assert np.array_equal(drawn, whole_drawn)
+        assert len(parts) == len(whole)
+        for got, want in zip(parts, whole):
+            for name in ("n", "mean_log", "mean", "mean_sq"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_study_memory_is_flat_in_the_replicate_count():
+    # Doubling R adds (R, K) statistics and fit state, never (R, n, K) draws:
+    # less than one chunk's stack of one group.
+    n, k = 100, 4
+    chunk = inference._chunk_rows(n, k)
+
+    def peak(r):
+        spec = _spec(n_per_group=n, replicates=r, master_seed=17)
+        tracemalloc.start()
+        try:
+            run_type1_study(spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * chunk) - peak(2 * chunk) < chunk * n * k * 8
 
 
 def test_common_mean_line_search_takes_no_log_of_zero():
