@@ -13,7 +13,9 @@ the largest parameter move below abs_tol, within max_iter steps; the
 common-mean and uniform-mean null fits of the inference module stop by the
 same rule, through the one iteration driver here (_ascend). A private batch
 variant runs many independent fits as one array program; the public API
-wraps the single-dataset case.
+wraps the single-dataset case. Each row of a batch is fitted by itself, bit
+for bit, so _ascend may run a batch in fixed blocks of rows and callers may
+stack independent fits into one batch.
 """
 
 from __future__ import annotations
@@ -128,13 +130,16 @@ def sample(params: DirichletParams, n: int, rng: np.random.Generator) -> np.ndar
     """Draw n compositions by normalizing independent gamma variates."""
     if n < 1:
         raise InputError(f"n must be at least 1, got {n}")
-    g = rng.gamma(shape=params.alpha, size=(n, params.n_components))
-    if np.any(g == 0.0):
+    # standard_gamma draws the same stream and values as gamma(shape,
+    # scale=1.0), without gamma's second check of its array arguments.
+    g = rng.standard_gamma(params.alpha, size=(n, params.n_components))
+    if not g.all():
         raise NumericalError(
             "gamma draw underflowed to zero; concentration too small to "
             "sample in double precision"
         )
-    return g / g.sum(axis=1, keepdims=True)
+    g /= g.sum(axis=1, keepdims=True)
+    return g
 
 
 def _inv_digamma(y: np.ndarray) -> np.ndarray:
@@ -172,13 +177,20 @@ def _degenerate_rows(mean: np.ndarray, mean_sq: np.ndarray) -> np.ndarray:
     return (var <= tiny).any(axis=-1)
 
 
+def _with_column(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(B, K) m with the (B,) v appended as a last column.
+
+    A special function of the result is that function at m and at v from
+    one shift loop; elementwise, each value is the one a separate call
+    gives.
+    """
+    return np.concatenate((m, v[:, None]), axis=1)
+
+
 def _per_obs_loglik(alpha: np.ndarray, mean_log: np.ndarray) -> np.ndarray:
     """Mean log-likelihood per observation for each row of a batch."""
-    return (
-        _lgamma_core(alpha.sum(axis=1))
-        - _lgamma_core(alpha).sum(axis=1)
-        + ((alpha - 1.0) * mean_log).sum(axis=1)
-    )
+    lg = _lgamma_core(_with_column(alpha, alpha.sum(axis=1)))
+    return lg[:, -1] - lg[:, :-1].sum(axis=1) + ((alpha - 1.0) * mean_log).sum(axis=1)
 
 
 _FIXED_POINT_WARMUP = 15
@@ -205,6 +217,13 @@ def _backtrack(objective, x: np.ndarray, step: np.ndarray, base: np.ndarray):
     return t, accepted
 
 
+# Rows per block of a batched fit. _ascend runs each block to completion, so
+# an iteration's temporaries are O(_BLOCK_ROWS * K) however many rows a
+# batch stacks. Blocks of 8,192 rows peaked 1-4 MB higher on the benchmark's
+# study workloads.
+_BLOCK_ROWS = 4096
+
+
 def _ascend(step, rows: np.ndarray, b: int, tol: Tolerance):
     """Iterate a batched ascent over the given rows of a batch of b, for at
     most tol.max_iter steps.
@@ -216,20 +235,36 @@ def _ascend(step, rows: np.ndarray, b: int, tol: Tolerance):
     step, move holds its largest parameter change, and a move below abs_tol
     converges it. Returns (converged, iterations), where iterations counts
     the steps each row took.
+
+    The rows run in blocks of _BLOCK_ROWS, in order, each from iteration 0
+    to completion. A step treats each row by itself, bit for bit, so the
+    blocks change no result; they bound an iteration's temporaries by the
+    block, not the batch.
     """
     converged = np.zeros(b, dtype=bool)
     iterations = np.zeros(b, dtype=int)
-    for it in range(tol.max_iter):
-        if rows.size == 0:
-            break
-        done, stuck, move = step(rows, it)
-        converged[rows[done]] = True
-        rows = rows[~(done | stuck)]
-        iterations[rows] = it + 1
-        small = move < tol.abs_tol
-        converged[rows[small]] = True
-        rows = rows[~small]
+    for lo in range(0, rows.size, _BLOCK_ROWS):
+        active = rows[lo : lo + _BLOCK_ROWS]
+        for it in range(tol.max_iter):
+            if active.size == 0:
+                break
+            done, stuck, move = step(active, it)
+            converged[active[done]] = True
+            active = active[~(done | stuck)]
+            iterations[active] = it + 1
+            small = move < tol.abs_tol
+            converged[active[small]] = True
+            active = active[~small]
     return converged, iterations
+
+
+def _blockwise(fn, b: int) -> np.ndarray:
+    """fn(rows) on each _BLOCK_ROWS slice of a batch of b, joined: a per-row
+    evaluation over a whole batch with one block's temporaries (an empty
+    batch is one empty block)."""
+    return np.concatenate(
+        [fn(slice(lo, lo + _BLOCK_ROWS)) for lo in range(0, max(b, 1), _BLOCK_ROWS)]
+    )
 
 
 def _newton_step(alpha: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,9 +274,9 @@ def _newton_step(alpha: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.nd
     Returns the direction and a mask of rows where the closed form is
     untrustworthy (callers fall back to a fixed-point step there).
     """
-    q = _trigamma_core(alpha)
-    c = _trigamma_core(alpha.sum(axis=1))
-    inv_q = 1.0 / q
+    psi1 = _trigamma_core(_with_column(alpha, alpha.sum(axis=1)))
+    c = psi1[:, -1]
+    inv_q = 1.0 / psi1[:, :-1]
     denom = 1.0 - c * inv_q.sum(axis=1)
     bad = denom <= 1.0e-12
     safe = np.where(bad, 1.0, denom)
@@ -267,8 +302,8 @@ def _fit_batch(stats: SufficientStats, tol: Tolerance):
     )
     b = mean_log.shape[0]
     n = np.broadcast_to(np.asarray(stats.n, dtype=float), (b,))
-    usable = ~_degenerate_rows(mean, mean_sq) & (n >= 2)
-    alpha = _init_alpha(mean, mean_sq)
+    usable = ~_blockwise(lambda s: _degenerate_rows(mean[s], mean_sq[s]), b) & (n >= 2)
+    alpha = _blockwise(lambda s: _init_alpha(mean[s], mean_sq[s]), b)
 
     def fixed_point(cur, ml):
         return _inv_digamma(_digamma_core(cur.sum(axis=1))[:, None] + ml)
@@ -279,7 +314,8 @@ def _fit_batch(stats: SufficientStats, tol: Tolerance):
             done = np.zeros(rows.size, dtype=bool)
             new = fixed_point(cur, ml)
         else:
-            grad = _digamma_core(cur.sum(axis=1))[:, None] - _digamma_core(cur) + ml
+            psi = _digamma_core(_with_column(cur, cur.sum(axis=1)))
+            grad = psi[:, -1:] - psi[:, :-1] + ml
             done = np.abs(grad).max(axis=1) < tol.rel_tol
             if done.all():
                 return done, np.zeros_like(done), np.empty(0)
@@ -293,14 +329,15 @@ def _fit_batch(stats: SufficientStats, tol: Tolerance):
                 return np.where(fine, _per_obs_loglik(safe, ml), -np.inf)
 
             t, ok = _backtrack(trial_loglik, cur, direction, _per_obs_loglik(cur, ml))
-            new = np.where(
-                ok[:, None], cur + t[:, None] * direction, fixed_point(cur, ml)
-            )
+            new = cur + t[:, None] * direction
+            if not ok.all():
+                new[~ok] = fixed_point(cur[~ok], ml[~ok])
         alpha[rows] = new
         return done, np.zeros_like(done), np.abs(new - cur).max(axis=1)
 
     converged, iterations = _ascend(step, np.flatnonzero(usable), b, tol)
-    loglik = np.where(usable, n * _per_obs_loglik(alpha, mean_log), np.nan)
+    loglik = _blockwise(lambda s: n[s] * _per_obs_loglik(alpha[s], mean_log[s]), b)
+    loglik = np.where(usable, loglik, np.nan)
     return alpha, loglik, iterations, converged, usable
 
 

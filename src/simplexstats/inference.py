@@ -15,9 +15,11 @@ Every iterative fit exists in a private batch form operating on arrays of
 independent datasets; the public functions wrap the single-dataset case. The
 uniformity test is the one-row case of _uniformity_lrt_batch, the batch the
 screening study and the calibration reference sample run, and the nested test
-is the one-row case of _ndd_lrt_batch, which runs the two-sample batch once
-per internal node on the carriers _ndd_node_stats reduces. The simulation
-harness drives the batch forms directly.
+is the one-row case of _ndd_lrt_batch, which runs the two-sample batch on
+the carriers _ndd_node_stats reduces, once per child count: nodes with the
+same number of children fit as one stacked batch. The two-sample batch fits
+both groups' alternatives as one stacked batch too. The simulation harness
+drives the batch forms directly.
 The likelihood-ratio tests report a fit that stops short of tolerance as
 converged=False instead of raising.
 """
@@ -132,7 +134,8 @@ def _uniformity_null_batch(
 
     converged, _ = dirichlet._ascend(step, np.arange(b), b, tol)
     a_opt = np.exp(t)
-    return a_opt, n * _group_ll(pi, a_opt, mean_log), converged & (t < _T_CAP - 1.0)
+    loglik = dirichlet._blockwise(lambda s: _group_ll(pi, a_opt[s], mean_log[s]), b)
+    return a_opt, n * loglik, converged & (t < _T_CAP - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +395,8 @@ def _group_ll(pi: np.ndarray, a: np.ndarray, ml: np.ndarray) -> np.ndarray:
     """Per-observation log-likelihood of one group at mean pi, precision
     a."""
     ap = a[:, None] * pi
-    return (
-        _lgamma_core(a)
-        - _lgamma_core(ap).sum(axis=1)
-        + ((ap - 1.0) * ml).sum(axis=1)
-    )
+    lg = _lgamma_core(dirichlet._with_column(ap, a))
+    return lg[:, -1] - lg[:, :-1].sum(axis=1) + ((ap - 1.0) * ml).sum(axis=1)
 
 
 def _precision_slope(pi, ml, psi_a, psi_ap):
@@ -408,10 +408,9 @@ def _precision_slope(pi, ml, psi_a, psi_ap):
 def _prec_derivs(pi: np.ndarray, a: np.ndarray, ml: np.ndarray):
     """First and second derivative of the group log-likelihood in t = log
     A."""
-    psi_a, psi1_a = _digamma_trigamma_core(a)
-    psi_ap, psi1_ap = _digamma_trigamma_core(a[:, None] * pi)
-    g1 = _precision_slope(pi, ml, psi_a, psi_ap)
-    g2 = psi1_a - (pi * pi * psi1_ap).sum(axis=1)
+    psi, psi1 = _digamma_trigamma_core(dirichlet._with_column(a[:, None] * pi, a))
+    g1 = _precision_slope(pi, ml, psi[:, -1], psi[:, :-1])
+    g2 = psi1[:, -1] - (pi * pi * psi1[:, :-1]).sum(axis=1)
     return a * g1, a * g1 + a * a * g2
 
 
@@ -442,16 +441,25 @@ def _precision_step(pi: np.ndarray, t: np.ndarray, ml: np.ndarray):
 
 def _solve_ascent(neg_h: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Solve neg_h @ d = grad rowwise, falling back to the gradient where the
-    system is unusable or the direction is not an ascent direction."""
+    system is unusable or the direction is not an ascent direction.
+
+    A singular matrix fails the solve of the whole stack; the stack is then
+    solved row by row, and only a row whose matrix is singular takes a
+    ridged solve, or the gradient if that fails too. So each row's direction
+    is the one it gets alone.
+    """
     try:
         direction = np.linalg.solve(neg_h, grad[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        k1 = neg_h.shape[-1]
-        ridged = neg_h + 1.0e-8 * np.eye(k1)
-        try:
-            direction = np.linalg.solve(ridged, grad[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            return grad.copy()
+        ridge = 1.0e-8 * np.eye(neg_h.shape[-1])
+        direction = grad.copy()
+        for i in range(grad.shape[0]):
+            for h in (neg_h[i : i + 1], neg_h[i : i + 1] + ridge):
+                try:
+                    direction[i] = np.linalg.solve(h, grad[i : i + 1, :, None])[0, :, 0]
+                    break
+                except np.linalg.LinAlgError:
+                    pass
     bad = ~np.isfinite(direction).all(axis=1)
     bad |= (direction * grad).sum(axis=1) <= 0.0
     direction[bad] = grad[bad]
@@ -497,8 +505,13 @@ def _common_mean_fit(
         pi = _softmax_pinned(theta_)
         fine = (pi > 0.0).all(axis=1)
         pi = np.where(fine[:, None], pi, 1.0 / k)
-        f1 = _group_ll(pi, np.exp(t1_), ml1[rows])
-        f2 = _group_ll(pi, np.exp(t2_), ml2[rows])
+        # Both groups' terms from one stacked evaluation.
+        f = _group_ll(
+            np.concatenate((pi, pi)),
+            np.exp(np.concatenate((t1_, t2_))),
+            np.concatenate((ml1[rows], ml2[rows])),
+        )
+        f1, f2 = f[: rows.size], f[rows.size :]
         return np.where(fine, w1[rows, 0] * f1 + w2[rows, 0] * f2, -np.inf)
 
     def step(idx, it):
@@ -509,15 +522,17 @@ def _common_mean_fit(
         m1, m2 = ml1[idx], ml2[idx]
         ww1, ww2 = w1[idx], w2[idx]
 
-        psi_ap1 = _digamma_core(a1[:, None] * pi)
-        psi_ap2 = _digamma_core(a2[:, None] * pi)
+        # One digamma call at a1 * pi, a2 * pi, a1 and a2, in that column order.
+        ap = np.concatenate((a1[:, None] * pi, a2[:, None] * pi), axis=1)
+        psi = _digamma_core(np.concatenate((ap, a1[:, None], a2[:, None]), axis=1))
+        psi_ap1, psi_ap2 = psi[:, :k], psi[:, k : 2 * k]
         gpi = ww1 * a1[:, None] * (m1 - psi_ap1)
         gpi += ww2 * a2[:, None] * (m2 - psi_ap2)
         u = pi * gpi
         s = u.sum(axis=1)
         g_theta = u[:, :k1] - s[:, None] * pi[:, :k1]
-        gt1 = ww1[:, 0] * (a1 * _precision_slope(pi, m1, _digamma_core(a1), psi_ap1))
-        gt2 = ww2[:, 0] * (a2 * _precision_slope(pi, m2, _digamma_core(a2), psi_ap2))
+        gt1 = ww1[:, 0] * (a1 * _precision_slope(pi, m1, psi[:, 2 * k], psi_ap1))
+        gt2 = ww2[:, 0] * (a2 * _precision_slope(pi, m2, psi[:, 2 * k + 1], psi_ap2))
 
         gmax = np.maximum(
             np.abs(g_theta).max(axis=1), np.maximum(np.abs(gt1), np.abs(gt2))
@@ -533,8 +548,9 @@ def _common_mean_fit(
         g_theta, u, s = g_theta[keep], u[keep], s[keep]
 
         # Newton step for the shared mean in softmax coordinates.
-        dvec = ww1 * (a1 * a1)[:, None] * _trigamma_core(a1[:, None] * pi)
-        dvec += ww2 * (a2 * a2)[:, None] * _trigamma_core(a2[:, None] * pi)
+        psi1 = _trigamma_core(ap[keep])
+        dvec = ww1 * (a1 * a1)[:, None] * psi1[:, :k]
+        dvec += ww2 * (a2 * a2)[:, None] * psi1[:, k:]
         v = dvec * pi * pi
         big_v = v.sum(axis=1)
         pk = pi[:, :k1]
@@ -563,18 +579,25 @@ def _common_mean_fit(
         theta[idx] = new_theta
         pi = _softmax_pinned(new_theta)
 
-        # One damped Newton step per group's log-precision.
-        for (t_arr, ml_g) in ((t1, m1), (t2, m2)):
-            new_t, _, _ = _precision_step(pi, t_arr[idx], ml_g)
-            move = np.maximum(move, np.abs(new_t - t_arr[idx]))
-            t_arr[idx] = new_t
+        # One damped Newton step per group's log-precision, both groups
+        # stacked into one step.
+        old_t = np.concatenate((t1[idx], t2[idx]))
+        new_t, _, _ = _precision_step(
+            np.concatenate((pi, pi)), old_t, np.concatenate((m1, m2))
+        )
+        move = np.maximum(move, np.abs(new_t - old_t).reshape(2, -1).max(axis=0))
+        t1[idx], t2[idx] = new_t[: idx.size], new_t[idx.size :]
         return done, stuck, move
 
     converged, iterations = dirichlet._ascend(step, np.arange(b), b, tol)
     pi = _softmax_pinned(theta)
     a1 = np.exp(t1)
     a2 = np.exp(t2)
-    total = n1 * _group_ll(pi, a1, ml1) + n2 * _group_ll(pi, a2, ml2)
+    total = dirichlet._blockwise(
+        lambda s: n1[s] * _group_ll(pi[s], a1[s], ml1[s])
+        + n2[s] * _group_ll(pi[s], a2[s], ml2[s]),
+        b,
+    )
     return pi, a1, a2, total, converged, iterations
 
 
@@ -583,11 +606,16 @@ def _two_sample_lrt_batch(
 ):
     """Batched two-sample likelihood-ratio test on stacked statistics.
 
-    Returns a dict of per-row arrays: statistic, usable, converged, and the
-    fitted pieces needed for reporting (alt alphas, null mean/precisions).
+    Both groups' alternatives fit as one stacked batch. Returns a dict of
+    per-row arrays: statistic, usable, converged, and the fitted pieces
+    needed for reporting (alt alphas, null mean/precisions).
     """
-    alpha1, ll1, _, conv1, ok1 = dirichlet._fit_batch(stats1, tol)
-    alpha2, ll2, _, conv2, ok2 = dirichlet._fit_batch(stats2, tol)
+    b = stats1.mean_log.shape[0]
+    alpha, ll, _, conv, ok = dirichlet._fit_batch(
+        SufficientStats.concat([stats1, stats2]), tol
+    )
+    alpha1, ll1, conv1, ok1 = alpha[:b], ll[:b], conv[:b], ok[:b]
+    alpha2, ll2, conv2, ok2 = alpha[b:], ll[b:], conv[b:], ok[b:]
     a1_hat = alpha1.sum(axis=1)
     a2_hat = alpha2.sum(axis=1)
     pi1 = alpha1 / a1_hat[:, None]
@@ -669,8 +697,28 @@ def _ndd_node_stats(tree: nested.NestingTree, x: np.ndarray) -> list[SufficientS
 
 def _ndd_lrt_batch(nodes1, nodes2, tol: Tolerance):
     """_two_sample_lrt_batch at each internal node, on the groups' per-node
-    carriers from _ndd_node_stats."""
-    return [_two_sample_lrt_batch(s1, s2, tol) for s1, s2 in zip(nodes1, nodes2)]
+    carriers from _ndd_node_stats, as a list in node order.
+
+    Nodes with the same number of children run as one batch of their
+    stacked carriers, as treesearch._node_terms groups them; each node's
+    results are its rows of that batch.
+    """
+    by_count: dict[int, list[int]] = {}
+    for i, stats in enumerate(nodes1):
+        by_count.setdefault(stats.n_components, []).append(i)
+    results: list = [None] * len(nodes1)
+    for group in by_count.values():
+        res = _two_sample_lrt_batch(
+            SufficientStats.concat([nodes1[i] for i in group]),
+            SufficientStats.concat([nodes2[i] for i in group]),
+            tol,
+        )
+        lo = 0
+        for i in group:
+            hi = lo + nodes1[i].mean_log.shape[0]
+            results[i] = {key: val[lo:hi] for key, val in res.items()}
+            lo = hi
+    return results
 
 
 def two_sample_ndd_lrt(

@@ -25,6 +25,7 @@ contained component index) so structurally equal trees compare equal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -150,7 +151,7 @@ class NestingTree:
                 raise TreeStructureError("leaf names must be unique")
             object.__setattr__(self, "leaf_names", names)
 
-    @property
+    @functools.cached_property
     def n_components(self) -> int:
         return len(self.root.leaf_indices())
 
@@ -358,6 +359,12 @@ class NddParams:
             alphas = np.array([c.alpha for c in node.children], dtype=float)
             out.append((label, child_labels, dirichlet.DirichletParams(alpha=alphas)))
         return tuple(out)
+
+    @functools.cached_property
+    def _splits(self) -> tuple[dirichlet.DirichletParams, ...]:
+        """The Dirichlet over each internal node's children, in pre-order,
+        built and validated once for every draw."""
+        return tuple(dd for _, _, dd in self.subtree_params())
 
 
 def _child_labels(
@@ -644,10 +651,7 @@ def sample(params: NddParams, n: int, rng: np.random.Generator) -> np.ndarray:
     columns follow the children's canonical order."""
     if n < 1:
         raise InputError(f"n must be at least 1, got {n}")
-    splits = (
-        dirichlet.sample(dirichlet.DirichletParams(alpha=[c.alpha for c in node.children]), n, rng)
-        for _, node in params.tree.internal_nodes()
-    )
+    splits = (dirichlet.sample(dd, n, rng) for dd in params._splits)
     return _assemble(params.tree, splits, n)
 
 

@@ -16,7 +16,12 @@ joined (R, K) statistics, so results do not depend on the chunk size.
 
 Drawn columns follow generator 1; SimSpec binds named trees to them by leaf
 name. The nested test runs through inference._ndd_node_stats and
-inference._ndd_lrt_batch, the per-node path of inference.two_sample_ndd_lrt.
+inference._ndd_lrt_batch, the path of inference.two_sample_ndd_lrt. Fits
+that are independent run as one stacked batch: both groups of the screening
+procedure, both groups' alternatives of a two-sample test, and the nodes of
+a tree that have the same number of children. Each batch runs in fixed
+blocks of rows (dirichlet._BLOCK_ROWS), so its temporaries do not grow with
+R; every row's fit is the one it gets alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -309,21 +314,24 @@ def _stream(spec: SimSpec):
 
 
 def _maugard_outcomes(spec: SimSpec, c1, c2):
+    # Both groups fit as one stacked batch; each group keeps its own
+    # calibration, at its own n.
     proc = spec.procedure
     k = spec.n_components
-    p, ok = [], []
-    for (stats,), n in zip((c1, c2), spec.n_pair):
-        res = inference._uniformity_lrt_batch(stats, spec.tol)
-        good = res["usable"] & res["converged"]
+    r = c1[0].mean_log.shape[0]
+    res = inference._uniformity_lrt_batch(SufficientStats.concat([c1[0], c2[0]]), spec.tol)
+    good = res["usable"] & res["converged"]
+    p = []
+    for rows, n in zip((slice(0, r), slice(r, 2 * r)), spec.n_pair):
+        stat = res["statistic"][rows]
         if proc.calibrated:
             p.append(inference._calibrated_p(
-                res["statistic"], n, k, proc.calibration_replicates,
+                stat, n, k, proc.calibration_replicates,
                 proc.calibration_seed, spec.tol,
             ))
         else:
-            p.append(chi_square_sf(np.where(good, res["statistic"], 0.0), k - 1))
-        ok.append(good)
-    return inference._maugard_verdicts(p[0], p[1], spec.level), ok[0] & ok[1]
+            p.append(chi_square_sf(np.where(good[rows], stat, 0.0), k - 1))
+    return inference._maugard_verdicts(p[0], p[1], spec.level), good[:r] & good[r:]
 
 
 def _lrt_outcomes(spec: SimSpec, c1, c2):

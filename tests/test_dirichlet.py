@@ -8,7 +8,7 @@ import scipy.stats as st
 from simplexstats import dirichlet
 from simplexstats.composition import SufficientStats
 from simplexstats.dirichlet import DirichletParams
-from simplexstats.errors import DegenerateDataError, DomainError
+from simplexstats.errors import DegenerateDataError, DomainError, NumericalError
 from simplexstats.numerics import Tolerance, _digamma_core, digamma
 
 
@@ -63,6 +63,37 @@ def test_sampling_is_deterministic_per_seed():
     x2 = dirichlet.sample(params, 10, np.random.default_rng(99))
     assert np.array_equal(x1, x2)
     assert np.allclose(x1.sum(axis=1), 1.0, atol=1e-12)
+
+
+def _gamma_path_sample(params, n, rng):
+    # The sampler as it drew through rng.gamma(shape, scale=1.0).
+    g = rng.gamma(shape=params.alpha, size=(n, params.n_components))
+    if np.any(g == 0.0):
+        raise NumericalError("underflow")
+    return g / g.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 100])
+@pytest.mark.parametrize(
+    "alpha",
+    [(9.8, 6.1, 5.4, 5.9), (0.05,) * 4, (1e6, 2.0, 3.0), (0.5, 0.7), (0.003,) * 3],
+    ids=["row1", "small", "huge", "k2", "underflow"],
+)
+def test_sample_equals_the_gamma_path_bitwise(alpha, n):
+    # Values, the underflow error and the generator state after the call all
+    # match. At alpha = 0.003 some of the 40 seeds underflow and some do not.
+    params = DirichletParams(alpha=alpha)
+    for seed in range(40):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            want = _gamma_path_sample(params, n, want_rng)
+        except NumericalError:
+            with pytest.raises(NumericalError):
+                dirichlet.sample(params, n, got_rng)
+        else:
+            got = dirichlet.sample(params, n, got_rng)
+            assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_sampling_moments_approach_theory():

@@ -176,6 +176,87 @@ def test_ndd_lrt_subtree_matches_two_sample_test_on_branch_data():
     assert root_stat == pytest.approx(root_only.statistic, abs=1e-8)
 
 
+def test_stacked_ndd_batch_equals_per_node_batches_bitwise():
+    # Root and N1 of ((a,b,c),(d,e),f) have three children and fit as one
+    # stacked batch; N2 has two and fits alone. Each node's results must be
+    # those of its own two-sample batch, whose alternatives in turn are the
+    # two groups' separate fits.
+    tree = parse_tree("((a,b,c),(d,e),f)")
+    rng = np.random.default_rng(29)
+    alpha = [2.0, 3.0, 1.5, 4.0, 0.8, 3.0]
+    nodes1 = inference._ndd_node_stats(tree, rng.dirichlet(alpha, size=(40, 7)))
+    nodes2 = inference._ndd_node_stats(tree, rng.dirichlet(alpha, size=(40, 9)))
+    tol = Tolerance()
+    stacked = inference._ndd_lrt_batch(nodes1, nodes2, tol)
+    assert [s.n_components for s in nodes1] == [3, 3, 2]
+    for s1, s2, got in zip(nodes1, nodes2, stacked):
+        want = inference._two_sample_lrt_batch(s1, s2, tol)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].dtype == want[key].dtype
+            assert got[key].shape == want[key].shape
+            assert got[key].tobytes() == want[key].tobytes(), key
+        fit1, fit2 = dirichlet._fit_batch(s1, tol), dirichlet._fit_batch(s2, tol)
+        assert want["alt_alpha_1"].tobytes() == fit1[0].tobytes()
+        assert want["alt_alpha_2"].tobytes() == fit2[0].tobytes()
+        assert want["alt_loglik"].tobytes() == (fit1[1] + fit2[1]).tobytes()
+
+
+def _mixed_carriers():
+    # 23 datasets of two groups from concentrations 0.4 to 9, so rows stop
+    # after very different iteration counts; dataset 5 of group 1 repeats
+    # one composition, so its alternative fit is unusable.
+    rng = np.random.default_rng(37)
+    alphas = rng.choice([0.4, 1.5, 9.0], size=(23, 4))
+    x1 = np.stack([rng.dirichlet(a, size=7) for a in alphas])
+    x2 = np.stack([rng.dirichlet(a, size=9) for a in alphas])
+    x1[5] = x1[5, 0]
+    return SufficientStats.reduce(x1), SufficientStats.reduce(x2)
+
+
+@pytest.mark.parametrize("block", [1, 7, 10_000])
+def test_fixed_row_blocks_change_no_fit_bitwise(monkeypatch, block):
+    # _ascend runs a batch in blocks of _BLOCK_ROWS rows; at the default
+    # the 23 rows are one block.
+    s1, s2 = _mixed_carriers()
+    tol = Tolerance()
+
+    def fits():
+        fit = dirichlet._fit_batch(s1, tol)
+        a1 = fit[0].sum(axis=1)
+        null = inference._common_mean_fit(
+            s1, s2, fit[0] / a1[:, None], a1, np.maximum(a1, 2.0), tol
+        )
+        unif = inference._uniformity_null_batch(s2.mean_log, s2.n, np.maximum(a1, 1.0), tol)
+        return [*fit, *null, *unif]
+
+    want = fits()
+    monkeypatch.setattr(dirichlet, "_BLOCK_ROWS", block)
+    got = fits()
+    assert len(got) == 5 + 6 + 3
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def test_singular_row_takes_the_ridge_alone():
+    # One singular matrix fails np.linalg.solve for the whole stack; only
+    # its own row may take the fallback, so every other row's direction is
+    # the one it gets alone.
+    rng = np.random.default_rng(31)
+    m = rng.normal(size=(4, 3, 3))
+    neg_h = m @ m.transpose(0, 2, 1) + 3.0 * np.eye(3)
+    neg_h[1] = 0.0  # singular; its ridged matrix is not
+    neg_h[3] = np.diag([0.0, -1.0e-8, 1.0])  # singular with the ridge too
+    grad = rng.normal(size=(4, 3))
+    got = inference._solve_ascent(neg_h, grad)
+    for i in (0, 2):
+        alone = inference._solve_ascent(neg_h[i : i + 1], grad[i : i + 1])
+        assert got[i].tobytes() == alone[0].tobytes()
+    assert np.array_equal(got[1], np.linalg.solve(1.0e-8 * np.eye(3), grad[1]))
+    assert np.array_equal(got[3], grad[3])
+
+
 def test_clr_hotelling_matches_manual_computation():
     ds = _two_group_dataset(seed=19)
     tr = clr_hotelling_test(ds)

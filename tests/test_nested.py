@@ -263,6 +263,34 @@ def test_sample_draws_one_split_per_node_in_preorder():
     assert np.array_equal(got, want)
 
 
+def test_sample_builds_node_params_once_and_draws_as_before(monkeypatch):
+    # Each draw used to build and validate one DirichletParams per node; the
+    # params hold them now, and the draws and generator states are the same.
+    params = NddParams(tree=parse_tree("((a:2.0,(b:3.0,c:1.0):2.0):4.0,d:1.0,e:2.5)"))
+
+    def per_draw_setup(n, rng):
+        splits = (
+            dirichlet.sample(DirichletParams(alpha=[c.alpha for c in node.children]), n, rng)
+            for _, node in params.tree.internal_nodes()
+        )
+        return nested._assemble(params.tree, splits, n)
+
+    nested.sample(params, 1, np.random.default_rng(0))
+    built = []
+    post_init = DirichletParams.__post_init__
+    monkeypatch.setattr(
+        DirichletParams, "__post_init__", lambda self: (built.append(1), post_init(self))
+    )
+    for n, seed in ((1, 3), (7, 4), (50, 5)):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        built.clear()
+        got = nested.sample(params, n, got_rng)
+        assert not built
+        want = per_draw_setup(n, want_rng)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_sample_means_match_leaf_means():
     params = NddParams(tree=parse_tree(BEST_TREE_TEXT))
     mean = nested.leaf_means(params)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from simplexstats import dirichlet, inference, nested, simulate
-from simplexstats.composition import CompositionDataset
+from simplexstats.composition import CompositionDataset, SufficientStats
 from simplexstats.dirichlet import DirichletParams
 from simplexstats.errors import InputError
 from simplexstats.nested import NddParams, NestingTree, flat_tree, parse_tree
+from simplexstats.numerics import chi_square_sf
 from simplexstats.simulate import (
     FAIL_TO_REJECT,
     FIT_FAILURE,
@@ -268,6 +269,32 @@ def test_maugard_study_matches_per_replicate_procedure(calibrated):
     assert res.counts[FIT_FAILURE] == 0
 
 
+@pytest.mark.parametrize("calibrated", [True, False])
+def test_maugard_groups_fit_as_one_batch_equal_to_per_group_batches(calibrated):
+    # The study fits both groups as one stacked batch; each group's rows,
+    # and its decisions against its own n's calibration, are those of a
+    # batch of that group alone.
+    proc = MaugardProcedure(calibrated=calibrated, calibration_replicates=300)
+    spec = _spec(procedure=proc, n_per_group=(7, 9), replicates=40, master_seed=23)
+    c1, c2, _ = simulate._stream(spec)
+    both = inference._uniformity_lrt_batch(SufficientStats.concat([c1[0], c2[0]]), spec.tol)
+    p, ok = [], True
+    for rows, (stats,), n in zip((slice(0, 40), slice(40, 80)), (c1, c2), (7, 9)):
+        alone = inference._uniformity_lrt_batch(stats, spec.tol)
+        for key in alone:
+            assert both[key][rows].tobytes() == alone[key].tobytes(), key
+        good = alone["usable"] & alone["converged"]
+        stat = alone["statistic"]
+        if calibrated:
+            p.append(inference._calibrated_p(stat, n, 4, 300, None, spec.tol))
+        else:
+            p.append(chi_square_sf(np.where(good, stat, 0.0), 3))
+        ok = ok & good
+    outcomes, got_ok = simulate._maugard_outcomes(spec, c1, c2)
+    assert outcomes.tolist() == inference._maugard_verdicts(p[0], p[1], spec.level).tolist()
+    assert got_ok.tolist() == ok.tolist()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "procedure",
@@ -364,6 +391,27 @@ def test_study_memory_is_flat_in_the_replicate_count():
             tracemalloc.stop()
 
     assert peak(4 * chunk) - peak(2 * chunk) < chunk * n * k * 8
+
+
+def test_fit_temporaries_do_not_grow_with_the_replicate_count(monkeypatch):
+    # From 2 to 8 blocks of rows, the peak of the two-sample fits grows by
+    # their (R, K) carriers, state and results alone: about 330 bytes a
+    # replicate at K = 4 here, under a budget of 64 doubles. Iterating all
+    # rows at once, the iteration temporaries added about 1.1 KB more.
+    block = 512
+    monkeypatch.setattr(dirichlet, "_BLOCK_ROWS", block)
+
+    def peak(r):
+        spec = _spec(n_per_group=100, replicates=r, master_seed=17)
+        c1, c2, _ = simulate._stream(spec)
+        tracemalloc.start()
+        try:
+            simulate._lrt_outcomes(spec, c1, c2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8 * block) - peak(2 * block) < 6 * block * 64 * 8
 
 
 def test_common_mean_line_search_takes_no_log_of_zero():
