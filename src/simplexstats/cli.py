@@ -249,36 +249,29 @@ def _cmd_fit(args) -> int:
     tol = Tolerance()
     config = _data_config(args)
     config["model"] = args.model
+    tree = None
+    if args.model == "ndd":
+        tree = _tree_shape(args, dataset)
+        config["tree"] = tree.render(include_alphas=False)
     groups = {}
-    if args.model == "dirichlet":
-        for label in dataset.groups:
-            x = dataset.group_matrix(label)
-            fit = dirichlet.mle(x, tol)
-            groups[label] = {
-                "n": x.shape[0],
+    for label in dataset.groups:
+        fit, mean, mean_se = inference._group_fit(dataset, label, args.model, tree, tol)
+        if args.model == "dirichlet":
+            fitted = {
                 "alpha": fit.params.alpha,
                 "precision": fit.params.precision,
-                "mean": fit.params.mean,
-                "mean_se": dirichlet.mean_standard_errors(fit.params, x.shape[0]),
-                "log_likelihood": fit.log_likelihood,
-                "converged": fit.converged,
+                "mean": mean,
+                "mean_se": mean_se,
             }
-        results = {"components": list(dataset.components), "groups": groups}
-    else:
-        shape = _tree_shape(args, dataset)
-        config["tree"] = shape.render(include_alphas=False)
-        for label in dataset.groups:
-            sub = dataset.group_dataset(label)
-            fit = nested.mle(shape, sub)
-            groups[label] = {
-                "n": sub.n_observations,
-                "tree": fit.params.tree.render(),
-                "leaf_mean": nested.leaf_means(fit.params),
-                "leaf_mean_se": nested.delta_method_ses(fit.params, sub.n_observations),
-                "log_likelihood": fit.log_likelihood,
-                "converged": fit.converged,
-            }
-        results = {"components": list(dataset.components), "groups": groups}
+        else:
+            fitted = {"tree": fit.params.tree.render(), "leaf_mean": mean, "leaf_mean_se": mean_se}
+        groups[label] = {
+            "n": dataset.labels.count(label),
+            **fitted,
+            "log_likelihood": fit.log_likelihood,
+            "converged": fit.converged,
+        }
+    results = {"components": list(dataset.components), "groups": groups}
     return _emit("fit", config, results, args)
 
 

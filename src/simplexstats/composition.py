@@ -24,7 +24,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Composition",
     "CompositionDataset",
     "SufficientStats",
     "validate",
@@ -86,25 +85,6 @@ def validate(x, sum_tolerance: float = DEFAULT_SUM_TOLERANCE) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Composition:
-    """A single validated composition."""
-
-    values: np.ndarray
-    sum_tolerance: float = DEFAULT_SUM_TOLERANCE
-
-    def __post_init__(self):
-        vals = validate(self.values, self.sum_tolerance)
-        if vals.ndim != 1:
-            raise DimensionMismatchError("Composition wraps a single vector")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n_components(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class SufficientStats:
     """Per-group summaries that the Dirichlet likelihood depends on.
 
@@ -126,8 +106,10 @@ class SufficientStats:
                 raise DimensionMismatchError(
                     f"{name} must be a vector or a stack of vectors"
                 )
-            arr = arr.copy()
-            arr.flags.writeable = False
+            # A frozen array that owns its data is kept as it is, not copied.
+            if arr.flags.writeable or not arr.flags.owndata:
+                arr = arr.copy()
+                arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if not (self.mean_log.shape == self.mean.shape == self.mean_sq.shape):
             raise DimensionMismatchError("sufficient statistic shapes differ")
@@ -168,15 +150,17 @@ class SufficientStats:
 
     @classmethod
     def concat(cls, parts) -> "SufficientStats":
-        """Stacked carriers joined along the dataset axis, in order."""
+        """Stacked carriers joined along the dataset axis, in order. Each
+        joined field is built once and frozen, so the carrier keeps it."""
         if len(parts) == 1:
             return parts[0]
-        return cls(
-            n=np.concatenate([p.n for p in parts]),
-            mean_log=np.concatenate([p.mean_log for p in parts]),
-            mean=np.concatenate([p.mean for p in parts]),
-            mean_sq=np.concatenate([p.mean_sq for p in parts]),
-        )
+        joined = {
+            name: np.concatenate([getattr(p, name) for p in parts])
+            for name in ("n", "mean_log", "mean", "mean_sq")
+        }
+        for arr in joined.values():
+            arr.flags.writeable = False
+        return cls(**joined)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "SufficientStats":

@@ -362,12 +362,12 @@ def mle(data, tol: Tolerance = Tolerance()) -> FitResult:
     stats = _as_stats(data)
     if stats.n < 2:
         raise DegenerateDataError("maximum likelihood needs at least 2 observations")
-    if _degenerate_rows(stats.mean, stats.mean_sq):
+    alpha, loglik, iters, conv, usable = _fit_batch(stats, tol)
+    if not usable[0]:
         raise DegenerateDataError(
             "a component is constant across observations; the precision "
             "parameter diverges"
         )
-    alpha, loglik, iters, conv, _ = _fit_batch(stats, tol)
     if not conv[0]:
         raise NonConvergenceError(
             f"fixed-point warmup and Newton steps did not converge in "

@@ -775,6 +775,34 @@ def two_sample_ndd_lrt(
 # Confidence intervals
 
 
+def _group_fit(
+    dataset: CompositionDataset,
+    label: str,
+    model: str,
+    tree: nested.NestingTree | None,
+    tol: Tolerance,
+):
+    """(fit, mean, mean_se) of one group, the last two in dataset column
+    order: a Dirichlet fit with inverse-information SEs, or a nested fit of
+    tree with its leaf means and delta-method SEs."""
+    if model == "dirichlet":
+        x = dataset.group_matrix(label)
+        fit = dirichlet.mle(x, tol=tol)
+        return fit, fit.params.mean, dirichlet.mean_standard_errors(fit.params, x.shape[0])
+    if model != "ndd":
+        raise InputError(f"unknown model {model!r}; use 'dirichlet' or 'ndd'")
+    if tree is None:
+        raise InputError("the nested model needs a tree")
+    sub = dataset.group_dataset(label)
+    fit = nested.mle(tree, sub, tol=tol)
+    mean = nested.leaf_means(fit.params)
+    se = nested.delta_method_ses(fit.params, sub.n_observations)
+    if tree.leaf_names is not None:
+        perm = [tree.leaf_names.index(name) for name in dataset.components]
+        mean, se = mean[perm], se[perm]
+    return fit, mean, se
+
+
 def pairwise_mean_cis(
     dataset: CompositionDataset,
     level: float = 0.95,
@@ -792,31 +820,10 @@ def pairwise_mean_cis(
     """
     if not (0.0 < level < 1.0):
         raise InputError(f"level must be in (0, 1), got {level}")
-    g1, g2, x1, x2 = _two_group_dataset(dataset, groups)
+    g1, g2, _, _ = _two_group_dataset(dataset, groups)
     k = dataset.n_components
-    if model == "dirichlet":
-        f1 = dirichlet.mle(x1, tol=tol)
-        f2 = dirichlet.mle(x2, tol=tol)
-        mean1, mean2 = f1.params.mean, f2.params.mean
-        se1 = dirichlet.mean_standard_errors(f1.params, x1.shape[0])
-        se2 = dirichlet.mean_standard_errors(f2.params, x2.shape[0])
-    elif model == "ndd":
-        if tree is None:
-            raise InputError("the nested model needs a tree")
-        r1 = nested.mle(tree, dataset.group_dataset(g1), tol=tol)
-        r2 = nested.mle(tree, dataset.group_dataset(g2), tol=tol)
-        mean1 = nested.leaf_means(r1.params)
-        mean2 = nested.leaf_means(r2.params)
-        se1 = nested.delta_method_ses(r1.params, x1.shape[0])
-        se2 = nested.delta_method_ses(r2.params, x2.shape[0])
-        if tree.leaf_names is not None:
-            # Back to dataset column order.
-            perm = [tree.leaf_names.index(nm) for nm in dataset.components]
-            mean1, mean2 = mean1[perm], mean2[perm]
-            se1, se2 = se1[perm], se2[perm]
-    else:
-        raise InputError(f"unknown model {model!r}; use 'dirichlet' or 'ndd'")
-
+    _, mean1, se1 = _group_fit(dataset, g1, model, tree, tol)
+    _, mean2, se2 = _group_fit(dataset, g2, model, tree, tol)
     z = normal_quantile(1.0 - (1.0 - level) / (2.0 * k))
     out = []
     for j, name in enumerate(dataset.components):

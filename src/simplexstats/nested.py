@@ -13,7 +13,9 @@ each node's branch compositions: its children's leaf-column sums divided by
 their total. ``_child_leaf_sets`` keys each node by its children's leaf sets,
 ``_branch_blocks`` applies that block rule to one dataset or a stack, and
 ``_assemble`` multiplies per-node splits down to the leaves; studies and
-tree search share them.
+tree search share them. The same downward walk sums per-node relative
+variances for the delta-method standard errors, and one re-weighting walk,
+``_reweight``, sets the fitted edge weights or clears them.
 
 The flat tree (root with K leaf children) recovers the plain Dirichlet model.
 
@@ -167,29 +169,18 @@ class NestingTree:
     def internal_nodes(self) -> tuple[tuple[str, TreeNode], ...]:
         """Internal nodes in pre-order with stable labels root, N1, N2, ..."""
         out: list[tuple[str, TreeNode]] = []
-        counter = 1
 
-        def walk(node: TreeNode, is_root: bool):
-            nonlocal counter
-            if is_root:
-                out.append(("root", node))
-            else:
-                out.append((f"N{counter}", node))
-                counter += 1
+        def walk(node: TreeNode):
+            out.append((f"N{len(out)}" if out else "root", node))
             for c in node.children:
                 if not c.is_leaf:
-                    walk(c, False)
+                    walk(c)
 
-        walk(self.root, True)
+        walk(self.root)
         return tuple(out)
 
     def strip_alphas(self) -> "NestingTree":
-        def strip(node: TreeNode) -> TreeNode:
-            if node.is_leaf:
-                return TreeNode(component=node.component)
-            return TreeNode(children=tuple(strip(c) for c in node.children))
-
-        return NestingTree(root=strip(self.root), leaf_names=self.leaf_names)
+        return _reweight(self, itertools.repeat(itertools.repeat(None)))
 
     def is_same_shape(self, other: "NestingTree") -> bool:
         return self.strip_alphas().root == other.strip_alphas().root
@@ -334,16 +325,12 @@ class NddParams:
     tree: NestingTree
 
     def __post_init__(self):
-        def check(node: TreeNode, is_root: bool):
-            if not is_root and node.alpha is None:
+        for _, node in self.tree.internal_nodes():
+            if any(c.alpha is None for c in node.children):
                 raise TreeStructureError(
                     "every non-root node needs an edge weight; "
                     f"missing on {render_tree(self.tree, include_alphas=False)}"
                 )
-            for c in node.children:
-                check(c, False)
-
-        check(self.tree.root, True)
 
     @property
     def n_components(self) -> int:
@@ -387,7 +374,7 @@ def _child_labels(
 def leaf_means(params: NddParams) -> np.ndarray:
     """Expected composition: product of branch mean fractions along each
     root-to-leaf path."""
-    splits = (dd.mean[None, :] for _, _, dd in params.subtree_params())
+    splits = (dd.mean[None, :] for dd in params._splits)
     return _assemble(params.tree, splits, 1)[0]
 
 
@@ -405,12 +392,10 @@ class SubtreeBlock:
     mass: np.ndarray  # (n,) share of total mass reaching this node
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float).copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        s = np.asarray(self.mass, dtype=float).copy()
-        s.flags.writeable = False
-        object.__setattr__(self, "mass", s)
+        for name in ("matrix", "mass"):
+            arr = np.asarray(getattr(self, name), dtype=float).copy()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -500,27 +485,46 @@ def _branch_blocks(children, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return masses / mass[..., None], mass
 
 
-def _assemble(tree: NestingTree, splits, n: int) -> np.ndarray:
-    """Multiply per-node splits down to the leaves.
+def _assemble(tree: NestingTree, splits, n: int, op: np.ufunc = np.multiply) -> np.ndarray:
+    """Combine per-node splits down to the leaves with op, from op.identity
+    at the root: products of branch fractions by default.
 
     splits yields one (n, k_children) array per internal node in pre-order
-    and is consumed in that order. Returns (n, K) leaf proportions in tree
+    and is consumed in that order. Returns (n, K) per-leaf results in tree
     component order.
     """
     out = np.empty((n, tree.n_components), dtype=float)
     splits = iter(splits)
 
-    def walk(node: TreeNode, mass: np.ndarray):
+    def walk(node: TreeNode, acc: np.ndarray):
         split = next(splits)
         for j, child in enumerate(node.children):
-            child_mass = split[:, j] * mass
+            child_acc = op(split[:, j], acc)
             if child.is_leaf:
-                out[:, child.component] = child_mass
+                out[:, child.component] = child_acc
             else:
-                walk(child, child_mass)
+                walk(child, child_acc)
 
-    walk(tree.root, np.ones(n))
+    walk(tree.root, np.full(n, op.identity, dtype=float))
     return out
+
+
+def _reweight(tree: NestingTree, weights) -> NestingTree:
+    """The same tree with each internal node's children re-weighted.
+
+    weights yields one sequence of child edge weights (None to clear) per
+    internal node in pre-order and is consumed in that order; the root
+    stays unweighted.
+    """
+    weights = iter(weights)
+
+    def walk(node: TreeNode, alpha: float | None) -> TreeNode:
+        if node.is_leaf:
+            return TreeNode(component=node.component, alpha=alpha)
+        kids = tuple(walk(c, a) for c, a in zip(node.children, next(weights)))
+        return TreeNode(children=kids, alpha=alpha)
+
+    return NestingTree(root=walk(tree.root, None), leaf_names=tree.leaf_names)
 
 
 def decompose(tree: NestingTree, data) -> SubtreeDecomposition:
@@ -622,21 +626,7 @@ def mle(tree: NestingTree, data, tol: Tolerance = Tolerance()) -> NddFitResult:
             )
         )
 
-    fits_in_order = iter(fits)
-
-    def rebuild(node: TreeNode, alpha: float | None) -> TreeNode:
-        if node.is_leaf:
-            return TreeNode(component=node.component, alpha=alpha)
-        fit = next(fits_in_order)
-        kids = tuple(
-            rebuild(c, float(a))
-            for c, a in zip(node.children, fit.fit.params.alpha)
-        )
-        return TreeNode(children=kids, alpha=alpha)
-
-    fitted_tree = NestingTree(
-        root=rebuild(tree.root, None), leaf_names=tree.leaf_names
-    )
+    fitted_tree = _reweight(tree, (f.fit.params.alpha.tolist() for f in fits))
     return NddFitResult(
         params=NddParams(tree=fitted_tree),
         subtree_fits=tuple(fits),
@@ -665,21 +655,9 @@ def delta_method_ses(params: NddParams, n: int) -> np.ndarray:
     """
     if n < 1:
         raise InputError(f"n must be at least 1, got {n}")
-    k = params.n_components
-    p = leaf_means(params)
-    rel_var = np.zeros(k, dtype=float)
-
-    def walk(node: TreeNode, acc: float):
-        alphas = np.array([c.alpha for c in node.children], dtype=float)
-        dpar = dirichlet.DirichletParams(alpha=alphas)
-        ses = dirichlet.mean_standard_errors(dpar, n)
-        means = dpar.mean
-        for j, child in enumerate(node.children):
-            term = acc + (ses[j] / means[j]) ** 2
-            if child.is_leaf:
-                rel_var[child.component] = term
-            else:
-                walk(child, term)
-
-    walk(params.tree.root, 0.0)
-    return p * np.sqrt(rel_var)
+    rel_vars = (
+        ((dirichlet.mean_standard_errors(dd, n) / dd.mean) ** 2)[None, :]
+        for dd in params._splits
+    )
+    rel_var = _assemble(params.tree, rel_vars, 1, np.add)[0]
+    return leaf_means(params) * np.sqrt(rel_var)

@@ -233,7 +233,8 @@ def select_tree(
     ranking, best first. criterion is "loglik" (default) or "aic", which
     penalizes trees with more edges; ties and fit failures fall back to the
     enumeration order, and failed fits rank last with their log_likelihood
-    left unset. A tree fails when one of its node fits fails.
+    left unset and converged False. A tree fails when one of its node fits
+    fails.
 
     A tree's log-likelihood is the sum of its nodes' terms, and each
     distinct node (the leaf sets of its children) is fitted once for all
@@ -260,7 +261,7 @@ def select_tree(
     for order, (cand, tree_keys) in enumerate(zip(survivors, keys)):
         parts = [terms[key] for key in tree_keys]
         if None in parts:
-            fitted.append((np.inf, order, cand))
+            fitted.append((np.inf, order, replace(cand, converged=False)))
             continue
         ll = float(sum(parts))
         # Every child of every node carries one edge weight.

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from simplexstats import inference, treesearch
+from simplexstats import inference, nested, treesearch
 from simplexstats.cli import main
 from simplexstats.report import ResultDocument, parse_csv
 
@@ -81,6 +81,27 @@ def test_fit_ndd_requires_tree(small_csv, capsys):
     assert len(g2["leaf_mean"]) == 3
     assert sum(g2["leaf_mean"]) == pytest.approx(1.0)
     assert g2["tree"].startswith("((a:")
+
+
+def test_fit_ndd_reports_leaf_means_in_csv_column_order(capsys):
+    # The tree lists AQ2 before OQ; the CSV's columns are TQ, AQ1, OQ, AQ2.
+    text = "((TQ,AQ1),(AQ2,OQ))"
+    ds = parse_csv(FIXTURE)
+    assert main(["fit", "--model", "ndd", "--tree", text, FIXTURE, "--json"]) == 0
+    res = _json_out(capsys)["results"]
+    assert res["components"] == ["TQ", "AQ1", "OQ", "AQ2"]
+    tree = nested.parse_tree(text)
+    for label, group in res["groups"].items():
+        fit = nested.mle(tree, ds.group_dataset(label))
+        means = nested.leaf_means(fit.params)
+        ses = nested.delta_method_ses(fit.params, group["n"])
+        by_name = {
+            tree.component_name(j): (means[j], ses[j]) for j in range(len(means))
+        }
+        for name, mean, se in zip(
+            res["components"], group["leaf_mean"], group["leaf_mean_se"]
+        ):
+            assert (mean, se) == by_name[name]
 
 
 def test_tree_and_tree_search_are_exclusive(small_csv, capsys):

@@ -1,10 +1,11 @@
 """Dataset handling, validation, and log-ratio transforms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from simplexstats.composition import (
-    Composition,
     CompositionDataset,
     SufficientStats,
     alr,
@@ -58,13 +59,6 @@ def test_validate_tolerance_is_configurable():
     assert out.shape == (2,)
 
 
-def test_composition_wraps_single_vector_only():
-    c = Composition(np.array([0.1, 0.9]))
-    assert c.n_components == 2
-    with pytest.raises(DimensionMismatchError):
-        Composition(np.array([[0.1, 0.9]]))
-
-
 def test_sufficient_stats_from_matrix():
     x = np.array([[0.2, 0.8], [0.4, 0.6]])
     s = SufficientStats.from_matrix(x)
@@ -100,6 +94,24 @@ def test_stats_reduced_in_parts_and_joined_equal_the_whole_bitwise():
     )
     for name in ("n", "mean_log", "mean", "mean_sq"):
         assert np.array_equal(getattr(joined, name), getattr(whole, name))
+
+
+def test_concat_builds_each_joined_field_once():
+    rng = np.random.default_rng(5)
+    parts = [
+        SufficientStats.reduce(rng.dirichlet([1.0, 2.0, 3.0, 4.0], size=(8192, 3)))
+        for _ in range(2)
+    ]
+    joined_bytes = 16384 * 8 * (1 + 3 * 4)
+    tracemalloc.start()
+    try:
+        joined = SufficientStats.concat(parts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert joined.mean_log.shape == (16384, 4)
+    assert not joined.mean_log.flags.writeable
+    assert peak <= 1.25 * joined_bytes
 
 
 def test_sufficient_stats_reject_bad_shapes():

@@ -238,7 +238,7 @@ def _reference_ranking(fits, criterion):
     scored = []
     for order, (cand, fit) in enumerate(fits):
         if fit is None:
-            scored.append((np.inf, order, cand, None, cand.converged))
+            scored.append((np.inf, order, cand, None, False))
             continue
         ll = fit.log_likelihood
         score = -ll if criterion == "loglik" else 2.0 * _edges(cand.tree) - 2.0 * ll
@@ -309,6 +309,21 @@ def test_select_tree_fails_exactly_the_trees_with_a_failed_node():
             [ch.leaf_indices() for ch in node.children] == [(0,), (1,)]
             for _, node in cand.tree.internal_nodes()
         )
+
+
+@pytest.mark.filterwarnings("error")
+def test_select_tree_marks_failed_candidates_unconverged():
+    # c1:c2 is fixed at 1:2, so the node holding c1 and c2 alone cannot fit.
+    y = np.random.default_rng(31).dirichlet([3.0, 4.0, 5.0], size=40)
+    s = y[:, 0] + y[:, 1]
+    x = np.column_stack([s / 3.0, 2.0 * s / 3.0, y[:, 2]])
+    _, ranking = select_tree(x, enumerate_trees(3))
+    failed = ranking[-1]
+    assert failed.tree.render() == "((c1,c2),c3)"
+    assert failed.log_likelihood is None
+    assert failed.converged is False
+    for cand in ranking[:-1]:
+        assert cand.log_likelihood is not None and cand.converged is True
 
 
 def test_select_tree_fits_each_distinct_node_once(monkeypatch):
