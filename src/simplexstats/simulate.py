@@ -2,10 +2,14 @@
 
 Each study draws two groups per replicate from configured generators, runs
 one of the testing procedures, and tallies the outcome categories. Results
-are deterministic functions of the master seed: replicate i draws from a
-generator seeded by SeedSequence(entropy=master_seed, spawn_key=(i,)),
-group 1 first and group 2 second from the same stream, so the tally never
-depends on batching or thread count.
+are deterministic functions of the master seed: replicate i draws from the
+stream of default_rng(SeedSequence(entropy=master_seed, spawn_key=(i,))),
+group 1 first and group 2 second, so the tally never depends on batching or
+thread count. Those streams are computed in bulk: the SeedSequence hash of
+a chunk's keys runs as uint32 array operations, and each result, turned
+into a PCG64 state by PCG64's seeding rule, is set on one PCG64 that the
+chunk reuses. When both groups share one Dirichlet generator, as in a
+type-I cell, one call draws both groups' rows from that stream.
 
 A study draws its replicates in chunks of a fixed number of draws
 (inference._CHUNK_DRAWS: 1,024 replicates at n = 100, K = 4), reduces each
@@ -179,6 +183,7 @@ class SimSpec:
             raise InputError(f"replicates must be >= 1, got {self.replicates}")
         if not (0.0 < self.level < 1.0):
             raise InputError(f"level must be in (0, 1), got {self.level}")
+        _seed_words(self.master_seed)
         k1 = _generator_components(self.generator_1)
         k2 = _generator_components(self.generator_2)
         if k1 != k2:
@@ -246,25 +251,126 @@ def _draw(gen, n: int, rng: np.random.Generator) -> np.ndarray:
     return nested.sample(gen, n, rng)
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe) and PCG64's seeding rule
+# (O'Neill 2014), so that replicate i draws from the stream of
+# default_rng(SeedSequence(entropy=master_seed, spawn_key=(i,))) without one
+# SeedSequence and one PCG64 per replicate. tests/test_simulate.py pins them
+# against numpy's own.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _seed_words(master_seed) -> list[int]:
+    """The uint32 entropy words SeedSequence takes from a master seed."""
+    if (
+        isinstance(master_seed, bool)
+        or not isinstance(master_seed, (int, np.integer))
+        or master_seed < 0
+    ):
+        raise InputError(f"seed must be a non-negative integer, got {master_seed!r}")
+    s, words = int(master_seed), []
+    while True:
+        words.append(s & _MASK32)
+        s >>= 32
+        if not s:
+            return words
+
+
+def _spawn_words(master_seed, keys: np.ndarray) -> np.ndarray:
+    """SeedSequence(entropy=master_seed, spawn_key=(i,)).generate_state(4,
+    np.uint64) for every key i, as a (len(keys), 4) uint64 array."""
+    if keys.size and int(keys.max()) > _MASK32:
+        raise InputError("replicate keys must be below 2**32")
+    hc = _INIT_A
+
+    def hashmix(v):
+        nonlocal hc
+        v = v ^ np.uint32(hc)
+        hc = hc * _MULT_A & _MASK32
+        v = v * np.uint32(hc)
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ (r >> 16)
+
+    # With a spawn key, the seed's words are padded to the pool of four.
+    words = _seed_words(master_seed)
+    words = [np.array([w], np.uint32) for w in words + [0] * (4 - len(words))]
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    # Only the last word, the key, differs between the chunk's replicates.
+    for w in words[4:] + [keys.astype(np.uint32)]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hc, out = _INIT_B, []
+    for i in range(8):
+        v = pool[i % 4] ^ np.uint32(hc)
+        hc = hc * _MULT_B & _MASK32
+        v = v * np.uint32(hc)
+        out.append((v ^ (v >> 16)).astype(np.uint64))
+    return np.stack([out[2 * j] | out[2 * j + 1] << 32 for j in range(4)], axis=1)
+
+
+def _replicate_rngs(master_seed, lo: int, hi: int):
+    """Yield the generator of each replicate lo to hi - 1 in turn.
+
+    Replicate i's generator draws the stream of
+    default_rng(SeedSequence(entropy=master_seed, spawn_key=(i,))). It is
+    one Generator whose PCG64 is reset to the next replicate's state at each
+    step, so a caller must be done with one replicate before the next.
+    """
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    words = _spawn_words(master_seed, np.arange(lo, hi, dtype=np.uint64))
+    for s_hi, s_lo, q_hi, q_lo in words.tolist():
+        # PCG64 seeding: state 0, inc = (seq << 1) | 1, one step, add the
+        # initial state, one more step.
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
 def _draw_stacks(spec: SimSpec, lo: int, hi: int):
     """Draws of replicates lo to hi - 1, stacked to (hi - lo, n, K) per group.
 
     Returns (x1, x2, drawn) where drawn flags replicates whose draws
     succeeded; failed rows hold a uniform placeholder and are excluded
     from the tally as fit failures.
+
+    Group 1 draws first and group 2 second from the replicate's stream.
+    When both groups share one Dirichlet generator, one call draws both:
+    the gamma variates fill the rows in stream order and each row is
+    normalized alone, so the split rows equal two calls bit for bit.
     """
     n1, n2 = spec.n_pair
     k = spec.n_components
+    g1, g2 = spec.generator_1, spec.generator_2
+    merged = isinstance(g1, DirichletParams) and same_generator(g1, g2)
     x1 = np.empty((hi - lo, n1, k))
     x2 = np.empty((hi - lo, n2, k))
     drawn = np.ones(hi - lo, dtype=bool)
-    for j, i in enumerate(range(lo, hi)):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=spec.master_seed, spawn_key=(i,))
-        )
+    for j, rng in enumerate(_replicate_rngs(spec.master_seed, lo, hi)):
         try:
-            x1[j] = _draw(spec.generator_1, n1, rng)
-            x2[j] = _draw(spec.generator_2, n2, rng)
+            if merged:
+                x = dirichlet.sample(g1, n1 + n2, rng)
+                x1[j], x2[j] = x[:n1], x[n1:]
+            else:
+                x1[j] = _draw(g1, n1, rng)
+                x2[j] = _draw(g2, n2, rng)
         except NumericalError:
             x1[j] = 1.0 / k
             x2[j] = 1.0 / k
@@ -411,8 +517,5 @@ def run_correlation_check(
     """
     if n < 3:
         raise InputError(f"need at least 3 draws for a correlation, got {n}")
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(0,))
-    )
-    x = _draw(params, n, rng)
+    x = _draw(params, n, next(_replicate_rngs(master_seed, 0, 1)))
     return np.corrcoef(x, rowvar=False)

@@ -47,14 +47,15 @@ MAX_COMPONENTS = 8
 class TreeCandidate:
     """One tree shape moving through the search pipeline.
 
-    log_likelihood is filled by select_tree; filtered marks shapes ruled
-    out by the correlation-sign screen, with the witnessing node, leaf
-    pair, and outside leaf recorded.
+    log_likelihood and converged are filled by select_tree; a shape it never
+    fitted, such as one the screen filtered, reads converged False. filtered
+    marks shapes ruled out by the correlation-sign screen, with the
+    witnessing node, leaf pair, and outside leaf recorded.
     """
 
     tree: NestingTree
     log_likelihood: float | None = None
-    converged: bool = True
+    converged: bool = False
     filtered: bool = False
     filter_reason: str = ""
     witness: tuple[str, tuple[str, str], str] | None = None

@@ -364,6 +364,10 @@ def test_simulate_argument_guards(capsys):
     assert main(bad_alpha) == 1
     assert "bad concentration list" in capsys.readouterr().err
 
+    bad_seed = base + ["--alpha", "2,3,4", "--seed", "-1"]
+    assert main(bad_seed) == 1
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+
 
 def test_ternary_writes_svg(small_csv, tmp_path, capsys):
     out = tmp_path / "panels.svg"

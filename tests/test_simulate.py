@@ -9,7 +9,7 @@ import pytest
 from simplexstats import dirichlet, inference, nested, simulate
 from simplexstats.composition import CompositionDataset, SufficientStats
 from simplexstats.dirichlet import DirichletParams
-from simplexstats.errors import InputError
+from simplexstats.errors import InputError, NumericalError
 from simplexstats.nested import NddParams, NestingTree, flat_tree, parse_tree
 from simplexstats.numerics import chi_square_sf
 from simplexstats.simulate import (
@@ -72,6 +72,113 @@ def test_spec_validation():
         _spec(procedure=NddLRT(tree=flat_tree(3)))
     with pytest.raises(InputError):
         _spec(generator_1="not a generator")
+
+
+SEEDS = (0, 1, 987654321, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1)
+KEYS = (0, 1, 2**31, 2**32 - 1, *range(0, 50_000, 7))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_replicate_seeding_matches_numpy_seed_sequence(seed):
+    # The study seeds replicates with its own copy of numpy's SeedSequence
+    # hash and PCG64 seeding rule; a numpy that changes either fails here.
+    want = np.array([
+        np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)
+        for i in KEYS
+    ])
+    got = simulate._spawn_words(seed, np.array(KEYS, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, want)
+    # One PCG64 serves a whole chunk; its whole state (state, inc,
+    # has_uint32, uinteger) is reset at every replicate.
+    for lo, hi in ((0, 3), (2**31 - 1, 2**31 + 1), (49_990, 50_000), (2**32 - 2, 2**32)):
+        rngs = simulate._replicate_rngs(seed, lo, hi)
+        for i, rng in zip(range(lo, hi), rngs, strict=True):
+            assert rng.bit_generator.state == _replicate_rng(seed, i).bit_generator.state
+
+
+def test_replicate_keys_from_2_to_the_32_are_refused():
+    with pytest.raises(InputError, match="2\\*\\*32"):
+        simulate._spawn_words(0, np.array([2**32], dtype=np.uint64))
+    with pytest.raises(InputError):
+        next(simulate._replicate_rngs(0, 2**32 - 1, 2**32 + 1))
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-1), -(2**70), 2.5, np.float64(3.0), "7"])
+def test_invalid_master_seed_is_an_input_error(seed):
+    with pytest.raises((TypeError, ValueError)):
+        np.random.SeedSequence(entropy=seed, spawn_key=(0,))
+    with pytest.raises(InputError, match="non-negative integer"):
+        simulate._spawn_words(seed, np.arange(3, dtype=np.uint64))
+    with pytest.raises(InputError, match="non-negative integer"):
+        _spec(master_seed=seed)
+    with pytest.raises(InputError, match="non-negative integer"):
+        run_correlation_check(CONTROL, 10, master_seed=seed)
+
+
+def _reference_stacks(spec, lo, hi):
+    """The loop _draw_stacks replaces: a generator built per replicate from
+    its SeedSequence, and one draw per group."""
+    n1, n2 = spec.n_pair
+    k = spec.n_components
+    x1 = np.full((hi - lo, n1, k), 1.0 / k)
+    x2 = np.full((hi - lo, n2, k), 1.0 / k)
+    drawn = np.ones(hi - lo, dtype=bool)
+    for j, i in enumerate(range(lo, hi)):
+        rng = _replicate_rng(spec.master_seed, i)
+        try:
+            a = simulate._draw(spec.generator_1, n1, rng)
+            b = simulate._draw(spec.generator_2, n2, rng)
+        except NumericalError:
+            drawn[j] = False
+            continue
+        x1[j], x2[j] = a, b
+    return x1, x2, drawn
+
+
+_TREE = NddParams(tree=parse_tree(BEST_TREE_TEXT))
+_TINY = DirichletParams(alpha=(0.01,) * 4)
+# Nine components: numpy sums a row of eight or more in pairs.
+_WIDE = DirichletParams(alpha=np.linspace(0.5, 4.0, 9))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "gen1, gen2, n, seed, lo, hi",
+    [
+        (CONTROL, CONTROL, 100, 0, 1021, 1030),
+        (_WIDE, _WIDE, 20, 8, 3, 40),
+        (CONTROL, TREATMENT, (5, 11), 2**40 + 1, 17, 41),
+        (_TREE, _TREE, 7, 4, 5, 25),
+        (_TINY, _TINY, 3, 0, 100, 400),
+    ],
+    ids=["type1", "type1-k9", "power", "nested", "underflow"],
+)
+def test_draw_stacks_equal_per_replicate_generators_bitwise(gen1, gen2, n, seed, lo, hi):
+    spec = _spec(generator_1=gen1, generator_2=gen2, n_per_group=n, master_seed=seed)
+    got = simulate._draw_stacks(spec, lo, hi)
+    want = _reference_stacks(spec, lo, hi)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+    if gen1 is _TINY:
+        assert 0 < (~want[2]).sum() < hi - lo
+
+
+@pytest.mark.parametrize("power, sizes", [(False, [15]), (True, [6, 9])])
+def test_type1_dirichlet_study_draws_both_groups_in_one_call(monkeypatch, power, sizes):
+    sample = dirichlet.sample
+    calls = []
+
+    def counted(params, n, rng):
+        calls.append(n)
+        return sample(params, n, rng)
+
+    monkeypatch.setattr(dirichlet, "sample", counted)
+    spec = _spec(generator_2=TREATMENT if power else CONTROL, n_per_group=(6, 9), replicates=30)
+    (run_power_study if power else run_type1_study)(spec)
+    # One call per replicate in a type-I cell, one per group in a power cell.
+    assert calls == sizes * spec.replicates
 
 
 def test_n_pair_accepts_scalar_or_tuple():

@@ -1,5 +1,6 @@
 """Tree enumeration, correlation screening, and model selection."""
 
+import importlib.resources
 import itertools
 
 import numpy as np
@@ -15,6 +16,7 @@ from simplexstats.errors import (
     ZeroComponentError,
 )
 from simplexstats.nested import NddParams, parse_tree
+from simplexstats.report import parse_csv
 from simplexstats.treesearch import (
     enumerate_trees,
     filter_impossible,
@@ -218,6 +220,18 @@ def test_search_end_to_end_recovers_generating_tree():
     filtered_flags = [c.filtered for c in ranking]
     first_filtered = filtered_flags.index(True) if True in filtered_flags else len(ranking)
     assert all(filtered_flags[first_filtered:])
+
+
+def test_filtered_candidates_read_unconverged():
+    # The screen's rejects are never fitted, so nothing converged for them.
+    fixture = importlib.resources.files("simplexstats") / "data" / "synthetic_navigation.csv"
+    _, ranking = search(parse_csv(str(fixture)))
+    filtered = [c for c in ranking if c.filtered]
+    assert filtered
+    for cand in filtered:
+        assert (cand.converged, cand.log_likelihood) == (False, None)
+    for cand in ranking[: len(ranking) - len(filtered)]:
+        assert cand.converged is True and cand.log_likelihood is not None
 
 
 def _reference_fits(x, candidates):
