@@ -91,27 +91,37 @@ class TreeNode:
             np.isfinite(self.alpha) and self.alpha > 0.0
         ):
             raise TreeStructureError("edge weights must be finite and positive")
+        # The sorted leaf tuple and whether the subtree is in canonical order
+        # (children canonical and ordered by least leaf), built once from the
+        # children's. Plain attributes, not fields: equality, hashing and
+        # repr see only the structure.
+        if self.component is not None:
+            leaves, canonical = (self.component,), True
+        else:
+            leaves, canonical, least = (), True, -1
+            for c in self.children:
+                canonical = canonical and c._is_canonical and c._leaves[0] > least
+                least = c._leaves[0]
+                leaves += c._leaves
+            leaves = tuple(sorted(leaves))
+        object.__setattr__(self, "_leaves", leaves)
+        object.__setattr__(self, "_is_canonical", canonical)
 
     @property
     def is_leaf(self) -> bool:
         return self.component is not None
 
     def min_leaf(self) -> int:
-        if self.is_leaf:
-            return self.component
-        return min(c.min_leaf() for c in self.children)
+        return self._leaves[0]
 
     def leaf_indices(self) -> tuple[int, ...]:
-        if self.is_leaf:
-            return (self.component,)
-        out: list[int] = []
-        for c in self.children:
-            out.extend(c.leaf_indices())
-        return tuple(sorted(out))
+        return self._leaves
 
 
 def _canonical(node: TreeNode) -> TreeNode:
-    if node.is_leaf:
+    """node with every child list ordered by least leaf; node itself when
+    it already is."""
+    if node._is_canonical:
         return node
     kids = tuple(sorted((_canonical(c) for c in node.children), key=TreeNode.min_leaf))
     return TreeNode(component=None, children=kids, alpha=node.alpha)
@@ -144,7 +154,7 @@ class NestingTree:
                 f"got {leaves}"
             )
         if self.leaf_names is not None:
-            names = tuple(str(s) for s in self.leaf_names)
+            names = tuple(map(str, self.leaf_names))
             if len(names) != k:
                 raise DimensionMismatchError(
                     f"{len(names)} leaf names for {k} components"
@@ -168,16 +178,18 @@ class NestingTree:
 
     def internal_nodes(self) -> tuple[tuple[str, TreeNode], ...]:
         """Internal nodes in pre-order with stable labels root, N1, N2, ..."""
-        out: list[tuple[str, TreeNode]] = []
+        return tuple(self._walk_internal())
 
-        def walk(node: TreeNode):
-            out.append((f"N{len(out)}" if out else "root", node))
-            for c in node.children:
-                if not c.is_leaf:
-                    walk(c)
-
-        walk(self.root)
-        return tuple(out)
+    def _walk_internal(self):
+        """internal_nodes, lazily: a caller that stops early walks no
+        further."""
+        stack = [self.root]
+        index = 0
+        while stack:
+            node = stack.pop()
+            yield (f"N{index}" if index else "root"), node
+            index += 1
+            stack.extend(reversed([c for c in node.children if not c.is_leaf]))
 
     def strip_alphas(self) -> "NestingTree":
         return _reweight(self, itertools.repeat(itertools.repeat(None)))
@@ -185,8 +197,16 @@ class NestingTree:
     def is_same_shape(self, other: "NestingTree") -> bool:
         return self.strip_alphas().root == other.strip_alphas().root
 
+    @functools.cached_property
+    def _shape_text(self) -> str:
+        """The alpha-free text, built once per tree; enumerate_trees fills it
+        in from text it builds once per shared subtree."""
+        return render_tree(self, include_alphas=False)
+
     def render(self, include_alphas: bool = True) -> str:
-        return render_tree(self, include_alphas=include_alphas)
+        if not include_alphas:
+            return self._shape_text
+        return render_tree(self, include_alphas=True)
 
 
 def flat_tree(k: int, leaf_names: tuple[str, ...] | None = None) -> NestingTree:
@@ -458,19 +478,9 @@ def _child_leaf_sets(tree: NestingTree) -> tuple[tuple[tuple[int, ...], ...], ..
     A node's branch compositions depend on nothing else, so this is the
     node's identity: trees that share a key share that node's block and fit.
     """
-    keys: list = []
-
-    def leaves(node: TreeNode) -> tuple[int, ...]:
-        if node.is_leaf:
-            return (node.component,)
-        slot = len(keys)
-        keys.append(None)
-        kids = tuple(leaves(c) for c in node.children)
-        keys[slot] = kids
-        return tuple(sorted(itertools.chain.from_iterable(kids)))
-
-    leaves(tree.root)
-    return tuple(keys)
+    return tuple(
+        tuple(c.leaf_indices() for c in node.children) for _, node in tree.internal_nodes()
+    )
 
 
 def _branch_blocks(children, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

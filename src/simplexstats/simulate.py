@@ -179,6 +179,8 @@ class SimSpec:
     tol: Tolerance = Tolerance()
 
     def __post_init__(self):
+        if not _is_integer(self.replicates):
+            raise InputError(f"replicates must be an integer, got {self.replicates!r}")
         if self.replicates < 1:
             raise InputError(f"replicates must be >= 1, got {self.replicates}")
         if not (0.0 < self.level < 1.0):
@@ -190,6 +192,9 @@ class SimSpec:
             raise InputError(
                 f"generators disagree on component count: {k1} vs {k2}"
             )
+        sizes = self.n_per_group if isinstance(self.n_per_group, tuple) else (self.n_per_group,)
+        if not all(map(_is_integer, sizes)):
+            raise InputError(f"group sizes must be integers, got {self.n_per_group!r}")
         n1, n2 = self.n_pair
         if min(n1, n2) < 2:
             raise InputError("each group needs at least 2 observations")
@@ -264,13 +269,14 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; bools are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _seed_words(master_seed) -> list[int]:
     """The uint32 entropy words SeedSequence takes from a master seed."""
-    if (
-        isinstance(master_seed, bool)
-        or not isinstance(master_seed, (int, np.integer))
-        or master_seed < 0
-    ):
+    if not _is_integer(master_seed) or master_seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {master_seed!r}")
     s, words = int(master_seed), []
     while True:

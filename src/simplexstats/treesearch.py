@@ -5,6 +5,14 @@ screen out shapes that contradict the signs of the sample correlation
 matrix, and fit the survivors to pick the one with the highest
 log-likelihood.
 
+Each stage works once per distinct subtree, not once per candidate.
+Candidates share subtree objects: enumeration builds the trees on each leaf
+subset once, every node already in canonical order, its leaf set cached on
+it and its text built from its children's; the sort and the ranking's
+rendered trees reuse that text. The screen's verdict on a node depends only
+on the node's leaf set, so each distinct set is screened once (a K = 6 tree
+has 57 possible internal leaf sets).
+
 A nested log-likelihood is a sum of per-node terms, and a node's term
 depends only on the leaf sets of its children (``nested._child_leaf_sets``),
 which many candidate trees share. Selection therefore builds each distinct
@@ -18,6 +26,7 @@ which 4,012 are distinct.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,9 +46,10 @@ __all__ = [
 ]
 
 # Enumeration is exhaustive and the tree count grows fast with K
-# (4, 26, 236, 2752, 39208 for K = 3..7), so cap the component count.
-# With shared node fits, an unscreened K = 7 search on 200 rows takes
-# 2.3-3.2 s on a 2-vCPU machine, about half of it enumeration.
+# (4, 26, 236, 2752, 39208 for K = 3..7, 660,032 for K = 8), so cap the
+# component count. On a 2-vCPU machine, an unscreened K = 7 search on 200
+# rows takes 2.6-3.1 s, listing the candidates 0.8-1.1 s of it; K = 8 would
+# need candidates built lazily.
 MAX_COMPONENTS = 8
 
 
@@ -73,22 +83,31 @@ def _partitions(items: list):
         yield [[first]] + part
 
 
-def _subtrees(leaves: tuple[int, ...], memo: dict) -> list[TreeNode]:
-    """All rooted trees on the given leaves with internal degree >= 2.
+def _subtrees(
+    leaves: tuple[int, ...], names: tuple[str, ...], memo: dict
+) -> list[tuple[str, TreeNode]]:
+    """All rooted trees on the given leaves with internal degree >= 2, each
+    with its alpha-free text under the component names.
 
-    memo maps each leaf set already expanded to its list; every partition
-    that contains a block reuses that block's list instead of rebuilding it.
+    Each partition's blocks are ordered by least leaf, so every node is
+    built in canonical order. memo maps each leaf set already expanded to
+    its list; every partition that contains a block reuses that block's
+    nodes and text instead of rebuilding them.
     """
     if leaves not in memo:
         if len(leaves) == 1:
-            memo[leaves] = [TreeNode(component=leaves[0])]
+            memo[leaves] = [(names[leaves[0]], TreeNode(component=leaves[0]))]
         else:
-            memo[leaves] = [
-                TreeNode(children=combo)
-                for blocks in _partitions(list(leaves))
-                if len(blocks) > 1
-                for combo in itertools.product(*[_subtrees(tuple(b), memo) for b in blocks])
-            ]
+            out = []
+            for blocks in _partitions(list(leaves)):
+                if len(blocks) == 1:
+                    continue
+                # Blocks are disjoint and ascending, so they sort by least leaf.
+                parts = [_subtrees(tuple(b), names, memo) for b in sorted(blocks)]
+                for combo in itertools.product(*parts):
+                    texts, kids = zip(*combo)
+                    out.append(("(" + ",".join(texts) + ")", TreeNode(children=kids)))
+            memo[leaves] = out
     return memo[leaves]
 
 
@@ -97,7 +116,7 @@ def enumerate_trees(
 ) -> list[TreeCandidate]:
     """Every distinct nesting tree over k components, flat tree included.
 
-    Trees are canonicalized, so the result has no duplicates; it is sorted
+    Trees are canonical, so the result has no duplicates; it is sorted
     by rendered form, which fixes the tie-break order used downstream.
     """
     if not (2 <= k <= MAX_COMPONENTS):
@@ -111,12 +130,15 @@ def enumerate_trees(
         raise InputError(
             f"expected {k} component names, got {len(components)}"
         )
-    trees = [
-        NestingTree(root=root, leaf_names=components)
-        for root in _subtrees(tuple(range(k)), {})
-    ]
-    trees.sort(key=lambda t: t.render(include_alphas=False))
-    return [TreeCandidate(tree=t) for t in trees]
+    shapes = _subtrees(tuple(range(k)), tuple(map(str, components)), {})
+    shapes.sort(key=operator.itemgetter(0))
+    out = []
+    for text, root in shapes:
+        tree = NestingTree(root=root, leaf_names=components)
+        # The text render(include_alphas=False) returns, already built.
+        tree.__dict__["_shape_text"] = text
+        out.append(TreeCandidate(tree=tree))
+    return out
 
 
 def _validate_correlation(corr: np.ndarray, k: int) -> np.ndarray:
@@ -134,6 +156,27 @@ def _validate_correlation(corr: np.ndarray, k: int) -> np.ndarray:
     return corr
 
 
+def _sign_conflict(inside: tuple[int, ...], k: int, corr: np.ndarray, name):
+    """The first leaf pair (u, v) under a node and leaf w outside it, in
+    index order, with corr[w, u] and corr[w, v] of opposite signs.
+
+    Returns (the filter reason up to the node's label, (name(u), name(v)),
+    name(w)), or None when the node's leaf set has no such pair.
+    """
+    outside = [w for w in range(k) if w not in inside]
+    for u, v in itertools.combinations(inside, 2):
+        for w in outside:
+            if corr[w, u] * corr[w, v] < 0.0:
+                reason = (
+                    f"corr({name(w)},{name(u)}) = {corr[w, u]:+.3f} and "
+                    f"corr({name(w)},{name(v)}) = {corr[w, v]:+.3f} disagree in "
+                    f"sign, but {name(u)} and {name(v)} are nested together "
+                    "under "
+                )
+                return reason, (name(u), name(v)), name(w)
+    return None
+
+
 def filter_impossible(
     candidates: list[TreeCandidate], corr: np.ndarray
 ) -> list[TreeCandidate]:
@@ -146,48 +189,42 @@ def filter_impossible(
     order, then index order) is recorded. Zero correlations are compatible
     with either sign, and the flat tree is never filtered because its only
     internal node has no outside leaves.
+
+    A node's witness depends only on its leaf set, which many candidates
+    share, so each distinct leaf set is screened once.
     """
     if not candidates:
         return []
     k = candidates[0].tree.n_components
     corr = _validate_correlation(corr, k)
+    # Per leaf-name binding, per leaf set: the node's _sign_conflict.
+    screens: dict = {}
     out = []
     for cand in candidates:
         tree = cand.tree
+        screen = screens.setdefault(tree.leaf_names, {})
         hit = None
-        for label, node in tree.internal_nodes():
-            inside = sorted(node.leaf_indices())
-            outside = sorted(set(range(k)) - set(inside))
-            if not outside:
-                continue
-            for u, v in itertools.combinations(inside, 2):
-                for w in outside:
-                    if corr[w, u] * corr[w, v] < 0.0:
-                        hit = (label, (u, v), w)
-                        break
-                if hit:
-                    break
-            if hit:
+        for label, node in tree._walk_internal():
+            leaves = node.leaf_indices()
+            if leaves not in screen:
+                screen[leaves] = _sign_conflict(leaves, k, corr, tree.component_name)
+            hit = screen[leaves]
+            if hit is not None:
                 break
         if hit is None:
             out.append(cand)
-        else:
-            label, (u, v), w = hit
-            name = tree.component_name
-            reason = (
-                f"corr({name(w)},{name(u)}) = {corr[w, u]:+.3f} and "
-                f"corr({name(w)},{name(v)}) = {corr[w, v]:+.3f} disagree in "
-                f"sign, but {name(u)} and {name(v)} are nested together "
-                f"under {label}"
+            continue
+        reason, pair, w = hit
+        out.append(
+            TreeCandidate(
+                tree=tree,
+                log_likelihood=cand.log_likelihood,
+                converged=cand.converged,
+                filtered=True,
+                filter_reason=reason + label,
+                witness=(label, pair, w),
             )
-            out.append(
-                replace(
-                    cand,
-                    filtered=True,
-                    filter_reason=reason,
-                    witness=(label, (name(u), name(v)), name(w)),
-                )
-            )
+        )
     return out
 
 

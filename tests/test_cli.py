@@ -2,6 +2,8 @@
 
 import importlib.resources
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +15,9 @@ from simplexstats.report import ResultDocument, parse_csv
 FIXTURE = str(
     importlib.resources.files("simplexstats") / "data" / "synthetic_navigation.csv"
 )
+# tree-search --json results on FIXTURE, per criterion, as recorded before the
+# search shared its per-subtree work between candidates.
+TREE_SEARCH_GOLDEN = pathlib.Path(__file__).parent / "data" / "tree_search_navigation.json"
 
 
 @pytest.fixture
@@ -287,6 +292,30 @@ def test_tree_search_reports_ranking(capsys):
     corr = np.asarray(res["correlation"])
     assert corr.shape == (4, 4)
     assert np.allclose(np.diag(corr), 1.0)
+
+
+@pytest.mark.parametrize("criterion", ["loglik", "aic"])
+def test_tree_search_matches_recorded_results(criterion, capsys):
+    want = json.loads(TREE_SEARCH_GOLDEN.read_text(encoding="utf-8"))[criterion]
+    assert main(["tree-search", FIXTURE, "--json", "--criterion", criterion]) == 0
+    got = _json_out(capsys)["results"]
+    for key in ("components", "n_candidates", "n_filtered"):
+        assert got[key] == want[key]
+    assert np.allclose(got["correlation"], want["correlation"], rtol=1e-9, atol=1e-12)
+
+    def exact(row):
+        return row["tree"], row.get("filtered"), row.get("reason"), row.get("converged")
+
+    assert [exact(row) for row in got["ranking"]] == [exact(row) for row in want["ranking"]]
+    for row, ref in zip(got["ranking"], want["ranking"]):
+        assert set(row) == set(ref)
+        if "log_likelihood" in ref:
+            assert row["log_likelihood"] == pytest.approx(ref["log_likelihood"], rel=1e-9, abs=0.0)
+    weight = re.compile(r":([-+0-9.eE]+)")
+    assert weight.sub("", got["best_tree"]) == weight.sub("", want["best_tree"])
+    got_w, want_w = weight.findall(got["best_tree"]), weight.findall(want["best_tree"])
+    assert len(got_w) == len(want_w)
+    assert [float(w) for w in got_w] == pytest.approx([float(w) for w in want_w], rel=1e-9, abs=0.0)
 
 
 def test_simulate_reruns_are_byte_identical(capsys):

@@ -1,5 +1,7 @@
 """Tree-structured model: parsing, decomposition, density, fitting, sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.stats as st
@@ -46,6 +48,75 @@ def test_canonical_ordering_is_stable():
     assert one.render(include_alphas=False) == "((a,b),(c,d))"
     assert two.render(include_alphas=False) == "((d,c),(b,a))"
     assert one.is_same_shape(parse_tree("((b,a),(d,c))"))
+
+
+def _recursive_leaves(node):
+    if node.is_leaf:
+        return [node.component]
+    return sorted(j for c in node.children for j in _recursive_leaves(c))
+
+
+def _subtree_nodes(node):
+    yield node
+    for c in node.children:
+        yield from _subtree_nodes(c)
+
+
+def _alphabetical(text):
+    """The written tree with leaves numbered in alphabetical order of their
+    names and children kept in written order, so mostly not canonical."""
+    tree = parse_tree(text)  # first-appearance numbering keeps written order
+    index = {name: j for j, name in enumerate(sorted(tree.leaf_names))}
+
+    def walk(node):
+        if node.is_leaf:
+            return TreeNode(component=index[tree.leaf_names[node.component]], alpha=node.alpha)
+        return TreeNode(children=tuple(walk(c) for c in node.children), alpha=node.alpha)
+
+    return walk(tree.root)
+
+
+TEXTS = ["((c,a),b,(e,d))", "(b,(d,(c,a)),e)", "((e,d),(b,(c,a)))", BEST_TREE_TEXT]
+
+
+@pytest.mark.parametrize("text", TEXTS)
+def test_cached_leaf_sets_match_recursion(text):
+    written = _alphabetical(text)
+    for node in [*_subtree_nodes(written), *_subtree_nodes(NestingTree(root=written).root)]:
+        leaves = _recursive_leaves(node)
+        assert node.leaf_indices() == tuple(leaves)
+        assert node.min_leaf() == leaves[0]
+
+
+@pytest.mark.parametrize("text", TEXTS)
+def test_canonical_rebuilds_only_out_of_order_nodes(text):
+    written = _alphabetical(text)
+    root = NestingTree(root=written).root
+    assert NestingTree(root=root).root is root
+    for node in _subtree_nodes(root):
+        firsts = [c.min_leaf() for c in node.children]
+        assert firsts == sorted(firsts)
+        assert nested._canonical(node) is node
+    if text != BEST_TREE_TEXT:
+        assert root is not written and root != written
+
+
+def test_canonical_rebuilds_a_root_whose_inner_node_is_out_of_order():
+    leaf = [TreeNode(component=j) for j in range(3)]
+    inner_swapped = TreeNode(children=(leaf[0], TreeNode(children=(leaf[2], leaf[1]))))
+    canon = nested._canonical(inner_swapped)
+    assert canon == TreeNode(children=(leaf[0], TreeNode(children=(leaf[1], leaf[2]))))
+    assert nested._canonical(canon) is canon
+
+
+def test_cached_leaf_sets_are_not_fields():
+    node = parse_tree("((a,b),c)").root
+    assert [f.name for f in dataclasses.fields(TreeNode)] == ["component", "children", "alpha"]
+    assert "_leaves" not in repr(node)
+    same = TreeNode(children=(TreeNode(children=(TreeNode(component=0), TreeNode(component=1))),
+                              TreeNode(component=2)))
+    assert node == same and hash(node) == hash(same)
+    assert dataclasses.replace(node.children[0], alpha=2.0).leaf_indices() == (0, 1)
 
 
 def test_internal_nodes_are_labeled_in_preorder():

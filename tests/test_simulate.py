@@ -74,6 +74,31 @@ def test_spec_validation():
         _spec(generator_1="not a generator")
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("replicates", 2.5),
+        ("replicates", 50.0),
+        ("replicates", True),
+        ("n_per_group", 5.5),
+        ("n_per_group", (7, 5.5)),
+        ("n_per_group", np.float64(7.0)),
+    ],
+)
+def test_spec_sizes_must_be_integers(field, value):
+    # A float count used to construct and then fail inside the study
+    # (replicates) or be truncated (group sizes); a bool read as 1.
+    gen = DirichletParams(alpha=(2.0, 3.0, 4.0))
+    with pytest.raises(InputError, match="integer"):
+        _spec(generator_1=gen, generator_2=gen, **{field: value})
+
+
+def test_spec_accepts_numpy_integer_sizes():
+    spec = _spec(replicates=np.int64(3), n_per_group=(np.int32(5), 6))
+    assert spec.n_pair == (5, 6)
+    assert sum(run_type1_study(spec).counts.values()) == 3
+
+
 SEEDS = (0, 1, 987654321, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1)
 KEYS = (0, 1, 2**31, 2**32 - 1, *range(0, 50_000, 7))
 

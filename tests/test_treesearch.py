@@ -1,5 +1,6 @@
 """Tree enumeration, correlation screening, and model selection."""
 
+import functools
 import importlib.resources
 import itertools
 
@@ -67,12 +68,31 @@ def _brute_force_shapes(k: int) -> set:
     return set(shapes(tuple(range(k))))
 
 
-@pytest.mark.parametrize("k,count", [(2, 1), (3, 4), (4, 26), (5, 236), (6, 2752)])
+@functools.lru_cache(maxsize=None)
+def _enumerated(k: int, components: tuple[str, ...] | None = None):
+    return enumerate_trees(k, components)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _drop_enumerations():
+    # The K = 7 list holds about 40 MB; free it when this module is done.
+    yield
+    _enumerated.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "k,count", [(2, 1), (3, 4), (4, 26), (5, 236), (6, 2752), (7, 39208)]
+)
 def test_enumeration_counts(k, count):
-    cands = enumerate_trees(k)
+    cands = _enumerated(k)
     assert len(cands) == count
-    renders = {c.tree.render(include_alphas=False) for c in cands}
-    assert len(renders) == count
+    renders = [c.tree.render(include_alphas=False) for c in cands]
+    assert len(set(renders)) == count
+    # The text enumeration sorts on and hands on is the text render_tree
+    # builds, and every root is built canonical, not rebuilt.
+    assert renders == [nested.render_tree(c.tree, include_alphas=False) for c in cands]
+    assert renders == sorted(renders)
+    assert all(nested._canonical(c.tree.root) is c.tree.root for c in cands)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -146,6 +166,105 @@ def test_filter_validates_matrix():
     huge[0, 1] = huge[1, 0] = 1.5
     with pytest.raises(InputError):
         filter_impossible(cands, huge)
+
+
+def _reference_screen(candidates, corr):
+    """The per-tree loop filter_impossible replaces: each candidate's
+    internal nodes walked recursively, their leaf sets recomputed, and the
+    pair x outside-leaf check re-run. Returns (filtered, filter_reason,
+    witness) per candidate."""
+
+    def leaves(node):
+        if node.is_leaf:
+            return [node.component]
+        return [j for c in node.children for j in leaves(c)]
+
+    def internal(node, out):
+        out.append((f"N{len(out)}" if out else "root", node))
+        for c in node.children:
+            if not c.is_leaf:
+                internal(c, out)
+        return out
+
+    k = candidates[0].tree.n_components
+    rows = []
+    for cand in candidates:
+        tree = cand.tree
+        hit = None
+        for label, node in internal(tree.root, []):
+            inside = sorted(leaves(node))
+            outside = sorted(set(range(k)) - set(inside))
+            if not outside:
+                continue
+            for u, v in itertools.combinations(inside, 2):
+                for w in outside:
+                    if corr[w, u] * corr[w, v] < 0.0:
+                        hit = (label, (u, v), w)
+                        break
+                if hit:
+                    break
+            if hit:
+                break
+        if hit is None:
+            rows.append((False, "", None))
+            continue
+        label, (u, v), w = hit
+        name = tree.component_name
+        reason = (
+            f"corr({name(w)},{name(u)}) = {corr[w, u]:+.3f} and "
+            f"corr({name(w)},{name(v)}) = {corr[w, v]:+.3f} disagree in "
+            f"sign, but {name(u)} and {name(v)} are nested together "
+            f"under {label}"
+        )
+        rows.append((True, reason, (label, (name(u), name(v)), name(w))))
+    return rows
+
+
+def _screen_matrices(k, seed):
+    """Correlation matrices with random signs, with one leaf against all
+    others, with exact zeros, and the identity."""
+    rng = np.random.default_rng(seed)
+    noisy = np.corrcoef(rng.standard_normal((k, k + 2)))
+    one_out = np.abs(np.corrcoef(rng.standard_normal((k, 40))))
+    one_out[0, 1:] *= -1.0
+    one_out[1:, 0] *= -1.0
+    zeros = noisy.copy()
+    for i, j in ((0, 1), (1, 2), (0, k - 1)):
+        zeros[i, j] = zeros[j, i] = 0.0
+    mats = [noisy, one_out, zeros, np.eye(k)]
+    for m in mats:
+        np.fill_diagonal(m, 1.0)
+    return mats
+
+
+@pytest.mark.parametrize("k,seeds", [(4, (1, 2, 3)), (5, (4, 5, 6)), (6, (7, 8)), (7, (9,))])
+def test_filter_matches_per_tree_screen(k, seeds):
+    cands = _enumerated(k, tuple("pqrstu"[:k]) if k < 7 else None)
+    if k == 4:
+        # Candidates bound to other names and positional ones, in one list.
+        cands = cands + _enumerated(4) + _enumerated(4, ("w", "x", "y", "z"))
+    seen_filtered = seen_kept = False
+    for seed in seeds:
+        mats = _screen_matrices(k, seed)
+        # 39,208 candidates: the reference loop takes about a second each.
+        for corr in mats if k < 7 else mats[1:3]:
+            flagged = filter_impossible(cands, corr)
+            got = [(c.filtered, c.filter_reason, c.witness) for c in flagged]
+            assert got == _reference_screen(cands, corr)
+            assert [c.tree for c in flagged] == [c.tree for c in cands]
+            seen_filtered |= any(row[0] for row in got)
+            seen_kept |= not all(row[0] for row in got[1:])
+    assert seen_filtered and seen_kept
+
+
+def test_filter_keeps_fitted_fields_of_flagged_candidates():
+    cands = [
+        treesearch.TreeCandidate(tree=c.tree, log_likelihood=1.5, converged=True)
+        for c in enumerate_trees(4, components=QUADRANTS)
+    ]
+    flagged = filter_impossible(cands, QUADRANT_CORR)
+    assert any(c.filtered for c in flagged)
+    assert all((c.log_likelihood, c.converged) == (1.5, True) for c in flagged)
 
 
 def _edges(tree):
