@@ -40,10 +40,8 @@ from .errors import (
 )
 from .numerics import (
     Tolerance,
-    _digamma_core,
     _digamma_trigamma_core,
     _lgamma_core,
-    _trigamma_core,
     chi_square_sf,
     f_sf,
     normal_quantile,
@@ -113,12 +111,12 @@ def _uniformity_null_batch(
 ):
     """Maximize the uniform-mean likelihood over the precision, per row.
 
-    The uniform mean is the common-mean model at pi = 1/K, so this iterates
-    the same damped Newton step in log-precision under the stopping rule of
-    dirichlet._ascend. A row that ends within 1 of _T_CAP is unconverged:
-    there the likelihood is flat to rounding, as on a row whose mean logs
-    all sit at log(1/K), so a small step is no sign of a maximum. Returns
-    (a_opt, loglik_full, converged).
+    The uniform mean is the common-mean model at pi = 1/K, one group: this
+    iterates _precision_step, a damped Newton step in log-precision, under
+    the stopping rule of dirichlet._ascend. A row that ends within 1 of
+    _T_CAP is unconverged: there the likelihood is flat to rounding, as on
+    a row whose mean logs all sit at log(1/K), so a small step is no sign
+    of a maximum. Returns (a_opt, loglik_full, converged).
     """
     b, k = mean_log.shape
     pi = np.full(k, 1.0 / k)
@@ -399,17 +397,11 @@ def _group_ll(pi: np.ndarray, a: np.ndarray, ml: np.ndarray) -> np.ndarray:
     return lg[:, -1] - lg[:, :-1].sum(axis=1) + ((ap - 1.0) * ml).sum(axis=1)
 
 
-def _precision_slope(pi, ml, psi_a, psi_ap):
-    """Derivative of the group log-likelihood in A, from digamma at A and
-    at A * pi."""
-    return psi_a - (pi * psi_ap).sum(axis=1) + (pi * ml).sum(axis=1)
-
-
 def _prec_derivs(pi: np.ndarray, a: np.ndarray, ml: np.ndarray):
     """First and second derivative of the group log-likelihood in t = log
     A."""
     psi, psi1 = _digamma_trigamma_core(dirichlet._with_column(a[:, None] * pi, a))
-    g1 = _precision_slope(pi, ml, psi[:, -1], psi[:, :-1])
+    g1 = psi[:, -1] - (pi * psi[:, :-1]).sum(axis=1) + (pi * ml).sum(axis=1)
     g2 = psi1[:, -1] - (pi * pi * psi1[:, :-1]).sum(axis=1)
     return a * g1, a * g1 + a * a * g2
 
@@ -466,6 +458,91 @@ def _solve_ascent(neg_h: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return direction
 
 
+def _positive_definite(m: np.ndarray) -> np.ndarray:
+    """Which symmetric matrices of a (B, d, d) stack are positive definite:
+    those whose Gaussian elimination meets only positive pivots."""
+    m = m.copy()
+    ok = np.ones(m.shape[0], dtype=bool)
+    for j in range(m.shape[-1]):
+        ok &= m[:, j, j] > 0.0
+        pivot = np.where(ok, m[:, j, j], 1.0)[:, None, None]
+        m[:, j + 1 :, j + 1 :] -= m[:, j + 1 :, j, None] * (m[:, None, j, j + 1 :] / pivot)
+    return ok
+
+
+def _null_ll(x: np.ndarray, w: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Common-mean objective per row at x = (theta, t1, t2): the groups'
+    log-likelihoods per observation (mean logs m, (2, B, K)) at mean
+    softmax(theta) and precisions exp(min(t_g, _T_CAP)), weighted by w (2, B).
+    A share softmaxed to zero scores -inf, with pi = 1/K so lgamma sees no 0."""
+    k = m.shape[2]
+    pi = _softmax_pinned(x[:, : k - 1])
+    fine = (pi > 0.0).all(axis=1)
+    pi = np.where(fine[:, None], pi, 1.0 / k)
+    a = np.exp(np.minimum(x[:, k - 1 :], _T_CAP)).T
+    f = _group_ll(np.concatenate((pi, pi)), a.ravel(), m.reshape(-1, k)).reshape(2, -1)
+    return np.where(fine, (w * f).sum(axis=0), -np.inf)
+
+
+def _null_newton(pi, a, w, m):
+    """Gradient of _null_ll and a modified Newton direction, per row, at
+    mean pi (B, K) and precisions a (2, B).
+
+    Digamma and trigamma come from one call at z + 1, z = (a_g pi, a_g), as
+    psi(z) = psi(z + 1) - 1/z and z^2 psi1(z) = 1 + z^2 psi1(z + 1): no tiny
+    argument. The t block of the negative Hessian is diagonal, so the t's
+    are eliminated and the (K-1) x (K-1) Schur complement is solved. Where
+    the negative Hessian is not positive definite, tau is added to its
+    diagonal, from beta minus its smallest diagonal entry and doubling, with
+    beta 1e-3 of the largest (Nocedal & Wright 2006, sec. 3.4). A direction
+    moving a t by more than 10 is shortened to 10.
+    """
+    k1 = pi.shape[1] - 1
+    ar = np.arange(k1)
+    z = np.concatenate((a[:, :, None] * pi, a[:, :, None]), axis=2)
+    psi, psi1 = _digamma_trigamma_core(z + 1.0)
+    ap, psi_ap, wa = z[:, :, :-1], psi[:, :, :-1], w * a
+    # d2/(d theta_j d t_g) = w_g a_g pi_j (c_gj - sum_k pi_k c_gk), c = m -
+    # psi(a pi) - a pi psi1(a pi); negated, as all of neg_h.
+    c = m - psi_ap - ap * psi1[:, :, :-1]
+    cross = (wa[:, :, None] * pi * ((pi * c).sum(axis=2, keepdims=True) - c))[:, :, :k1]
+    h = 1.0 + z * z * psi1  # z^2 psi1(z)
+    g_ap = m + 1.0 / ap - psi_ap  # m_j - psi(a pi_j)
+    gt = wa * (psi[:, :, -1] - 1.0 / a + (pi * g_ap).sum(axis=2))
+    u = pi * (wa[:, :, None] * g_ap).sum(axis=0)
+    s = u.sum(axis=1)
+    g_theta = u[:, :k1] - s[:, None] * pi[:, :k1]
+    t_block = -gt - w * (h[:, :, -1] - h[:, :, :-1].sum(axis=2))
+    v = (w[:, :, None] * h[:, :, :-1]).sum(axis=0)
+    pk, q = pi[:, :k1], u[:, :k1] - v[:, :k1]
+    neg_h = q[:, :, None] * pk[:, None, :]
+    neg_h = neg_h + neg_h.transpose(0, 2, 1)
+    neg_h += (v.sum(axis=1) - 2.0 * s)[:, None, None] * pk[:, :, None] * pk[:, None, :]
+    neg_h[:, ar, ar] += v[:, :k1] - g_theta
+    del z, psi, psi1, ap, psi_ap, c, h, g_ap  # before the shift loop's temporaries
+
+    diag = np.concatenate((neg_h[:, ar, ar], t_block.T), axis=1)
+    beta, low = 1.0e-3 * np.abs(diag).max(axis=1), diag.min(axis=1)
+    tau = np.where(low > 0.0, 0.0, beta - low)
+    schur, todo = np.empty_like(neg_h), np.arange(pi.shape[0])
+    for _ in range(64):
+        sc = neg_h[todo]
+        sc[:, ar, ar] += tau[todo, None]
+        for cg, dg in zip(cross[:, todo], t_block[:, todo] + tau[todo]):
+            sc -= cg[:, :, None] * (cg[:, None, :] / dg[:, None, None])
+        schur[todo] = sc
+        todo = todo[~_positive_definite(sc)]
+        if todo.size == 0:
+            break
+        tau[todo] = np.maximum(2.0 * tau[todo], beta[todo])
+    t_block += tau
+    d_theta = _solve_ascent(schur, g_theta - (cross * (gt / t_block)[:, :, None]).sum(axis=0))
+    d_t = (gt - (cross * d_theta).sum(axis=2)) / t_block
+    shorten = 10.0 / np.maximum(np.abs(d_t).max(axis=0), 10.0)
+    direction = np.concatenate((d_theta, d_t.T), axis=1) * shorten[:, None]
+    return np.concatenate((g_theta, gt.T), axis=1), direction
+
+
 def _common_mean_fit(
     stats1: SufficientStats,
     stats2: SufficientStats,
@@ -476,129 +553,62 @@ def _common_mean_fit(
 ):
     """Maximize the pooled log-likelihood under a common mean composition.
 
-    Block coordinate ascent: a damped Newton step in the softmax coordinates
-    of the shared mean (last component pinned), then one damped Newton step
-    in each group's log-precision. Gradients are on the per-observation
-    scale; the stopping rule is dirichlet._ascend's, with the joint gradient
-    max-norm against rel_tol and the largest move of theta and both
-    log-precisions against abs_tol.
+    Damped Newton steps in x = (theta, t1, t2) per row, theta the softmax
+    coordinates of the shared mean (last component pinned) and t_g = log A_g:
+    the _null_newton direction, one backtracking line search on _null_ll
+    from the value the row's last accepted trial found, and log-precisions
+    stopped at _T_CAP, where a row not falling stops unconverged. The
+    stopping rule is dirichlet._ascend's, with the gradient max-norm against
+    rel_tol and the largest move of x against abs_tol. Start values and the
+    results are evaluated per block of rows.
 
     Returns (pi, a1, a2, total_loglik, converged, iterations).
     """
-    ml1, ml2 = stats1.mean_log, stats2.mean_log
-    n1 = stats1.n
-    n2 = stats2.n
-    b, k = ml1.shape
+    b, k = stats1.mean_log.shape
     k1 = k - 1
-    w1 = (n1 / (n1 + n2))[:, None]
-    w2 = (n2 / (n1 + n2))[:, None]
 
-    pi0 = np.clip(init_pi, 1.0e-12, None)
-    pi0 /= pi0.sum(axis=1, keepdims=True)
-    theta = np.log(pi0[:, :k1] / pi0[:, k1:])
-    t1 = np.log(init_a1)
-    t2 = np.log(init_a2)
+    def pair(s, field):
+        return np.stack((getattr(stats1, field)[s], getattr(stats2, field)[s]))
 
-    def weighted_ll(theta_, t1_, t2_, rows):
-        # A trial mean with a share softmaxed to zero scores -inf; it gets
-        # pi = 1/K first, so lgamma never sees a zero argument.
-        pi = _softmax_pinned(theta_)
-        fine = (pi > 0.0).all(axis=1)
-        pi = np.where(fine[:, None], pi, 1.0 / k)
-        # Both groups' terms from one stacked evaluation.
-        f = _group_ll(
-            np.concatenate((pi, pi)),
-            np.exp(np.concatenate((t1_, t2_))),
-            np.concatenate((ml1[rows], ml2[rows])),
-        )
-        f1, f2 = f[: rows.size], f[rows.size :]
-        return np.where(fine, w1[rows, 0] * f1 + w2[rows, 0] * f2, -np.inf)
+    def start(s):
+        pi0 = np.clip(init_pi[s], 1.0e-12, None)
+        pi0 /= pi0.sum(axis=1, keepdims=True)
+        t = np.minimum(np.log(np.stack((init_a1[s], init_a2[s]), axis=1)), _T_CAP)
+        return np.concatenate((np.log(pi0[:, :k1] / pi0[:, k1:]), t), axis=1)
 
-    def step(idx, it):
-        th = theta[idx]
-        pi = _softmax_pinned(th)
-        a1 = np.exp(t1[idx])
-        a2 = np.exp(t2[idx])
-        m1, m2 = ml1[idx], ml2[idx]
-        ww1, ww2 = w1[idx], w2[idx]
+    x = dirichlet._blockwise(start, b)
+    fval = np.empty(b)  # _null_ll at x
 
-        # One digamma call at a1 * pi, a2 * pi, a1 and a2, in that column order.
-        ap = np.concatenate((a1[:, None] * pi, a2[:, None] * pi), axis=1)
-        psi = _digamma_core(np.concatenate((ap, a1[:, None], a2[:, None]), axis=1))
-        psi_ap1, psi_ap2 = psi[:, :k], psi[:, k : 2 * k]
-        gpi = ww1 * a1[:, None] * (m1 - psi_ap1)
-        gpi += ww2 * a2[:, None] * (m2 - psi_ap2)
-        u = pi * gpi
-        s = u.sum(axis=1)
-        g_theta = u[:, :k1] - s[:, None] * pi[:, :k1]
-        gt1 = ww1[:, 0] * (a1 * _precision_slope(pi, m1, psi[:, 2 * k], psi_ap1))
-        gt2 = ww2[:, 0] * (a2 * _precision_slope(pi, m2, psi[:, 2 * k + 1], psi_ap2))
+    def step(rows, it):
+        xs, m, w = x[rows], pair(rows, "mean_log"), pair(rows, "n")
+        w = w / w.sum(axis=0)
+        if it == 0:
+            fval[rows] = _null_ll(xs, w, m)
+        grad, direction = _null_newton(_softmax_pinned(xs[:, :k1]), np.exp(xs[:, k1:]).T, w, m)
+        done = np.abs(grad).max(axis=1) < tol.rel_tol
+        # As in the uniform-mean null, a log-precision pinned at _T_CAP
+        # with the likelihood not falling cannot move on.
+        stuck = ((xs[:, k1:] >= _T_CAP) & (grad[:, k1:] >= 0.0)).any(axis=1)
+        keep = ~(done | stuck)
+        rows, xs, w, m = rows[keep], xs[keep], w[:, keep], m[:, keep]
+        direction, base, last = direction[keep], fval[rows], []
 
-        gmax = np.maximum(
-            np.abs(g_theta).max(axis=1), np.maximum(np.abs(gt1), np.abs(gt2))
-        )
-        done = gmax < tol.rel_tol
-        stuck = np.zeros_like(done)
-        if done.all():
-            return done, stuck, np.empty(0)
-        keep = ~done
-        idx = idx[keep]
-        th, pi, a1, a2 = th[keep], pi[keep], a1[keep], a2[keep]
-        m1, m2, ww1, ww2 = m1[keep], m2[keep], ww1[keep], ww2[keep]
-        g_theta, u, s = g_theta[keep], u[keep], s[keep]
+        def trial_value(trial):
+            last[:] = [_null_ll(trial, w, m)]
+            return last[0]
 
-        # Newton step for the shared mean in softmax coordinates.
-        psi1 = _trigamma_core(ap[keep])
-        dvec = ww1 * (a1 * a1)[:, None] * psi1[:, :k]
-        dvec += ww2 * (a2 * a2)[:, None] * psi1[:, k:]
-        v = dvec * pi * pi
-        big_v = v.sum(axis=1)
-        pk = pi[:, :k1]
-        vk = v[:, :k1]
-        uk = u[:, :k1]
-        ar = np.arange(k1)
-        neg_h = np.zeros((idx.size, k1, k1))
-        neg_h[:, ar, ar] = vk - g_theta
-        neg_h -= vk[:, :, None] * pk[:, None, :]
-        neg_h -= pk[:, :, None] * vk[:, None, :]
-        neg_h += big_v[:, None, None] * pk[:, :, None] * pk[:, None, :]
-        neg_h += uk[:, :, None] * pk[:, None, :]
-        neg_h += pk[:, :, None] * uk[:, None, :]
-        neg_h -= 2.0 * s[:, None, None] * pk[:, :, None] * pk[:, None, :]
-        direction = _solve_ascent(neg_h, g_theta)
-
-        log_a1, log_a2 = np.log(a1), np.log(a2)
-        scale, accepted = dirichlet._backtrack(
-            lambda trial: weighted_ll(trial, log_a1, log_a2, idx),
-            th,
-            direction,
-            weighted_ll(th, log_a1, log_a2, idx),
-        )
-        new_theta = np.where(accepted[:, None], th + scale[:, None] * direction, th)
-        move = np.abs(new_theta - th).max(axis=1)
-        theta[idx] = new_theta
-        pi = _softmax_pinned(new_theta)
-
-        # One damped Newton step per group's log-precision, both groups
-        # stacked into one step.
-        old_t = np.concatenate((t1[idx], t2[idx]))
-        new_t, _, _ = _precision_step(
-            np.concatenate((pi, pi)), old_t, np.concatenate((m1, m2))
-        )
-        move = np.maximum(move, np.abs(new_t - old_t).reshape(2, -1).max(axis=0))
-        t1[idx], t2[idx] = new_t[: idx.size], new_t[idx.size :]
-        return done, stuck, move
+        scale, accepted = dirichlet._backtrack(trial_value, xs, direction, base)
+        new = xs + scale[:, None] * direction
+        new[:, k1:] = np.minimum(new[:, k1:], _T_CAP)
+        x[rows] = np.where(accepted[:, None], new, xs)
+        # An accepted row's last trial is its new point, bit for bit.
+        fval[rows] = np.where(accepted, last[0], base)
+        return done, stuck, np.abs(x[rows] - xs).max(axis=1)
 
     converged, iterations = dirichlet._ascend(step, np.arange(b), b, tol)
-    pi = _softmax_pinned(theta)
-    a1 = np.exp(t1)
-    a2 = np.exp(t2)
-    total = dirichlet._blockwise(
-        lambda s: n1[s] * _group_ll(pi[s], a1[s], ml1[s])
-        + n2[s] * _group_ll(pi[s], a2[s], ml2[s]),
-        b,
-    )
-    return pi, a1, a2, total, converged, iterations
+    pi = dirichlet._blockwise(lambda s: _softmax_pinned(x[s, :k1]), b)
+    total = dirichlet._blockwise(lambda s: _null_ll(x[s], pair(s, "n"), pair(s, "mean_log")), b)
+    return pi, np.exp(x[:, k1]), np.exp(x[:, k]), total, converged, iterations
 
 
 def _two_sample_lrt_batch(
@@ -616,21 +626,11 @@ def _two_sample_lrt_batch(
     )
     alpha1, ll1, conv1, ok1 = alpha[:b], ll[:b], conv[:b], ok[:b]
     alpha2, ll2, conv2, ok2 = alpha[b:], ll[b:], conv[b:], ok[b:]
-    a1_hat = alpha1.sum(axis=1)
-    a2_hat = alpha2.sum(axis=1)
-    pi1 = alpha1 / a1_hat[:, None]
-    pi2 = alpha2 / a2_hat[:, None]
-    n1 = stats1.n[:, None]
-    n2 = stats2.n[:, None]
-    init_pi = (n1 * pi1 + n2 * pi2) / (n1 + n2)
-
+    a1_hat, a2_hat = alpha1.sum(axis=1), alpha2.sum(axis=1)
+    n1, n2 = stats1.n[:, None], stats2.n[:, None]
+    init_pi = (n1 * (alpha1 / a1_hat[:, None]) + n2 * (alpha2 / a2_hat[:, None])) / (n1 + n2)
     pi0, a1_0, a2_0, ll0, conv0, iters = _common_mean_fit(
-        stats1,
-        stats2,
-        init_pi,
-        np.maximum(a1_hat, 1.0e-6),
-        np.maximum(a2_hat, 1.0e-6),
-        tol,
+        stats1, stats2, init_pi, np.maximum(a1_hat, 1.0e-6), np.maximum(a2_hat, 1.0e-6), tol
     )
     lam = np.maximum(-2.0 * (ll0 - (ll1 + ll2)), 0.0)
     return {

@@ -6,7 +6,7 @@ import scipy.optimize
 import scipy.special
 import scipy.stats as st
 
-from simplexstats import dirichlet, inference, nested
+from simplexstats import dirichlet, inference, nested, simulate
 from simplexstats.composition import CompositionDataset, SufficientStats, clr
 from simplexstats.dirichlet import DirichletParams
 from simplexstats.errors import (
@@ -26,6 +26,7 @@ from simplexstats.inference import (
 )
 from simplexstats.nested import NddParams, flat_tree, parse_tree
 from simplexstats.numerics import Tolerance, chi_square_sf
+from simplexstats.simulate import DirichletLRT, SimSpec
 
 
 def _two_group_dataset(seed=101, n1=9, n2=11, alpha1=(6.0, 4.0, 3.0, 5.0), alpha2=None):
@@ -237,6 +238,141 @@ def test_fixed_row_blocks_change_no_fit_bitwise(monkeypatch, block):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
+
+
+def _null_oracle(s1, s2, res):
+    # The best null log-likelihood scipy finds: Nelder-Mead from the fit's
+    # start (pooled alternative means and precisions) and from a uniform
+    # mean, then L-BFGS-B from the better of the two.
+    k = s1.mean_log.shape[-1]
+
+    def negative_null(x):
+        logits = np.append(x[: k - 1], 0.0)
+        pi = np.exp(logits - logits.max())
+        pi = pi / pi.sum()
+        return -sum(
+            _loglik(np.exp(t) * pi, s.mean_log[0], s.n[0]) for t, s in zip(x[k - 1 :], (s1, s2))
+        )
+
+    a1, a2 = res["alt_alpha_1"][0], res["alt_alpha_2"][0]
+    pooled = (s1.n[0] * a1 / a1.sum() + s2.n[0] * a2 / a2.sum()) / (s1.n[0] + s2.n[0])
+    log_a = np.log([a1.sum(), a2.sum()])
+    starts = (np.append(np.log(pooled[:-1] / pooled[-1]), log_a), np.append(np.zeros(k - 1), log_a))
+    options = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 40000, "maxfev": 40000}
+    best = min(
+        (scipy.optimize.minimize(negative_null, x0, method="Nelder-Mead", options=options)
+         for x0 in starts),
+        key=lambda opt: opt.fun,
+    )
+    polished = scipy.optimize.minimize(negative_null, best.x, method="L-BFGS-B")
+    return -min(best.fun, polished.fun)
+
+
+def _alpha_005_rows(rows):
+    # Replicates of the DirichletLRT cell alpha = (0.05,)*4, n = 3, seed 0,
+    # drawn as the study draws them.
+    gen = DirichletParams(alpha=(0.05,) * 4)
+    spec = SimSpec(gen, gen, 3, DirichletLRT(), replicates=2000, master_seed=0)
+    draws = [simulate._draw_stacks(spec, r, r + 1)[:2] for r in rows]
+    x1, x2 = (np.concatenate(z) for z in zip(*draws))
+    return SufficientStats.reduce(x1), SufficientStats.reduce(x2)
+
+
+def _oracle_cases():
+    # Rows 131 and 328 of the alpha = 0.05 cell, where block-coordinate
+    # ascent stopped far below the null maximum, and 20 seeded small cases:
+    # K = 3..5, n = 3..20 with unequal group sizes, unequal means.
+    cases = [pytest.param(*_alpha_005_rows([r]), id=f"alpha-0.05-row-{r}") for r in (131, 328)]
+    for seed in range(20):
+        rng = np.random.default_rng(1000 + seed)
+        k = int(rng.integers(3, 6))
+        n1, n2 = rng.choice(np.arange(3, 21), size=2, replace=False)
+        x1 = rng.dirichlet(rng.uniform(0.3, 12.0, size=k), size=(1, n1))
+        x2 = rng.dirichlet(rng.uniform(0.3, 12.0, size=k), size=(1, n2))
+        stats = SufficientStats.reduce(x1), SufficientStats.reduce(x2)
+        cases.append(pytest.param(*stats, id=f"seed-{seed}"))
+    return cases
+
+
+@pytest.mark.parametrize("s1, s2", _oracle_cases())
+def test_common_mean_null_reaches_the_scipy_optimum(s1, s2):
+    res = inference._two_sample_lrt_batch(s1, s2, Tolerance())
+    assert res["converged"][0]
+    best = _null_oracle(s1, s2, res)
+    ours = res["null_loglik"][0]
+    assert ours >= best - 1.0e-6 * abs(best), (ours, best)
+
+
+def _fd_hessian(f, x, h):
+    # Central-difference Hessian, (B, d, d), of a per-row function of (B, d).
+    eye = np.eye(x.shape[1])
+    return np.stack([
+        np.stack([
+            (f(x + h * (ei + ej)) - f(x + h * (ei - ej)) - f(x - h * (ei - ej))
+             + f(x - h * (ei + ej))) / (4.0 * h * h)
+            for ej in eye
+        ], axis=1)
+        for ei in eye
+    ], axis=1)
+
+
+@pytest.mark.parametrize("alpha, seed", [((9.8, 6.1, 5.4, 5.9), 3), ((0.05,) * 4, 0)])
+def test_common_mean_rows_converge_at_local_maxima(alpha, seed):
+    # Every converged row of a DirichletLRT cell at n = 3 (2,000 replicates)
+    # sits at a local maximum of the null objective: its finite-difference
+    # Hessian in (theta, t1, t2) is negative definite. On the row-1 cell
+    # block-coordinate ascent took up to 484 iterations, and the joint step
+    # without its diagonal shift 292; with it, every row takes at most 25.
+    gen = DirichletParams(alpha=alpha)
+    spec = SimSpec(gen, gen, 3, DirichletLRT(), replicates=2000, master_seed=seed)
+    s1, s2 = (SufficientStats.reduce(x) for x in simulate._draw_stacks(spec, 0, 2000)[:2])
+    res = inference._two_sample_lrt_batch(s1, s2, Tolerance())
+    assert res["iterations"].max() <= 25
+    ok = res["converged"]
+    assert ok.sum() >= 1999
+    pi = res["null_mean"][ok]
+    x = np.concatenate((
+        np.log(pi[:, :-1] / pi[:, -1:]),
+        np.log(np.stack((res["null_precision_1"][ok], res["null_precision_2"][ok]), axis=1)),
+    ), axis=1)
+    w = np.stack((s1.n[ok], s2.n[ok]))
+    w = w / w.sum(axis=0)
+    m = np.stack((s1.mean_log[ok], s2.mean_log[ok]))
+
+    def f(xx):
+        return inference._null_ll(xx, w, m)
+
+    assert np.linalg.eigvalsh(_fd_hessian(f, x, 1e-4)).max() < 0.0
+
+
+def test_common_mean_line_search_base_is_the_objective_at_its_point(monkeypatch):
+    # Each line search of the null fit starts from the value carried over
+    # from the row's last accepted trial; it must equal the objective
+    # evaluated afresh at the same point, bit for bit.
+    real = dirichlet._backtrack
+    checked = []
+
+    def checking(objective, x, step, base):
+        assert objective(x).tobytes() == base.tobytes()
+        if x.shape[1] == 5:  # (theta, t1, t2) at K = 4; alternative fits pass K columns
+            checked.append(base.size)
+        return real(objective, x, step, base)
+
+    monkeypatch.setattr(dirichlet, "_backtrack", checking)
+    for s1, s2 in (_mixed_carriers(), _alpha_005_rows(range(120, 340))):
+        inference._two_sample_lrt_batch(s1, s2, Tolerance())
+    assert sum(checked) > 500
+
+
+def test_common_mean_row_pinned_at_the_cap_stops_unconverged():
+    # Dataset 5 of group 1 repeats one composition, so its null precision
+    # runs to _T_CAP; the row stops there, unconverged, instead of creeping
+    # on to max_iter, and the other rows converge.
+    s1, s2 = _mixed_carriers()
+    res = inference._two_sample_lrt_batch(s1, s2, Tolerance())
+    assert res["null_precision_1"][5] == np.exp(inference._T_CAP)
+    assert not res["converged"][5] and res["iterations"][5] < 50
+    assert res["converged"][np.arange(23) != 5].all()
 
 
 def test_singular_row_takes_the_ridge_alone():
@@ -542,6 +678,39 @@ def test_pairwise_mean_cis_level_controls_width():
     wide = pairwise_mean_cis(ds, level=0.99)
     for lo, hi in zip(narrow, wide):
         assert (hi.upper - hi.lower) > (lo.upper - lo.lower)
+
+
+def test_null_newton_matches_central_differences_of_the_null_objective():
+    # The gradient against central differences of _null_ll in (theta, t1,
+    # t2), and, where the negative Hessian is positive definite and no t
+    # moves by more than 10, the direction against the Newton step on the
+    # finite-difference Hessian. Where it is indefinite, the direction must
+    # be another (shifted) one; every direction must ascend.
+    rng = np.random.default_rng(11)
+    b, k = 60, 4
+    x = np.concatenate((rng.normal(0.0, 0.7, (b, k - 1)), rng.uniform(-1.0, 5.0, (b, 2))), axis=1)
+    m = np.log(rng.dirichlet(np.full(k, 3.0), size=(2, b, 8))).mean(axis=2)
+    w = rng.uniform(0.2, 0.8, b)
+    w = np.stack((w, 1.0 - w))
+    grad, direction = inference._null_newton(
+        inference._softmax_pinned(x[:, : k - 1]), np.exp(x[:, k - 1 :]).T, w, m
+    )
+
+    def f(xx):
+        return inference._null_ll(xx, w, m)
+
+    h = 1e-5
+    num_g = np.stack([(f(x + h * e) - f(x - h * e)) / (2.0 * h) for e in np.eye(k + 1)], axis=1)
+    num_h = _fd_hessian(f, x, 1e-3)
+    assert np.allclose(grad, num_g, rtol=1e-6, atol=1e-8)
+    newton = np.linalg.solve(-num_h, num_g[..., None])[..., 0]
+    low = np.linalg.eigvalsh(-num_h).min(axis=1)
+    rows = (low > 1e-3) & (np.abs(newton[:, k - 1 :]).max(axis=1) < 10.0)
+    assert rows.sum() >= b // 4 and (low < -1e-3).sum() >= b // 4
+    err = np.linalg.norm(direction - newton, axis=1) / np.linalg.norm(newton, axis=1)
+    assert err[rows].max() < 1e-4
+    assert err[low < -1e-3].min() > 1e-2
+    assert ((direction * grad).sum(axis=1) > 0.0).all()
 
 
 def test_prec_derivs_match_central_differences_of_group_loglik():
