@@ -112,25 +112,28 @@ def _uniformity_null_batch(
     """Maximize the uniform-mean likelihood over the precision, per row.
 
     The uniform mean is the common-mean model at pi = 1/K, one group: this
-    iterates _precision_step, a damped Newton step in log-precision, under
-    the stopping rule of dirichlet._ascend. A row that ends within 1 of
-    _T_CAP is unconverged: there the likelihood is flat to rounding, as on
-    a row whose mean logs all sit at log(1/K), so a small step is no sign
-    of a maximum. Returns (a_opt, loglik_full, converged).
+    runs _newton_ascent in t = log A, with the Newton step where the second
+    derivative is negative and a unit step uphill elsewhere, clipped to +-10.
+    A row that ends within 1 of _T_CAP is unconverged: there the likelihood
+    is flat to rounding, as on a row whose mean logs all sit at log(1/K), so
+    a small step is no sign of a maximum. Returns (a_opt, loglik_full,
+    converged).
     """
     b, k = mean_log.shape
     pi = np.full(k, 1.0 / k)
-    t = np.log(np.maximum(init_a, 1.0e-6))
 
-    def step(rows, it):
-        new_t, dt, pinned = _precision_step(pi, t[rows], mean_log[rows])
-        done = np.abs(dt) < tol.rel_tol
-        moving = ~(done | pinned)
-        move = np.abs(new_t[moving] - t[rows[moving]])
-        t[rows[moving]] = new_t[moving]
-        return done, pinned, move
+    def value(rows):
+        ml = mean_log[rows]
+        return lambda x: _group_ll(pi, np.exp(np.minimum(x[:, 0], _T_CAP)), ml)
 
-    converged, _ = dirichlet._ascend(step, np.arange(b), b, tol)
+    def newton(rows, x):
+        dt, dtt = _prec_derivs(pi, np.exp(x[:, 0]), mean_log[rows])
+        step = np.where(dtt < -1.0e-300, -dt / dtt, np.sign(dt))
+        return dt[:, None], np.clip(step, -10.0, 10.0)[:, None]
+
+    x = np.log(np.maximum(init_a, 1.0e-6))[:, None]
+    converged, _ = _newton_ascent(x, 0, value, newton, tol)
+    t = x[:, 0]
     a_opt = np.exp(t)
     loglik = dirichlet._blockwise(lambda s: _group_ll(pi, a_opt[s], mean_log[s]), b)
     return a_opt, n * loglik, converged & (t < _T_CAP - 1.0)
@@ -409,26 +412,49 @@ def _prec_derivs(pi: np.ndarray, a: np.ndarray, ml: np.ndarray):
 _T_CAP = 34.0  # log-precision cap, beyond which the data are degenerate
 
 
-def _precision_step(pi: np.ndarray, t: np.ndarray, ml: np.ndarray):
-    """One damped Newton step in t = log A for one group at a fixed mean pi.
+def _newton_ascent(x: np.ndarray, t0: int, value, newton, tol: Tolerance):
+    """Damped Newton ascent of a per-row objective, in place on the rows of
+    x (B, d), under the stopping rule of dirichlet._ascend.
 
-    The step is clipped to +-10 and the new t to _T_CAP. Returns the new t
-    (unchanged on rows where no step length passed), the derivative in t at
-    the old t, and a mask of rows pinned at the cap with the likelihood
-    still rising.
+    Columns t0 on of x are log-precisions, held at or below _T_CAP from the
+    start on. newton(rows, xs) returns the gradient and an ascent direction
+    at the points xs of those rows; value(rows) returns their objective as a
+    function of their points, reading a log-precision above the cap as the
+    cap, with the rows' data gathered once. A row whose gradient max-norm is
+    below rel_tol converges; a row with a log-precision at the cap and its
+    derivative not negative cannot move on and stops unconverged. Every
+    other row takes one dirichlet._backtrack search along its direction,
+    from the value its last accepted trial found, which is the objective at
+    its point bit for bit. Returns (converged, iterations).
     """
-    a = np.exp(t)
-    dt, dtt = _prec_derivs(pi, a, ml)
-    step = np.where(dtt < -1.0e-300, -dt / dtt, np.sign(dt))
-    step = np.clip(step, -10.0, 10.0)
-    scale, accepted = dirichlet._backtrack(
-        lambda trial: _group_ll(pi, np.exp(np.minimum(trial, _T_CAP)), ml),
-        t,
-        step,
-        _group_ll(pi, a, ml),
-    )
-    new_t = np.where(accepted, np.minimum(t + scale * step, _T_CAP), t)
-    return new_t, dt, (t >= _T_CAP) & (dt > 0.0)
+    b = x.shape[0]
+    x[:, t0:] = np.minimum(x[:, t0:], _T_CAP)
+    fval = np.empty(b)  # the objective at x
+
+    def step(rows, it):
+        xs = x[rows]
+        if it == 0:
+            fval[rows] = value(rows)(xs)
+        grad, direction = newton(rows, xs)
+        done = np.abs(grad).max(axis=1) < tol.rel_tol
+        stuck = ((xs[:, t0:] >= _T_CAP) & (grad[:, t0:] >= 0.0)).any(axis=1)
+        keep = ~(done | stuck)
+        rows, xs, direction = rows[keep], xs[keep], direction[keep]
+        objective, base, last = value(rows), fval[rows], []
+
+        def trial_value(trial):
+            last[:] = [objective(trial)]
+            return last[0]
+
+        scale, accepted = dirichlet._backtrack(trial_value, xs, direction, base)
+        new = xs + scale[:, None] * direction
+        new[:, t0:] = np.minimum(new[:, t0:], _T_CAP)
+        x[rows] = np.where(accepted[:, None], new, xs)
+        # An accepted row's last trial is its new point, bit for bit.
+        fval[rows] = np.where(accepted, last[0], base)
+        return done, stuck, np.abs(x[rows] - xs).max(axis=1)
+
+    return dirichlet._ascend(step, np.arange(b), b, tol)
 
 
 def _solve_ascent(neg_h: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -553,14 +579,11 @@ def _common_mean_fit(
 ):
     """Maximize the pooled log-likelihood under a common mean composition.
 
-    Damped Newton steps in x = (theta, t1, t2) per row, theta the softmax
-    coordinates of the shared mean (last component pinned) and t_g = log A_g:
-    the _null_newton direction, one backtracking line search on _null_ll
-    from the value the row's last accepted trial found, and log-precisions
-    stopped at _T_CAP, where a row not falling stops unconverged. The
-    stopping rule is dirichlet._ascend's, with the gradient max-norm against
-    rel_tol and the largest move of x against abs_tol. Start values and the
-    results are evaluated per block of rows.
+    _newton_ascent in x = (theta, t1, t2) per row, theta the softmax
+    coordinates of the shared mean (last component pinned) and t_g = log
+    A_g, along the _null_newton direction on the objective _null_ll, with
+    the gradient max-norm against rel_tol and the largest move of x against
+    abs_tol. Start values and the results are evaluated per block of rows.
 
     Returns (pi, a1, a2, total_loglik, converged, iterations).
     """
@@ -573,39 +596,23 @@ def _common_mean_fit(
     def start(s):
         pi0 = np.clip(init_pi[s], 1.0e-12, None)
         pi0 /= pi0.sum(axis=1, keepdims=True)
-        t = np.minimum(np.log(np.stack((init_a1[s], init_a2[s]), axis=1)), _T_CAP)
+        t = np.log(np.stack((init_a1[s], init_a2[s]), axis=1))
         return np.concatenate((np.log(pi0[:, :k1] / pi0[:, k1:]), t), axis=1)
 
+    def data(rows):
+        w = pair(rows, "n")
+        return w / w.sum(axis=0), pair(rows, "mean_log")
+
+    def value(rows):
+        w, m = data(rows)
+        return lambda xs: _null_ll(xs, w, m)
+
+    def newton(rows, xs):
+        w, m = data(rows)
+        return _null_newton(_softmax_pinned(xs[:, :k1]), np.exp(xs[:, k1:]).T, w, m)
+
     x = dirichlet._blockwise(start, b)
-    fval = np.empty(b)  # _null_ll at x
-
-    def step(rows, it):
-        xs, m, w = x[rows], pair(rows, "mean_log"), pair(rows, "n")
-        w = w / w.sum(axis=0)
-        if it == 0:
-            fval[rows] = _null_ll(xs, w, m)
-        grad, direction = _null_newton(_softmax_pinned(xs[:, :k1]), np.exp(xs[:, k1:]).T, w, m)
-        done = np.abs(grad).max(axis=1) < tol.rel_tol
-        # As in the uniform-mean null, a log-precision pinned at _T_CAP
-        # with the likelihood not falling cannot move on.
-        stuck = ((xs[:, k1:] >= _T_CAP) & (grad[:, k1:] >= 0.0)).any(axis=1)
-        keep = ~(done | stuck)
-        rows, xs, w, m = rows[keep], xs[keep], w[:, keep], m[:, keep]
-        direction, base, last = direction[keep], fval[rows], []
-
-        def trial_value(trial):
-            last[:] = [_null_ll(trial, w, m)]
-            return last[0]
-
-        scale, accepted = dirichlet._backtrack(trial_value, xs, direction, base)
-        new = xs + scale[:, None] * direction
-        new[:, k1:] = np.minimum(new[:, k1:], _T_CAP)
-        x[rows] = np.where(accepted[:, None], new, xs)
-        # An accepted row's last trial is its new point, bit for bit.
-        fval[rows] = np.where(accepted, last[0], base)
-        return done, stuck, np.abs(x[rows] - xs).max(axis=1)
-
-    converged, iterations = dirichlet._ascend(step, np.arange(b), b, tol)
+    converged, iterations = _newton_ascent(x, k1, value, newton, tol)
     pi = dirichlet._blockwise(lambda s: _softmax_pinned(x[s, :k1]), b)
     total = dirichlet._blockwise(lambda s: _null_ll(x[s], pair(s, "n"), pair(s, "mean_log")), b)
     return pi, np.exp(x[:, k1]), np.exp(x[:, k]), total, converged, iterations
