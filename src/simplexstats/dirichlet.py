@@ -9,13 +9,14 @@ Fitting starts with 15 steps of the classical fixed-point update (given mean
 log proportions, solve digamma(alpha_j) = digamma(sum alpha) + mean_log_j for
 each component with a Newton inverse-digamma), then takes damped Newton steps
 in alpha. A fit converges when the gradient max-norm falls below rel_tol or
-the largest parameter move below abs_tol, within max_iter steps; the
+the largest parameter move below abs_tol, within max_iter steps. The
 common-mean and uniform-mean null fits of the inference module stop by the
-same rule, through the one iteration driver here (_ascend). A private batch
-variant runs many independent fits as one array program; the public API
-wraps the single-dataset case. Each row of a batch is fitted by itself, bit
-for bit, so _ascend may run a batch in fixed blocks of rows and callers may
-stack independent fits into one batch.
+same rule: both run inference._newton_ascent, one damped Newton driver
+over the iteration loop here (_ascend) and its line search (_backtrack). A
+private batch variant runs many independent fits as one array program; the
+public API wraps the single-dataset case. Each row of a batch is fitted by
+itself, bit for bit, so _ascend may run a batch in fixed blocks of rows and
+callers may stack independent fits into one batch.
 """
 
 from __future__ import annotations

@@ -114,10 +114,12 @@ def _uniformity_null_batch(
     The uniform mean is the common-mean model at pi = 1/K, one group: this
     runs _newton_ascent in t = log A, with the Newton step where the second
     derivative is negative and a unit step uphill elsewhere, clipped to +-10.
-    A row that ends within 1 of _T_CAP is unconverged: there the likelihood
-    is flat to rounding, as on a row whose mean logs all sit at log(1/K), so
-    a small step is no sign of a maximum. Returns (a_opt, loglik_full,
-    converged).
+    For large A the likelihood's slope in A is D + (K - 1) / (2A), with D =
+    log K + mean_j(mean_log_j) <= 0 (Jensen), so it has a maximum below the
+    cap only where D < -(K - 1) / (2 exp(_T_CAP)); every other row, such as
+    one whose mean logs all sit at log(1/K), is unconverged, however small
+    its steps, since its likelihood is flat to rounding up to the cap.
+    Returns (a_opt, loglik_full, converged).
     """
     b, k = mean_log.shape
     pi = np.full(k, 1.0 / k)
@@ -133,17 +135,18 @@ def _uniformity_null_batch(
 
     x = np.log(np.maximum(init_a, 1.0e-6))[:, None]
     converged, _ = _newton_ascent(x, 0, value, newton, tol)
-    t = x[:, 0]
-    a_opt = np.exp(t)
+    a_opt = np.exp(x[:, 0])
     loglik = dirichlet._blockwise(lambda s: _group_ll(pi, a_opt[s], mean_log[s]), b)
-    return a_opt, n * loglik, converged & (t < _T_CAP - 1.0)
+    bounded = np.log(k) + mean_log.mean(axis=1) < -(k - 1) / (2.0 * np.exp(_T_CAP))
+    return a_opt, n * loglik, converged & bounded
 
 
 # ---------------------------------------------------------------------------
 # Finite-sample calibration of the uniformity test
 
 _CALIBRATION_SEED = 987654321
-_NULL_LRT_CACHE: dict[tuple[int, int, int, int], np.ndarray] = {}
+# Keyed by (n, K, replicates, seed), then by the tolerance of the fits.
+_NULL_LRT_CACHE: dict[tuple[int, int, int, int], dict[Tolerance, np.ndarray]] = {}
 # Draws per chunk (replicates x observations x components): the calibration
 # and the studies draw and reduce one chunk of replicates at a time, so they
 # hold one 3.3 MB stack, never all R replicates' draws. Chunks sized in
@@ -187,18 +190,19 @@ def _null_lrt_sample(
 ) -> np.ndarray:
     """Sorted sample of the uniformity LRT statistic under the null.
 
-    Simulated once per (n, K, replicates, seed) and cached for the life of
-    the process. The reference generator is the uniform distribution on the
-    simplex; the statistic's null distribution is insensitive to the true
-    precision (checked numerically over precisions from 2 to 1000), so one
-    reference sample serves all null members of a given shape.
+    Simulated once per (n, K, replicates, seed) and fit tolerance, and
+    cached for the life of the process. The reference generator is the
+    uniform distribution on the simplex; the statistic's null distribution
+    is insensitive to the true precision (checked numerically over
+    precisions from 2 to 1000), so one reference sample serves all null
+    members of a given shape.
     """
     if replicates < 1:
         raise InputError(
             f"calibration replicates must be at least 1, got {replicates}"
         )
     key = (int(n_obs), int(k), int(replicates), int(seed))
-    cached = _NULL_LRT_CACHE.get(key)
+    cached = _NULL_LRT_CACHE.get(key, {}).get(tol)
     if cached is not None:
         return cached
     rng = np.random.default_rng(
@@ -220,7 +224,7 @@ def _null_lrt_sample(
             "null calibration failed: fewer than half of the reference "
             "fits converged"
         )
-    _NULL_LRT_CACHE[key] = lam
+    _NULL_LRT_CACHE.setdefault(key, {})[tol] = lam
     return lam
 
 
@@ -413,19 +417,18 @@ _T_CAP = 34.0  # log-precision cap, beyond which the data are degenerate
 
 
 def _newton_ascent(x: np.ndarray, t0: int, value, newton, tol: Tolerance):
-    """Damped Newton ascent of a per-row objective, in place on the rows of
-    x (B, d), under the stopping rule of dirichlet._ascend.
+    """Damped Newton ascent of a per-row objective, in place on x (B, d),
+    under the stopping rule of dirichlet._ascend; returns (converged,
+    iterations).
 
-    Columns t0 on of x are log-precisions, held at or below _T_CAP from the
-    start on. newton(rows, xs) returns the gradient and an ascent direction
-    at the points xs of those rows; value(rows) returns their objective as a
-    function of their points, reading a log-precision above the cap as the
-    cap, with the rows' data gathered once. A row whose gradient max-norm is
-    below rel_tol converges; a row with a log-precision at the cap and its
-    derivative not negative cannot move on and stops unconverged. Every
-    other row takes one dirichlet._backtrack search along its direction,
-    from the value its last accepted trial found, which is the objective at
-    its point bit for bit. Returns (converged, iterations).
+    newton(rows, xs) gives the gradient and an ascent direction at the
+    points xs of those rows, and value(rows) their objective as a function
+    of their points, from their data gathered once. Columns t0 on are
+    log-precisions, held at or below _T_CAP, and the objective reads one
+    above it as the cap; a row at the cap with that derivative not negative
+    cannot move on and stops unconverged. Each other row takes one
+    dirichlet._backtrack search from the value its last accepted trial
+    found, which is the objective at its point, bit for bit.
     """
     b = x.shape[0]
     x[:, t0:] = np.minimum(x[:, t0:], _T_CAP)
@@ -457,43 +460,25 @@ def _newton_ascent(x: np.ndarray, t0: int, value, newton, tol: Tolerance):
     return dirichlet._ascend(step, np.arange(b), b, tol)
 
 
-def _solve_ascent(neg_h: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve neg_h @ d = grad rowwise, falling back to the gradient where the
-    system is unusable or the direction is not an ascent direction.
-
-    A singular matrix fails the solve of the whole stack; the stack is then
-    solved row by row, and only a row whose matrix is singular takes a
-    ridged solve, or the gradient if that fails too. So each row's direction
-    is the one it gets alone.
-    """
-    try:
-        direction = np.linalg.solve(neg_h, grad[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        ridge = 1.0e-8 * np.eye(neg_h.shape[-1])
-        direction = grad.copy()
-        for i in range(grad.shape[0]):
-            for h in (neg_h[i : i + 1], neg_h[i : i + 1] + ridge):
-                try:
-                    direction[i] = np.linalg.solve(h, grad[i : i + 1, :, None])[0, :, 0]
-                    break
-                except np.linalg.LinAlgError:
-                    pass
-    bad = ~np.isfinite(direction).all(axis=1)
-    bad |= (direction * grad).sum(axis=1) <= 0.0
-    direction[bad] = grad[bad]
-    return direction
-
-
-def _positive_definite(m: np.ndarray) -> np.ndarray:
-    """Which symmetric matrices of a (B, d, d) stack are positive definite:
-    those whose Gaussian elimination meets only positive pivots."""
-    m = m.copy()
+def _solve_positive_definite(m: np.ndarray, rhs: np.ndarray):
+    """Solve m @ x = rhs for each symmetric matrix of a (B, d, d) stack by
+    Gaussian elimination without pivoting, which meets only positive pivots
+    exactly where m is positive definite. Returns (x, ok), ok marking those
+    rows; x solves the system only where ok. Each row is solved by itself,
+    bit for bit."""
+    m, x = m.copy(), rhs.copy()
     ok = np.ones(m.shape[0], dtype=bool)
+    pivots = np.empty_like(x)
     for j in range(m.shape[-1]):
         ok &= m[:, j, j] > 0.0
-        pivot = np.where(ok, m[:, j, j], 1.0)[:, None, None]
-        m[:, j + 1 :, j + 1 :] -= m[:, j + 1 :, j, None] * (m[:, None, j, j + 1 :] / pivot)
-    return ok
+        # A failed row's pivots are infinite, so it takes no further updates.
+        pivots[:, j] = np.where(ok, m[:, j, j], np.inf)
+        p = pivots[:, j, None]
+        x[:, j + 1 :] -= m[:, j + 1 :, j] * (x[:, j, None] / p)
+        m[:, j + 1 :, j + 1 :] -= m[:, j + 1 :, j, None] * (m[:, None, j, j + 1 :] / p[:, :, None])
+    for j in range(m.shape[-1] - 1, -1, -1):
+        x[:, j] = (x[:, j] - (m[:, j, j + 1 :] * x[:, j + 1 :]).sum(axis=1)) / pivots[:, j]
+    return x, ok
 
 
 def _null_ll(x: np.ndarray, w: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -520,8 +505,11 @@ def _null_newton(pi, a, w, m):
     are eliminated and the (K-1) x (K-1) Schur complement is solved. Where
     the negative Hessian is not positive definite, tau is added to its
     diagonal, from beta minus its smallest diagonal entry and doubling, with
-    beta 1e-3 of the largest (Nocedal & Wright 2006, sec. 3.4). A direction
-    moving a t by more than 10 is shortened to 10.
+    beta 1e-3 of the largest (Nocedal & Wright 2006, sec. 3.4); one
+    elimination, _solve_positive_definite, both tests and solves each
+    shifted Schur complement, and a row still not positive definite after
+    64 doublings takes the gradient. A direction moving a t by more than 10
+    is shortened to 10.
     """
     k1 = pi.shape[1] - 1
     ar = np.arange(k1)
@@ -550,20 +538,22 @@ def _null_newton(pi, a, w, m):
     diag = np.concatenate((neg_h[:, ar, ar], t_block.T), axis=1)
     beta, low = 1.0e-3 * np.abs(diag).max(axis=1), diag.min(axis=1)
     tau = np.where(low > 0.0, 0.0, beta - low)
-    schur, todo = np.empty_like(neg_h), np.arange(pi.shape[0])
+    d_theta, todo = np.empty_like(g_theta), np.arange(pi.shape[0])
     for _ in range(64):
-        sc = neg_h[todo]
+        sc, t_diag = neg_h[todo], t_block[:, todo] + tau[todo]
         sc[:, ar, ar] += tau[todo, None]
-        for cg, dg in zip(cross[:, todo], t_block[:, todo] + tau[todo]):
+        for cg, dg in zip(cross[:, todo], t_diag):
             sc -= cg[:, :, None] * (cg[:, None, :] / dg[:, None, None])
-        schur[todo] = sc
-        todo = todo[~_positive_definite(sc)]
+        rhs = g_theta[todo] - (cross[:, todo] * (gt[:, todo] / t_diag)[:, :, None]).sum(axis=0)
+        d_theta[todo], ok = _solve_positive_definite(sc, rhs)
+        todo = todo[~ok]
         if todo.size == 0:
             break
         tau[todo] = np.maximum(2.0 * tau[todo], beta[todo])
-    t_block += tau
-    d_theta = _solve_ascent(schur, g_theta - (cross * (gt / t_block)[:, :, None]).sum(axis=0))
-    d_t = (gt - (cross * d_theta).sum(axis=2)) / t_block
+    # A row still not positive definite takes the gradient.
+    d_theta[todo] = g_theta[todo]
+    d_t = (gt - (cross * d_theta).sum(axis=2)) / (t_block + tau)
+    d_t[:, todo] = gt[:, todo]
     shorten = 10.0 / np.maximum(np.abs(d_t).max(axis=0), 10.0)
     direction = np.concatenate((d_theta, d_t.T), axis=1) * shorten[:, None]
     return np.concatenate((g_theta, gt.T), axis=1), direction

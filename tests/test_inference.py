@@ -346,22 +346,26 @@ def test_common_mean_rows_converge_at_local_maxima(alpha, seed):
 
 
 def test_common_mean_line_search_base_is_the_objective_at_its_point(monkeypatch):
-    # Each line search of the null fit starts from the value carried over
-    # from the row's last accepted trial; it must equal the objective
-    # evaluated afresh at the same point, bit for bit.
+    # Each line search of a null fit, the common-mean one and the
+    # uniform-mean one, starts from the value carried over from the row's
+    # last accepted trial; it must equal the objective evaluated afresh at
+    # the same point, bit for bit.
     real = dirichlet._backtrack
-    checked = []
+    checked = {5: [], 1: []}
 
     def checking(objective, x, step, base):
         assert objective(x).tobytes() == base.tobytes()
-        if x.shape[1] == 5:  # (theta, t1, t2) at K = 4; alternative fits pass K columns
-            checked.append(base.size)
+        # (theta, t1, t2) at K = 4, or t alone; alternative fits pass K columns.
+        if x.shape[1] in checked:
+            checked[x.shape[1]].append(base.size)
         return real(objective, x, step, base)
 
     monkeypatch.setattr(dirichlet, "_backtrack", checking)
     for s1, s2 in (_mixed_carriers(), _alpha_005_rows(range(120, 340))):
         inference._two_sample_lrt_batch(s1, s2, Tolerance())
-    assert sum(checked) > 500
+        inference._uniformity_lrt_batch(s2, Tolerance())
+    assert sum(checked[5]) > 500
+    assert sum(checked[1]) > 500
 
 
 def test_common_mean_row_pinned_at_the_cap_stops_unconverged():
@@ -375,22 +379,31 @@ def test_common_mean_row_pinned_at_the_cap_stops_unconverged():
     assert res["converged"][np.arange(23) != 5].all()
 
 
-def test_singular_row_takes_the_ridge_alone():
-    # One singular matrix fails np.linalg.solve for the whole stack; only
-    # its own row may take the fallback, so every other row's direction is
-    # the one it gets alone.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_positive_definite_elimination_solves_and_tests_each_row_alone():
+    # A stack of positive definite, indefinite and all-zero matrices. The
+    # positive definite rows match np.linalg.solve; the others read not-ok,
+    # whether their elimination fails at the first pivot or a later one; and
+    # every row is the one it gets when solved alone, bit for bit.
     rng = np.random.default_rng(31)
-    m = rng.normal(size=(4, 3, 3))
-    neg_h = m @ m.transpose(0, 2, 1) + 3.0 * np.eye(3)
-    neg_h[1] = 0.0  # singular; its ridged matrix is not
-    neg_h[3] = np.diag([0.0, -1.0e-8, 1.0])  # singular with the ridge too
-    grad = rng.normal(size=(4, 3))
-    got = inference._solve_ascent(neg_h, grad)
-    for i in (0, 2):
-        alone = inference._solve_ascent(neg_h[i : i + 1], grad[i : i + 1])
-        assert got[i].tobytes() == alone[0].tobytes()
-    assert np.array_equal(got[1], np.linalg.solve(1.0e-8 * np.eye(3), grad[1]))
-    assert np.array_equal(got[3], grad[3])
+    d = 4
+    g = rng.normal(size=(10, d, d))
+    m = g @ g.transpose(0, 2, 1) + np.eye(d)
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    m[1] = q @ np.diag([2.0, 1.0, -0.5, 3.0]) @ q.T
+    m[4] = np.diag([1.0, 2.0, 3.0, -1.0e-9])
+    m[6] = -m[6]
+    m[[2, 7]] = 0.0
+    rhs = rng.normal(size=(10, d))
+    x, ok = inference._solve_positive_definite(m, rhs)
+    pd = np.linalg.eigvalsh(m).min(axis=1) > 0.0
+    assert ok.tolist() == pd.tolist() == [i not in (1, 2, 4, 6, 7) for i in range(10)]
+    want = np.linalg.solve(m[pd], rhs[pd][..., None])[..., 0]
+    assert (np.abs(x[pd] - want).max(axis=1) <= 1e-12 * np.abs(want).max(axis=1)).all()
+    for i in range(10):
+        alone, ok_alone = inference._solve_positive_definite(m[i : i + 1], rhs[i : i + 1])
+        assert alone.tobytes() == x[i : i + 1].tobytes()
+        assert ok_alone[0] == ok[i]
 
 
 def test_clr_hotelling_matches_manual_computation():
@@ -462,6 +475,20 @@ def test_uniformity_null_row_at_the_centre_stops_at_the_cap():
         assert alone[2][0] and converged[0]
         for one, pair in zip(alone, (a, ll, converged)):
             assert one[0].tobytes() == pair[0].tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_uniformity_null_centre_rows_are_unconverged_from_every_start():
+    # A centre row's likelihood rises in the precision up to the cap, flat
+    # to rounding long before it, so wherever its steps stop they must not
+    # read as a maximum.
+    starts = np.array([1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 20.0, 30.0, 100.0, 1e3, 1e5])
+    for k in (2, 3, 4, 6):
+        centre = np.full((starts.size, k), np.log(1.0 / k))
+        _, _, converged = inference._uniformity_null_batch(
+            centre, np.full(starts.size, 8.0), starts, Tolerance()
+        )
+        assert not converged.any(), (k, starts[converged])
 
 
 @pytest.mark.parametrize(
@@ -611,6 +638,22 @@ def test_maugard_calibrated_without_a_replicate_count_is_an_input_error():
         maugard_procedure(ds, calibration_replicates=None)
     res = maugard_procedure(ds, calibrated=False, calibration_replicates=None)
     assert res.verdict in ("FailBoth", "RejectOne", "RejectBoth")
+
+
+def test_calibration_cache_keeps_each_tolerance_apart(monkeypatch):
+    # A reference sample fitted at a loose tolerance must not answer a later
+    # call at the default one.
+    def cutoff(**tol):
+        return calibrated_uniformity_cutoff(7, 4, replicates=2000, seed=5, tol=Tolerance(**tol))
+
+    monkeypatch.setattr(inference, "_NULL_LRT_CACHE", {})
+    fresh = cutoff()
+    monkeypatch.setattr(inference, "_NULL_LRT_CACHE", {})
+    loose = cutoff(abs_tol=1e-2, rel_tol=1e-2)
+    assert loose != fresh
+    assert cutoff() == fresh
+    assert cutoff(abs_tol=1e-2, rel_tol=1e-2) == loose
+    assert list(inference._NULL_LRT_CACHE) == [(7, 4, 2000, 5)]
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
