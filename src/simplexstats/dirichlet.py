@@ -8,20 +8,21 @@ that the inferential machinery works in.
 Fitting starts with 15 steps of the classical fixed-point update (given mean
 log proportions, solve digamma(alpha_j) = digamma(sum alpha) + mean_log_j for
 each component with a Newton inverse-digamma), then takes damped Newton steps
-in alpha. A fit converges when the gradient max-norm falls below rel_tol or
-the largest parameter move below abs_tol, within max_iter steps. The
-common-mean and uniform-mean null fits of the inference module stop by the
-same rule: both run inference._newton_ascent, one damped Newton driver
-over the iteration loop here (_ascend) and its line search (_backtrack). A
-private batch variant runs many independent fits as one array program; the
-public API wraps the single-dataset case. Each row of a batch is fitted by
-itself, bit for bit, so _ascend may run a batch in fixed blocks of rows and
-callers may stack independent fits into one batch.
+in alpha. All three fits of the library, this one and the common-mean and
+uniform-mean nulls of the inference module, run one damped Newton driver
+(_newton_ascent) over one iteration loop (_ascend) and one line search
+(_backtrack), on one Dirichlet objective (_per_obs_loglik). A fit converges
+when the gradient max-norm falls below rel_tol or the largest parameter move
+below abs_tol, within max_iter steps. A private batch variant runs many
+independent fits as one array program; the public API wraps the
+single-dataset case. Each row of a batch is fitted by itself, bit for bit,
+so _ascend may run a batch in fixed blocks of rows and callers may stack
+independent fits into one batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -157,14 +158,11 @@ def _inv_digamma(y: np.ndarray) -> np.ndarray:
 def _init_alpha(mean: np.ndarray, mean_sq: np.ndarray) -> np.ndarray:
     """Moment-matching start."""
     var = mean_sq - mean * mean
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = mean * (1.0 - mean) / var - 1.0
-    # Average over the components with positive variance. A row with none
-    # gets NaN and falls back below; nanmean would warn on it.
+    # Average over the components with positive variance (the others add 0);
+    # a row with none averages to 0 and falls back to K below.
     valid = var > 0.0
-    count = valid.sum(axis=-1)
-    total = np.where(valid, ratio, 0.0).sum(axis=-1)
-    a0 = np.where(count > 0, total / np.maximum(count, 1), np.nan)
+    ratio = np.divide(mean * (1.0 - mean), var, out=np.ones_like(var), where=valid) - 1.0
+    a0 = ratio.sum(axis=-1) / np.maximum(valid.sum(axis=-1), 1)
     k = mean.shape[-1]
     a0 = np.where(np.isfinite(a0) & (a0 > 0.0), a0, float(k))
     a0 = np.clip(a0, 1.0e-2, 1.0e7)
@@ -188,10 +186,16 @@ def _with_column(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.concatenate((m, v[:, None]), axis=1)
 
 
-def _per_obs_loglik(alpha: np.ndarray, mean_log: np.ndarray) -> np.ndarray:
-    """Mean log-likelihood per observation for each row of a batch."""
-    lg = _lgamma_core(_with_column(alpha, alpha.sum(axis=1)))
-    return lg[:, -1] - lg[:, :-1].sum(axis=1) + ((alpha - 1.0) * mean_log).sum(axis=1)
+def _per_obs_loglik(alpha: np.ndarray, mean_log: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Mean log-likelihood per observation for each row of a batch, at
+    concentrations alpha (B, K) that sum to total (B,). A row with a
+    concentration that is not positive is infeasible and scores -inf; no
+    special function sees it."""
+    fine = (alpha > 0.0).all(axis=1)
+    alpha, total = np.where(fine[:, None], alpha, 1.0), np.where(fine, total, 1.0)
+    lg = _lgamma_core(_with_column(alpha, total))
+    ll = lg[:, -1] - lg[:, :-1].sum(axis=1) + ((alpha - 1.0) * mean_log).sum(axis=1)
+    return np.where(fine, ll, -np.inf)
 
 
 _FIXED_POINT_WARMUP = 15
@@ -268,32 +272,80 @@ def _blockwise(fn, b: int) -> np.ndarray:
     )
 
 
-def _newton_step(alpha: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _newton_step(alpha: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Newton direction for the per-observation log-likelihood in alpha.
 
     The Hessian is psi1(A) ones - diag(psi1(alpha)), inverted in closed form.
-    Returns the direction and a mask of rows where the closed form is
-    untrustworthy (callers fall back to a fixed-point step there).
+    A row whose closed form is untrustworthy (its denominator at most 1e-12)
+    takes the gradient, as a null fit's row with no positive definite shift
+    does.
     """
     psi1 = _trigamma_core(_with_column(alpha, alpha.sum(axis=1)))
     c = psi1[:, -1]
     inv_q = 1.0 / psi1[:, :-1]
     denom = 1.0 - c * inv_q.sum(axis=1)
-    bad = denom <= 1.0e-12
-    safe = np.where(bad, 1.0, denom)
-    coef = c * (grad * inv_q).sum(axis=1) / safe
-    step = (grad + coef[:, None]) * inv_q
-    return step, bad
+    trusted = denom > 1.0e-12
+    coef = c * (grad * inv_q).sum(axis=1) / np.where(trusted, denom, 1.0)
+    return np.where(trusted[:, None], (grad + coef[:, None]) * inv_q, grad)
+
+
+_T_CAP = 34.0  # log-precision cap, beyond which the data are degenerate
+
+
+def _newton_ascent(x: np.ndarray, t0: int, value, newton, tol: Tolerance):
+    """Damped Newton ascent of a per-row objective, in place on x (B, d),
+    under the stopping rule of _ascend; returns (converged, iterations).
+
+    newton(rows, xs) gives the gradient and an ascent direction at the
+    points xs of those rows, and value(rows) their objective as a function
+    of their points, from their data gathered once. Columns t0 on are
+    log-precisions (none for the Dirichlet fit, t0 = K), held at or below
+    _T_CAP, and the objective reads one above it as the cap; a row at the
+    cap with that derivative not negative cannot move on and stops
+    unconverged. Each other row takes one _backtrack search from the value
+    its last accepted trial found, which is the objective at its point, bit
+    for bit. A row whose search is rejected stays where it is, so its move
+    of 0 stops it under abs_tol.
+    """
+    b = x.shape[0]
+    x[:, t0:] = np.minimum(x[:, t0:], _T_CAP)
+    fval = np.empty(b)  # the objective at x
+
+    def step(rows, it):
+        xs = x[rows]
+        if it == 0:
+            fval[rows] = value(rows)(xs)
+        grad, direction = newton(rows, xs)
+        done = np.abs(grad).max(axis=1) < tol.rel_tol
+        stuck = ((xs[:, t0:] >= _T_CAP) & (grad[:, t0:] >= 0.0)).any(axis=1)
+        keep = ~(done | stuck)
+        rows, xs, direction = rows[keep], xs[keep], direction[keep]
+        objective, base, last = value(rows), fval[rows], []
+
+        def trial_value(trial):
+            last[:] = [objective(trial)]
+            return last[0]
+
+        scale, accepted = _backtrack(trial_value, xs, direction, base)
+        new = xs + scale[:, None] * direction
+        new[:, t0:] = np.minimum(new[:, t0:], _T_CAP)
+        x[rows] = np.where(accepted[:, None], new, xs)
+        # An accepted row's last trial is its new point, bit for bit.
+        fval[rows] = np.where(accepted, last[0], base)
+        return done, stuck, np.abs(x[rows] - xs).max(axis=1)
+
+    return _ascend(step, np.arange(b), b, tol)
 
 
 def _fit_batch(stats: SufficientStats, tol: Tolerance):
     """Maximum-likelihood fits over one dataset or a stack of datasets.
 
-    Every result is per row of the stack, (1, ...) for one dataset. Runs the
-    fixed-point update for a short warmup, then damped Newton steps (the
-    likelihood is strictly concave in alpha, so backtracking on it is a safe
-    globalizer; a row whose Newton step never passes takes the fixed-point
-    step instead), under the stopping rule of _ascend.
+    Every result is per row of the stack, (1, ...) for one dataset. Runs
+    _FIXED_POINT_WARMUP steps of the fixed-point update as one _ascend, then
+    _newton_ascent in alpha along _newton_step on the rows not yet converged,
+    for the steps of max_iter left (the likelihood is strictly concave in
+    alpha, so backtracking on it is a safe globalizer); iterations add up
+    over both phases.
 
     Returns (alpha, log_likelihood, iterations, converged, usable) where
     usable marks rows that were fit at all (non-degenerate input).
@@ -301,43 +353,40 @@ def _fit_batch(stats: SufficientStats, tol: Tolerance):
     mean_log, mean, mean_sq = (
         np.atleast_2d(a) for a in (stats.mean_log, stats.mean, stats.mean_sq)
     )
-    b = mean_log.shape[0]
+    b, k = mean_log.shape
     n = np.broadcast_to(np.asarray(stats.n, dtype=float), (b,))
     usable = ~_blockwise(lambda s: _degenerate_rows(mean[s], mean_sq[s]), b) & (n >= 2)
     alpha = _blockwise(lambda s: _init_alpha(mean[s], mean_sq[s]), b)
 
-    def fixed_point(cur, ml):
-        return _inv_digamma(_digamma_core(cur.sum(axis=1))[:, None] + ml)
-
-    def step(rows, it):
-        cur, ml = alpha[rows], mean_log[rows]
-        if it < _FIXED_POINT_WARMUP:
-            done = np.zeros(rows.size, dtype=bool)
-            new = fixed_point(cur, ml)
-        else:
-            psi = _digamma_core(_with_column(cur, cur.sum(axis=1)))
-            grad = psi[:, -1:] - psi[:, :-1] + ml
-            done = np.abs(grad).max(axis=1) < tol.rel_tol
-            if done.all():
-                return done, np.zeros_like(done), np.empty(0)
-            rows, cur, ml, grad = rows[~done], cur[~done], ml[~done], grad[~done]
-            direction, bad = _newton_step(cur, grad)
-
-            def trial_loglik(trial):
-                # Rows with an untrustworthy step or a nonpositive trial never pass.
-                fine = (trial > 0.0).all(axis=1) & ~bad
-                safe = np.where(fine[:, None], trial, 1.0)
-                return np.where(fine, _per_obs_loglik(safe, ml), -np.inf)
-
-            t, ok = _backtrack(trial_loglik, cur, direction, _per_obs_loglik(cur, ml))
-            new = cur + t[:, None] * direction
-            if not ok.all():
-                new[~ok] = fixed_point(cur[~ok], ml[~ok])
+    def fixed_point(rows, it):
+        cur = alpha[rows]
+        new = _inv_digamma(_digamma_core(cur.sum(axis=1))[:, None] + mean_log[rows])
         alpha[rows] = new
-        return done, np.zeros_like(done), np.abs(new - cur).max(axis=1)
+        none = np.zeros(rows.size, dtype=bool)
+        return none, none, np.abs(new - cur).max(axis=1)
 
-    converged, iterations = _ascend(step, np.flatnonzero(usable), b, tol)
-    loglik = _blockwise(lambda s: n[s] * _per_obs_loglik(alpha[s], mean_log[s]), b)
+    warmup = replace(tol, max_iter=min(tol.max_iter, _FIXED_POINT_WARMUP))
+    converged, iterations = _ascend(fixed_point, np.flatnonzero(usable), b, warmup)
+    if tol.max_iter > _FIXED_POINT_WARMUP:
+        todo = np.flatnonzero(usable & ~converged)
+        x, ml = alpha[todo], mean_log[todo]
+
+        def value(rows):
+            m = ml[rows]
+            return lambda xs: _per_obs_loglik(xs, m, xs.sum(axis=1))
+
+        def newton(rows, xs):
+            psi = _digamma_core(_with_column(xs, xs.sum(axis=1)))
+            grad = psi[:, -1:] - psi[:, :-1] + ml[rows]
+            return grad, _newton_step(xs, grad)
+
+        rest = replace(tol, max_iter=tol.max_iter - _FIXED_POINT_WARMUP)
+        converged[todo], its = _newton_ascent(x, k, value, newton, rest)
+        alpha[todo] = x
+        iterations[todo] += its
+    loglik = _blockwise(
+        lambda s: n[s] * _per_obs_loglik(alpha[s], mean_log[s], alpha[s].sum(axis=1)), b
+    )
     loglik = np.where(usable, loglik, np.nan)
     return alpha, loglik, iterations, converged, usable
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import dirichlet, nested
 from .composition import CompositionDataset, SufficientStats, clr
+from .dirichlet import _T_CAP
 from .errors import (
     DegenerateDataError,
     InputError,
@@ -41,7 +42,6 @@ from .errors import (
 from .numerics import (
     Tolerance,
     _digamma_trigamma_core,
-    _lgamma_core,
     chi_square_sf,
     f_sf,
     normal_quantile,
@@ -124,9 +124,12 @@ def _uniformity_null_batch(
     b, k = mean_log.shape
     pi = np.full(k, 1.0 / k)
 
+    def loglik(a, ml):
+        return dirichlet._per_obs_loglik(a[:, None] * pi, ml, a)
+
     def value(rows):
         ml = mean_log[rows]
-        return lambda x: _group_ll(pi, np.exp(np.minimum(x[:, 0], _T_CAP)), ml)
+        return lambda x: loglik(np.exp(np.minimum(x[:, 0], _T_CAP)), ml)
 
     def newton(rows, x):
         dt, dtt = _prec_derivs(pi, np.exp(x[:, 0]), mean_log[rows])
@@ -134,11 +137,11 @@ def _uniformity_null_batch(
         return dt[:, None], np.clip(step, -10.0, 10.0)[:, None]
 
     x = np.log(np.maximum(init_a, 1.0e-6))[:, None]
-    converged, _ = _newton_ascent(x, 0, value, newton, tol)
+    converged, _ = dirichlet._newton_ascent(x, 0, value, newton, tol)
     a_opt = np.exp(x[:, 0])
-    loglik = dirichlet._blockwise(lambda s: _group_ll(pi, a_opt[s], mean_log[s]), b)
+    loglik_full = n * dirichlet._blockwise(lambda s: loglik(a_opt[s], mean_log[s]), b)
     bounded = np.log(k) + mean_log.mean(axis=1) < -(k - 1) / (2.0 * np.exp(_T_CAP))
-    return a_opt, n * loglik, converged & bounded
+    return a_opt, loglik_full, converged & bounded
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +399,6 @@ def _softmax_pinned(theta: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _group_ll(pi: np.ndarray, a: np.ndarray, ml: np.ndarray) -> np.ndarray:
-    """Per-observation log-likelihood of one group at mean pi, precision
-    a."""
-    ap = a[:, None] * pi
-    lg = _lgamma_core(dirichlet._with_column(ap, a))
-    return lg[:, -1] - lg[:, :-1].sum(axis=1) + ((ap - 1.0) * ml).sum(axis=1)
-
-
 def _prec_derivs(pi: np.ndarray, a: np.ndarray, ml: np.ndarray):
     """First and second derivative of the group log-likelihood in t = log
     A."""
@@ -411,53 +406,6 @@ def _prec_derivs(pi: np.ndarray, a: np.ndarray, ml: np.ndarray):
     g1 = psi[:, -1] - (pi * psi[:, :-1]).sum(axis=1) + (pi * ml).sum(axis=1)
     g2 = psi1[:, -1] - (pi * pi * psi1[:, :-1]).sum(axis=1)
     return a * g1, a * g1 + a * a * g2
-
-
-_T_CAP = 34.0  # log-precision cap, beyond which the data are degenerate
-
-
-def _newton_ascent(x: np.ndarray, t0: int, value, newton, tol: Tolerance):
-    """Damped Newton ascent of a per-row objective, in place on x (B, d),
-    under the stopping rule of dirichlet._ascend; returns (converged,
-    iterations).
-
-    newton(rows, xs) gives the gradient and an ascent direction at the
-    points xs of those rows, and value(rows) their objective as a function
-    of their points, from their data gathered once. Columns t0 on are
-    log-precisions, held at or below _T_CAP, and the objective reads one
-    above it as the cap; a row at the cap with that derivative not negative
-    cannot move on and stops unconverged. Each other row takes one
-    dirichlet._backtrack search from the value its last accepted trial
-    found, which is the objective at its point, bit for bit.
-    """
-    b = x.shape[0]
-    x[:, t0:] = np.minimum(x[:, t0:], _T_CAP)
-    fval = np.empty(b)  # the objective at x
-
-    def step(rows, it):
-        xs = x[rows]
-        if it == 0:
-            fval[rows] = value(rows)(xs)
-        grad, direction = newton(rows, xs)
-        done = np.abs(grad).max(axis=1) < tol.rel_tol
-        stuck = ((xs[:, t0:] >= _T_CAP) & (grad[:, t0:] >= 0.0)).any(axis=1)
-        keep = ~(done | stuck)
-        rows, xs, direction = rows[keep], xs[keep], direction[keep]
-        objective, base, last = value(rows), fval[rows], []
-
-        def trial_value(trial):
-            last[:] = [objective(trial)]
-            return last[0]
-
-        scale, accepted = dirichlet._backtrack(trial_value, xs, direction, base)
-        new = xs + scale[:, None] * direction
-        new[:, t0:] = np.minimum(new[:, t0:], _T_CAP)
-        x[rows] = np.where(accepted[:, None], new, xs)
-        # An accepted row's last trial is its new point, bit for bit.
-        fval[rows] = np.where(accepted, last[0], base)
-        return done, stuck, np.abs(x[rows] - xs).max(axis=1)
-
-    return dirichlet._ascend(step, np.arange(b), b, tol)
 
 
 def _solve_positive_definite(m: np.ndarray, rhs: np.ndarray):
@@ -485,14 +433,13 @@ def _null_ll(x: np.ndarray, w: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Common-mean objective per row at x = (theta, t1, t2): the groups'
     log-likelihoods per observation (mean logs m, (2, B, K)) at mean
     softmax(theta) and precisions exp(min(t_g, _T_CAP)), weighted by w (2, B).
-    A share softmaxed to zero scores -inf, with pi = 1/K so lgamma sees no 0."""
+    A row with a concentration a_g pi_j of 0 (a share softmaxed or a
+    precision exponentiated to 0) scores -inf."""
     k = m.shape[2]
     pi = _softmax_pinned(x[:, : k - 1])
-    fine = (pi > 0.0).all(axis=1)
-    pi = np.where(fine[:, None], pi, 1.0 / k)
-    a = np.exp(np.minimum(x[:, k - 1 :], _T_CAP)).T
-    f = _group_ll(np.concatenate((pi, pi)), a.ravel(), m.reshape(-1, k)).reshape(2, -1)
-    return np.where(fine, (w * f).sum(axis=0), -np.inf)
+    a = np.exp(np.minimum(x[:, k - 1 :], _T_CAP)).T.ravel()
+    f = dirichlet._per_obs_loglik(a[:, None] * np.concatenate((pi, pi)), m.reshape(-1, k), a)
+    return (w * f.reshape(2, -1)).sum(axis=0)
 
 
 def _null_newton(pi, a, w, m):
@@ -602,7 +549,7 @@ def _common_mean_fit(
         return _null_newton(_softmax_pinned(xs[:, :k1]), np.exp(xs[:, k1:]).T, w, m)
 
     x = dirichlet._blockwise(start, b)
-    converged, iterations = _newton_ascent(x, k1, value, newton, tol)
+    converged, iterations = dirichlet._newton_ascent(x, k1, value, newton, tol)
     pi = dirichlet._blockwise(lambda s: _softmax_pinned(x[s, :k1]), b)
     total = dirichlet._blockwise(lambda s: _null_ll(x[s], pair(s, "n"), pair(s, "mean_log")), b)
     return pi, np.exp(x[:, k1]), np.exp(x[:, k]), total, converged, iterations

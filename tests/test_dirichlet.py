@@ -9,7 +9,7 @@ from simplexstats import dirichlet
 from simplexstats.composition import SufficientStats
 from simplexstats.dirichlet import DirichletParams
 from simplexstats.errors import DegenerateDataError, DomainError, NumericalError
-from simplexstats.numerics import Tolerance, _digamma_core, digamma
+from simplexstats.numerics import Tolerance, _digamma_core, digamma, trigamma
 
 
 def test_params_validate_and_freeze():
@@ -218,6 +218,19 @@ def test_ascend_stopping_rule():
     # A batch with no rows to fit takes no step.
     converged, iterations = dirichlet._ascend(step, np.arange(0), 3, tol)
     assert len(calls) == 20 and not converged.any() and not iterations.any()
+
+
+def test_newton_step_solves_the_closed_form_hessian_or_takes_the_gradient():
+    rng = np.random.default_rng(29)
+    alpha = rng.uniform(0.3, 40.0, size=(6, 4))
+    grad = rng.normal(size=(6, 4))
+    hess = trigamma(alpha.sum(axis=1))[:, None, None] - np.stack([np.diag(v) for v in trigamma(alpha)])
+    want = np.linalg.solve(-hess, grad[..., None])[..., 0]
+    np.testing.assert_allclose(dirichlet._newton_step(alpha, grad), want, rtol=1e-10)
+    # At alpha = 1e13 the closed form's denominator rounds to at most 1e-12.
+    huge = np.full((1, 4), 1e13)
+    g = np.array([[1e-15, -2e-15, 3e-15, -1e-15]])
+    assert dirichlet._newton_step(huge, g).tobytes() == g.tobytes()
 
 
 def test_init_alpha_matches_nanmean_reference():

@@ -1,5 +1,8 @@
 """Hypothesis tests, screening, and confidence intervals."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -240,6 +243,24 @@ def test_fixed_row_blocks_change_no_fit_bitwise(monkeypatch, block):
         assert g.tobytes() == w.tobytes()
 
 
+FIT_BATCH_PINS = pathlib.Path(__file__).parent / "data" / "fit_batch_max_iter.json"
+
+
+@pytest.mark.parametrize("max_iter", [3, 15, 16, 17, 1000])
+def test_fit_batch_matches_recorded_fits_at_each_max_iter(max_iter):
+    # The alternative fit runs its fixed-point warmup and then its Newton
+    # steps as two ascents whose iteration counts add up. Against fits
+    # recorded when both ran in one loop, no count and no converged flag
+    # moves at caps inside the warmup, at its end and just past it, or at
+    # the default; alpha agrees to rounding.
+    pins = json.loads(FIT_BATCH_PINS.read_text())["fits"][str(max_iter)]
+    stats = SufficientStats.concat([*_mixed_carriers(), *_alpha_005_rows(range(120, 130))])
+    alpha, _, iterations, converged, _ = dirichlet._fit_batch(stats, Tolerance(max_iter=max_iter))
+    assert iterations.tolist() == pins["iterations"]
+    assert converged.astype(int).tolist() == pins["converged"]
+    np.testing.assert_allclose(alpha, pins["alpha"], rtol=1e-12, atol=0.0)
+
+
 def _null_oracle(s1, s2, res):
     # The best null log-likelihood scipy finds: Nelder-Mead from the fit's
     # start (pooled alternative means and precisions) and from a uniform
@@ -346,18 +367,17 @@ def test_common_mean_rows_converge_at_local_maxima(alpha, seed):
 
 
 def test_common_mean_line_search_base_is_the_objective_at_its_point(monkeypatch):
-    # Each line search of a null fit, the common-mean one and the
-    # uniform-mean one, starts from the value carried over from the row's
-    # last accepted trial; it must equal the objective evaluated afresh at
-    # the same point, bit for bit.
+    # Each line search of every fit, the alternative, the common-mean null
+    # and the uniform-mean null, starts from the value carried over from the
+    # row's last accepted trial; it must equal the objective evaluated
+    # afresh at the same point, bit for bit.
     real = dirichlet._backtrack
-    checked = {5: [], 1: []}
+    checked = {5: [], 4: [], 1: []}
 
     def checking(objective, x, step, base):
         assert objective(x).tobytes() == base.tobytes()
-        # (theta, t1, t2) at K = 4, or t alone; alternative fits pass K columns.
-        if x.shape[1] in checked:
-            checked[x.shape[1]].append(base.size)
+        # (theta, t1, t2) at K = 4, alpha for the alternative fits, or t alone.
+        checked[x.shape[1]].append(base.size)
         return real(objective, x, step, base)
 
     monkeypatch.setattr(dirichlet, "_backtrack", checking)
@@ -365,7 +385,33 @@ def test_common_mean_line_search_base_is_the_objective_at_its_point(monkeypatch)
         inference._two_sample_lrt_batch(s1, s2, Tolerance())
         inference._uniformity_lrt_batch(s2, Tolerance())
     assert sum(checked[5]) > 500
+    assert sum(checked[4]) > 500
     assert sum(checked[1]) > 500
+
+
+def test_null_objective_scores_a_zero_precision_as_infeasible():
+    # exp(-800) is 0, so group 1's concentrations are all 0: the row is
+    # infeasible, and lgamma never sees the 0.
+    x = np.array([[0.0, 0.0, 0.0, -800.0, 1.0]])
+    w = np.full((2, 1), 0.5)
+    m = np.full((2, 1, 4), np.log(0.25))
+    assert inference._null_ll(x, w, m).tolist() == [-np.inf]
+
+
+def test_two_sample_lrt_with_a_constant_column_raises_degenerate_at_any_cap():
+    # Group a's last column is constant at 1e-300. At max_iter = 17 its null
+    # fit steps a log-precision to where the precision is 0; that must not
+    # reach lgamma as a RuntimeWarning before the test reports the data.
+    a = [[5.8168365014776733e-06, 4.1621665306606151e-11, 0.99999418312187682, 1e-300],
+         [2.1641456992349373e-05, 9.9397890409894426e-19, 0.99997835854300765, 1e-300],
+         [0.016421246102677641, 5.0766549632580291e-08, 0.98357870313077278, 1e-300]]
+    b = [[0.99999961672581739, 4.4006431521256861e-28, 2.2993829059796139e-09, 3.8097479970776685e-07],
+         [0.99948388877055394, 3.6193091331537094e-27, 1.0153665529989982e-10, 5.1611112790940375e-04],
+         [0.73116691668595379, 2.2910613321678531e-04, 1.8176560062071172e-03, 0.26678632117462225]]
+    ds = CompositionDataset.from_arrays(np.array(a + b), ["a"] * 3 + ["b"] * 3)
+    for max_iter in (16, 17, 1000):
+        with pytest.raises(DegenerateDataError):
+            two_sample_dirichlet_lrt(ds, tol=Tolerance(max_iter=max_iter))
 
 
 def test_common_mean_row_pinned_at_the_cap_stops_unconverged():
@@ -374,7 +420,7 @@ def test_common_mean_row_pinned_at_the_cap_stops_unconverged():
     # on to max_iter, and the other rows converge.
     s1, s2 = _mixed_carriers()
     res = inference._two_sample_lrt_batch(s1, s2, Tolerance())
-    assert res["null_precision_1"][5] == np.exp(inference._T_CAP)
+    assert res["null_precision_1"][5] == np.exp(dirichlet._T_CAP)
     assert not res["converged"][5] and res["iterations"][5] < 50
     assert res["converged"][np.arange(23) != 5].all()
 
@@ -469,7 +515,7 @@ def test_uniformity_null_row_at_the_centre_stops_at_the_cap():
         a, ll, converged = inference._uniformity_null_batch(
             np.stack([ml, centre]), np.array([8.0, 8.0]), np.array([10.0, 10.0]), tol
         )
-        assert np.isfinite(a[1]) and a[1] <= np.exp(inference._T_CAP)
+        assert np.isfinite(a[1]) and a[1] <= np.exp(dirichlet._T_CAP)
         assert np.isfinite(ll[1])
         assert not converged[1], k
         assert alone[2][0] and converged[0]
@@ -765,7 +811,8 @@ def test_prec_derivs_match_central_differences_of_group_loglik():
     d1, d2 = inference._prec_derivs(pi, np.exp(t), ml)
 
     def f(tt):
-        return inference._group_ll(pi, np.exp(tt), ml)
+        a = np.exp(tt)
+        return dirichlet._per_obs_loglik(a[:, None] * pi, ml, a)
 
     h1, h2 = 1e-5, 1e-3
     num1 = (f(t + h1) - f(t - h1)) / (2.0 * h1)
