@@ -180,6 +180,12 @@ def _load_dataset(args) -> CompositionDataset:
     )
 
 
+def _calibration(args) -> int | None:
+    """The one calibration setting: reference draws, or None for the
+    asymptotic decision (--no-calibration)."""
+    return None if args.no_calibration else args.calibration_replicates
+
+
 def _data_config(args) -> dict:
     config = {"csv": args.csv, "group_column": args.group_column}
     if args.components:
@@ -255,7 +261,7 @@ def _cmd_fit(args) -> int:
         config["tree"] = tree.render(include_alphas=False)
     groups = {}
     for label in dataset.groups:
-        fit, mean, mean_se = inference._group_fit(dataset, label, args.model, tree, tol)
+        fit, mean, mean_se = inference._group_fit(dataset, label, tree, tol)
         if args.model == "dirichlet":
             fitted = {
                 "alpha": fit.params.alpha,
@@ -306,23 +312,18 @@ def _cmd_test(args) -> int:
     elif args.method == "uniformity":
         label = _uniformity_group(args, dataset)
         config["group"] = label
-        replicates = None if args.no_calibration else args.calibration_replicates
         tr = inference.one_sample_uniformity_test(
             dataset.group_matrix(label),
             tol,
             group=label,
-            calibration_replicates=replicates,
+            calibration_replicates=_calibration(args),
         )
         results = _report_payload(tr)
     else:  # maugard
         config["level"] = args.level
         config["calibrated"] = not args.no_calibration
         res = inference.maugard_procedure(
-            dataset,
-            level=args.level,
-            tol=tol,
-            calibrated=not args.no_calibration,
-            calibration_replicates=args.calibration_replicates,
+            dataset, level=args.level, tol=tol, calibration_replicates=_calibration(args)
         )
         results = {
             "verdict": res.verdict,
@@ -342,9 +343,7 @@ def _cmd_ci(args) -> int:
     if args.model == "ndd":
         tree = _tree_shape(args, dataset)
         config["tree"] = tree.render(include_alphas=False)
-    cis = inference.pairwise_mean_cis(
-        dataset, level=args.level, tol=tol, model=args.model, tree=tree
-    )
+    cis = inference.pairwise_mean_cis(dataset, level=args.level, tol=tol, tree=tree)
     groups = list(dataset.groups[:2])
     results = {
         "groups": groups,
@@ -415,10 +414,7 @@ def _cmd_simulate(args) -> int:
         raise InputError("power mode needs a second generator: --alpha2 or --gen-tree2")
 
     if args.procedure == "maugard":
-        procedure = simulate.MaugardProcedure(
-            calibrated=not args.no_calibration,
-            calibration_replicates=args.calibration_replicates,
-        )
+        procedure = simulate.MaugardProcedure(calibration_replicates=_calibration(args))
     elif args.procedure == "dirichlet-lrt":
         procedure = simulate.DirichletLRT()
     else:

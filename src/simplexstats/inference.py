@@ -231,19 +231,10 @@ def _null_lrt_sample(
     return lam
 
 
-def _calibrated_p(
-    statistic,
-    n_obs: int,
-    k: int,
-    replicates: int,
-    seed: int | None,
-    tol: Tolerance,
-):
+def _calibrated_p(statistic, n_obs: int, k: int, replicates: int, tol: Tolerance):
     """Monte Carlo p-value(s) for uniformity LRT statistic(s), measured
     against the simulated finite-sample null distribution."""
-    if seed is None:
-        seed = _CALIBRATION_SEED
-    sample = _null_lrt_sample(n_obs, k, replicates, seed, tol)
+    sample = _null_lrt_sample(n_obs, k, replicates, _CALIBRATION_SEED, tol)
     stat = np.asarray(statistic, dtype=float)
     count_ge = sample.size - np.searchsorted(sample, stat, side="left")
     p = (1.0 + count_ge) / (sample.size + 1.0)
@@ -255,7 +246,7 @@ def calibrated_uniformity_cutoff(
     k: int,
     level: float = 0.05,
     replicates: int = 10000,
-    seed: int | None = None,
+    seed: int = _CALIBRATION_SEED,
     tol: Tolerance = Tolerance(),
 ) -> float:
     """Finite-sample critical value of the uniformity LRT statistic.
@@ -268,8 +259,6 @@ def calibrated_uniformity_cutoff(
     """
     if not (0.0 < level < 1.0):
         raise InputError(f"level must be in (0, 1), got {level}")
-    if seed is None:
-        seed = _CALIBRATION_SEED
     sample = _null_lrt_sample(int(n_obs), int(k), int(replicates), seed, tol)
     return float(np.quantile(sample, 1.0 - level))
 
@@ -279,7 +268,6 @@ def one_sample_uniformity_test(
     tol: Tolerance = Tolerance(),
     group: str = "",
     calibration_replicates: int | None = None,
-    calibration_seed: int | None = None,
 ) -> TestReport:
     """Likelihood-ratio test of a uniform mean composition.
 
@@ -307,7 +295,7 @@ def one_sample_uniformity_test(
     }
     if calibration_replicates is not None:
         details["calibrated_p_value"] = _calibrated_p(
-            lam, stats.n, k, calibration_replicates, calibration_seed, tol
+            lam, stats.n, k, calibration_replicates, tol
         )
         details["calibration_replicates"] = int(calibration_replicates)
     return TestReport(
@@ -348,9 +336,7 @@ def maugard_procedure(
     level: float = 0.05,
     tol: Tolerance = Tolerance(),
     groups=None,
-    calibrated: bool = True,
-    calibration_replicates: int = 10000,
-    calibration_seed: int | None = None,
+    calibration_replicates: int | None = 10000,
 ) -> MaugardResult:
     """Run the uniformity test on both groups and combine the decisions.
 
@@ -359,31 +345,27 @@ def maugard_procedure(
     makes its operating characteristics interesting to compare against a
     direct two-sample test.
 
-    By default each group's decision compares its statistic against the
-    simulated finite-sample null distribution rather than the asymptotic
-    chi-square tail. At the group sizes this screening procedure is meant
-    for, the chi-square reference over-rejects, which distorts the verdict
-    frequencies; the calibrated rule holds the per-group size at the nominal
-    level. Set calibrated=False to decide on the raw asymptotic p-values.
+    By default each group's decision compares its statistic against a
+    simulated finite-sample null distribution of calibration_replicates
+    draws (at least 1) rather than the asymptotic chi-square tail. At the
+    group sizes this screening procedure is meant for, the chi-square
+    reference over-rejects, which distorts the verdict frequencies; the
+    calibrated rule holds the per-group size at the nominal level. Pass
+    calibration_replicates=None to decide on the raw asymptotic p-values.
     """
     if not (0.0 < level < 1.0):
         raise InputError(f"level must be in (0, 1), got {level}")
-    if calibrated and calibration_replicates is None:
-        raise InputError(
-            "calibrated decisions need calibration_replicates; pass a count "
-            "of at least 1, or calibrated=False"
-        )
     g1, g2, x1, x2 = _two_group_dataset(dataset, groups)
-    cal = calibration_replicates if calibrated else None
     r1, r2 = (
         one_sample_uniformity_test(
-            x, tol=tol, group=g,
-            calibration_replicates=cal, calibration_seed=calibration_seed,
+            x, tol=tol, group=g, calibration_replicates=calibration_replicates
         )
         for g, x in ((g1, x1), (g2, x2))
     )
-    key = "calibrated_p_value"
-    p1, p2 = (r.details[key] if calibrated else r.p_value for r in (r1, r2))
+    p1, p2 = (
+        r.p_value if calibration_replicates is None else r.details["calibrated_p_value"]
+        for r in (r1, r2)
+    )
     verdict = str(_maugard_verdicts(p1, p2, level))
     return MaugardResult(verdict=verdict, reports=(r1, r2), level=level)
 
@@ -722,21 +704,16 @@ def two_sample_ndd_lrt(
 def _group_fit(
     dataset: CompositionDataset,
     label: str,
-    model: str,
     tree: nested.NestingTree | None,
     tol: Tolerance,
 ):
     """(fit, mean, mean_se) of one group, the last two in dataset column
-    order: a Dirichlet fit with inverse-information SEs, or a nested fit of
-    tree with its leaf means and delta-method SEs."""
-    if model == "dirichlet":
+    order: with no tree, a Dirichlet fit with inverse-information SEs; with
+    one, a nested fit of tree with its leaf means and delta-method SEs."""
+    if tree is None:
         x = dataset.group_matrix(label)
         fit = dirichlet.mle(x, tol=tol)
         return fit, fit.params.mean, dirichlet.mean_standard_errors(fit.params, x.shape[0])
-    if model != "ndd":
-        raise InputError(f"unknown model {model!r}; use 'dirichlet' or 'ndd'")
-    if tree is None:
-        raise InputError("the nested model needs a tree")
     sub = dataset.group_dataset(label)
     fit = nested.mle(tree, sub, tol=tol)
     mean = nested.leaf_means(fit.params)
@@ -752,22 +729,22 @@ def pairwise_mean_cis(
     level: float = 0.95,
     tol: Tolerance = Tolerance(),
     groups=None,
-    model: str = "dirichlet",
     tree: nested.NestingTree | None = None,
 ) -> tuple[MeanDifferenceCI, ...]:
     """Componentwise CIs for the difference of group mean compositions.
 
     Bonferroni-adjusted for the K simultaneous comparisons: each interval is
     estimate +/- z * se with z the normal quantile at 1 - (1 - level)/(2K).
-    Standard errors come from the inverse information of each group's fit
-    (Dirichlet model) or the delta method on leaf means (nested model).
+    With no tree, standard errors come from the inverse information of each
+    group's Dirichlet fit; with a tree, from the delta method on the leaf
+    means of each group's nested fit.
     """
     if not (0.0 < level < 1.0):
         raise InputError(f"level must be in (0, 1), got {level}")
     g1, g2, _, _ = _two_group_dataset(dataset, groups)
     k = dataset.n_components
-    _, mean1, se1 = _group_fit(dataset, g1, model, tree, tol)
-    _, mean2, se2 = _group_fit(dataset, g2, model, tree, tol)
+    _, mean1, se1 = _group_fit(dataset, g1, tree, tol)
+    _, mean2, se2 = _group_fit(dataset, g2, tree, tol)
     z = normal_quantile(1.0 - (1.0 - level) / (2.0 * k))
     out = []
     for j, name in enumerate(dataset.components):

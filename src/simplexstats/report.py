@@ -27,23 +27,22 @@ from .errors import (
 __all__ = ["ResultDocument", "parse_csv", "render_text"]
 
 
-def _jsonable(value):
-    """Recursively convert to plain JSON-native types."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+def _json_default(value):
+    """json.dumps hook for the numpy values a result may hold."""
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)) and not isinstance(value, bool):
+        return value.tolist()
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (bool, str)) or value is None:
-        return value
+    if isinstance(value, np.floating):
+        return float(value)
     raise InputError(
         f"cannot serialize value of type {type(value).__name__}: {value!r}"
     )
+
+
+def _jsonable(value):
+    """Convert to plain JSON-native types by a round trip through json."""
+    return json.loads(json.dumps(value, default=_json_default))
 
 
 @dataclass(frozen=True)

@@ -69,14 +69,18 @@ FAILURE_BUDGET = 0.01
 class MaugardProcedure:
     """Per-group uniformity screening.
 
-    Outcomes: RejectBoth, RejectOne, FailBoth. Decisions are calibrated
-    against the simulated finite-sample null distribution by default, same
-    as inference.maugard_procedure.
+    Outcomes: RejectBoth, RejectOne, FailBoth. As in
+    inference.maugard_procedure, decisions are calibrated against a simulated
+    finite-sample null distribution of calibration_replicates draws (at
+    least 1); None decides on the asymptotic chi-square p-values.
     """
 
-    calibrated: bool = True
-    calibration_replicates: int = 10000
-    calibration_seed: int | None = None
+    calibration_replicates: int | None = 10000
+
+    def __post_init__(self):
+        n = self.calibration_replicates
+        if n is not None and not (_is_integer(n) and n >= 1):
+            raise InputError(f"calibration replicates must be at least 1, got {n!r}")
 
     @property
     def name(self) -> str:
@@ -192,9 +196,12 @@ class SimSpec:
             raise InputError(
                 f"generators disagree on component count: {k1} vs {k2}"
             )
-        sizes = self.n_per_group if isinstance(self.n_per_group, tuple) else (self.n_per_group,)
-        if not all(map(_is_integer, sizes)):
-            raise InputError(f"group sizes must be integers, got {self.n_per_group!r}")
+        pair = isinstance(self.n_per_group, tuple)
+        sizes = self.n_per_group if pair else (self.n_per_group,)
+        if (pair and len(sizes) != 2) or not all(map(_is_integer, sizes)):
+            raise InputError(
+                f"group sizes must be an integer or a pair of integers, got {self.n_per_group!r}"
+            )
         n1, n2 = self.n_pair
         if min(n1, n2) < 2:
             raise InputError("each group needs at least 2 observations")
@@ -436,10 +443,9 @@ def _maugard_outcomes(spec: SimSpec, c1, c2):
     p = []
     for rows, n in zip((slice(0, r), slice(r, 2 * r)), spec.n_pair):
         stat = res["statistic"][rows]
-        if proc.calibrated:
+        if proc.calibration_replicates is not None:
             p.append(inference._calibrated_p(
-                stat, n, k, proc.calibration_replicates,
-                proc.calibration_seed, spec.tol,
+                stat, n, k, proc.calibration_replicates, spec.tol
             ))
         else:
             p.append(chi_square_sf(np.where(good[rows], stat, 0.0), k - 1))

@@ -20,6 +20,7 @@ _MARKERS = ("circle", "cross", "square", "diamond")
 _COLORS = ("#1f6fb2", "#c23b22", "#3a9d5d", "#8a56c2")
 
 _PANEL = 300.0
+_COLUMNS = 3  # panels per row
 _MARGIN = 34.0
 _H = math.sqrt(3.0) / 2.0
 
@@ -31,6 +32,15 @@ def component_pairs(components: tuple[str, ...]) -> list[tuple[str, str]]:
         for j in range(i + 1, len(components)):
             out.append((components[i], components[j]))
     return out
+
+
+def _escape(text: str) -> str:
+    """Text escaped for an SVG text element."""
+    # Imported here, not at module level: xml.sax.saxutils loads
+    # urllib.request, which would add about 7 MB and 40 ms to every command.
+    from xml.sax.saxutils import escape
+
+    return escape(text)
 
 
 def _fmt(v: float) -> str:
@@ -75,7 +85,7 @@ def _panel_svg(
     rest = [
         j for j in range(dataset.n_components) if j not in (ia, ib)
     ]
-    rest_label = "★" if len(rest) > 1 else dataset.components[rest[0]]
+    rest_label = "★" if len(rest) > 1 else _escape(dataset.components[rest[0]])
 
     side = _PANEL - 2.0 * _MARGIN
     x0, y0 = ox + _MARGIN, oy + _PANEL - _MARGIN
@@ -89,9 +99,9 @@ def _panel_svg(
         f'{_fmt(right[1])}L{_fmt(top[0])} {_fmt(top[1])}Z" fill="none" '
         f'stroke="#555555" stroke-width="1"/>',
         f'<text x="{_fmt(left[0] - 4)}" y="{_fmt(left[1] + 14)}" '
-        f'font-size="11" text-anchor="start" fill="#222222">{a}</text>',
+        f'font-size="11" text-anchor="start" fill="#222222">{_escape(a)}</text>',
         f'<text x="{_fmt(right[0] + 4)}" y="{_fmt(right[1] + 14)}" '
-        f'font-size="11" text-anchor="end" fill="#222222">{b}</text>',
+        f'font-size="11" text-anchor="end" fill="#222222">{_escape(b)}</text>',
         f'<text x="{_fmt(top[0])}" y="{_fmt(top[1] - 6)}" font-size="11" '
         f'text-anchor="middle" fill="#222222">{rest_label}</text>',
     ]
@@ -115,7 +125,6 @@ def render_ternary_svg(
     dataset: CompositionDataset,
     pairs: list[tuple[str, str]] | None = None,
     all_pairs: bool = False,
-    columns: int = 3,
 ) -> str:
     """Render one panel per component pair into a single SVG document."""
     if dataset.n_observations == 0:
@@ -135,7 +144,7 @@ def render_ternary_svg(
         dataset.component_index(a)
         dataset.component_index(b)
 
-    ncol = max(1, min(columns, len(pairs)))
+    ncol = max(1, min(_COLUMNS, len(pairs)))
     nrow = (len(pairs) + ncol - 1) // ncol
     legend_h = 24.0
     width = ncol * _PANEL
@@ -155,7 +164,7 @@ def render_ternary_svg(
         body.append(_marker(kind, lx, ly - 4.0, color))
         body.append(
             f'<text x="{_fmt(lx + 8)}" y="{_fmt(ly)}" font-size="11" '
-            f'fill="#222222">{g}</text>'
+            f'fill="#222222">{_escape(g)}</text>'
         )
         lx += 14.0 + 7.5 * len(g)
     remainder = dataset.n_components > 3

@@ -668,22 +668,12 @@ def test_maugard_uncalibrated_uses_asymptotic_pvalues():
     x1 = rng.dirichlet([9.0, 6.0, 6.0, 6.0], size=7)
     x2 = rng.dirichlet([9.0, 6.0, 6.0, 6.0], size=7)
     ds = CompositionDataset.from_arrays(np.vstack([x1, x2]), ["a"] * 7 + ["b"] * 7)
-    res = maugard_procedure(ds, calibrated=False)
+    res = maugard_procedure(ds, calibration_replicates=None)
     rejs = sum(1 for tr in res.reports if tr.p_value < 0.05)
     expected = {0: "FailBoth", 1: "RejectOne", 2: "RejectBoth"}[rejs]
     assert res.verdict == expected
     for tr in res.reports:
         assert "calibrated_p_value" not in tr.details
-
-
-def test_maugard_calibrated_without_a_replicate_count_is_an_input_error():
-    rng = np.random.default_rng(37)
-    x = rng.dirichlet([9.0, 6.0, 6.0, 6.0], size=14)
-    ds = CompositionDataset.from_arrays(x, ["a"] * 7 + ["b"] * 7)
-    with pytest.raises(InputError, match="calibration_replicates"):
-        maugard_procedure(ds, calibration_replicates=None)
-    res = maugard_procedure(ds, calibrated=False, calibration_replicates=None)
-    assert res.verdict in ("FailBoth", "RejectOne", "RejectBoth")
 
 
 def test_calibration_cache_keeps_each_tolerance_apart(monkeypatch):
@@ -749,16 +739,12 @@ def test_pairwise_mean_cis_nested_model():
         x, ["a"] * 30 + ["b"] * 30, components=("AQ1", "OQ", "AQ2", "TQ")
     )
     tree = params.tree.strip_alphas()
-    cis = pairwise_mean_cis(ds, model="ndd", tree=tree)
+    cis = pairwise_mean_cis(ds, tree=tree)
     assert len(cis) == 4
     for ci in cis:
         assert ci.lower < ci.estimate < ci.upper
         # equal generators: zero difference should be covered most of the time
         assert ci.se > 0.0
-    with pytest.raises(InputError):
-        pairwise_mean_cis(ds, model="ndd")  # tree is required
-    with pytest.raises(InputError):
-        pairwise_mean_cis(ds, model="bogus")
 
 
 def test_pairwise_mean_cis_level_controls_width():

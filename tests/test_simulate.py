@@ -83,14 +83,24 @@ def test_spec_validation():
         ("n_per_group", 5.5),
         ("n_per_group", (7, 5.5)),
         ("n_per_group", np.float64(7.0)),
+        ("n_per_group", (5, 6, 7)),
     ],
 )
 def test_spec_sizes_must_be_integers(field, value):
     # A float count used to construct and then fail inside the study
-    # (replicates) or be truncated (group sizes); a bool read as 1.
+    # (replicates) or be truncated (group sizes); a bool read as 1; three
+    # group sizes failed in n_pair with a bare "too many values to unpack".
     gen = DirichletParams(alpha=(2.0, 3.0, 4.0))
     with pytest.raises(InputError, match="integer"):
         _spec(generator_1=gen, generator_2=gen, **{field: value})
+
+
+@pytest.mark.parametrize("count", [0, -5, True, 2.5, 500.0])
+def test_maugard_calibration_count_is_checked_at_construction(count):
+    # A count below 1 used to fail only after the whole study had been
+    # drawn and fitted.
+    with pytest.raises(InputError, match="calibration replicates"):
+        MaugardProcedure(calibration_replicates=count)
 
 
 def test_spec_accepts_numpy_integer_sizes():
@@ -367,10 +377,10 @@ def test_flat_tree_ndd_study_matches_dirichlet_study():
     assert rd.counts[FAIL_TO_REJECT] == rn.counts[FAIL_TO_REJECT]
 
 
-@pytest.mark.parametrize("calibrated", [False, True], ids=["uncalibrated", "calibrated"])
-def test_maugard_study_matches_per_replicate_procedure(calibrated):
+@pytest.mark.parametrize("calibration_replicates", [None, 500], ids=["uncalibrated", "calibrated"])
+def test_maugard_study_matches_per_replicate_procedure(calibration_replicates):
     spec = _spec(
-        procedure=MaugardProcedure(calibrated=calibrated, calibration_replicates=500),
+        procedure=MaugardProcedure(calibration_replicates=calibration_replicates),
         replicates=20,
         master_seed=31,
     )
@@ -392,7 +402,7 @@ def test_maugard_study_matches_per_replicate_procedure(calibrated):
             np.vstack([x1, x2]), ["a"] * 7 + ["b"] * 7
         )
         verdict = inference.maugard_procedure(
-            ds, calibrated=calibrated, calibration_replicates=500
+            ds, calibration_replicates=calibration_replicates
         ).verdict
         assert verdict == outcomes[i] and ok[i]
         tally[verdict] += 1
@@ -401,12 +411,13 @@ def test_maugard_study_matches_per_replicate_procedure(calibrated):
     assert res.counts[FIT_FAILURE] == 0
 
 
-@pytest.mark.parametrize("calibrated", [True, False])
-def test_maugard_groups_fit_as_one_batch_equal_to_per_group_batches(calibrated):
+# The ids say whether the decisions are calibrated.
+@pytest.mark.parametrize("calibration_replicates", [300, None], ids=["True", "False"])
+def test_maugard_groups_fit_as_one_batch_equal_to_per_group_batches(calibration_replicates):
     # The study fits both groups as one stacked batch; each group's rows,
     # and its decisions against its own n's calibration, are those of a
     # batch of that group alone.
-    proc = MaugardProcedure(calibrated=calibrated, calibration_replicates=300)
+    proc = MaugardProcedure(calibration_replicates=calibration_replicates)
     spec = _spec(procedure=proc, n_per_group=(7, 9), replicates=40, master_seed=23)
     c1, c2, _ = simulate._stream(spec)
     both = inference._uniformity_lrt_batch(SufficientStats.concat([c1[0], c2[0]]), spec.tol)
@@ -417,10 +428,10 @@ def test_maugard_groups_fit_as_one_batch_equal_to_per_group_batches(calibrated):
             assert both[key][rows].tobytes() == alone[key].tobytes(), key
         good = alone["usable"] & alone["converged"]
         stat = alone["statistic"]
-        if calibrated:
-            p.append(inference._calibrated_p(stat, n, 4, 300, None, spec.tol))
-        else:
+        if calibration_replicates is None:
             p.append(chi_square_sf(np.where(good, stat, 0.0), 3))
+        else:
+            p.append(inference._calibrated_p(stat, n, 4, 300, spec.tol))
         ok = ok & good
     outcomes, got_ok = simulate._maugard_outcomes(spec, c1, c2)
     assert outcomes.tolist() == inference._maugard_verdicts(p[0], p[1], spec.level).tolist()
@@ -433,7 +444,7 @@ def test_maugard_groups_fit_as_one_batch_equal_to_per_group_batches(calibrated):
     [
         DirichletLRT(),
         NddLRT(tree=parse_tree(BEST_TREE_TEXT).strip_alphas()),
-        MaugardProcedure(calibrated=False),
+        MaugardProcedure(calibration_replicates=None),
     ],
     ids=["dirichlet-lrt", "ndd-lrt", "maugard"],
 )
@@ -593,7 +604,7 @@ def test_common_mean_line_search_takes_no_log_of_zero():
 
 def test_calibrated_maugard_study_runs_and_is_deterministic():
     spec = _spec(
-        procedure=MaugardProcedure(calibrated=True, calibration_replicates=500),
+        procedure=MaugardProcedure(calibration_replicates=500),
         replicates=10,
         master_seed=41,
     )

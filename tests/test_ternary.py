@@ -1,6 +1,7 @@
 """SVG ternary diagram rendering."""
 
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -44,6 +45,20 @@ def test_render_is_deterministic_and_well_formed():
     # both group labels reach the legend
     assert ">g1</text>" in svg1
     assert ">g2</text>" in svg1
+
+
+def test_markup_in_names_and_labels_is_escaped():
+    # Component names and group labels reach SVG text; unescaped, "&" and
+    # "<" made a document that XML parsers reject.
+    rng = np.random.default_rng(55)
+    x = rng.dirichlet(np.full(3, 3.0), size=6)
+    ds = CompositionDataset.from_arrays(
+        x, ["A&B"] * 3 + ["c<d"] * 3, components=("p&q", "r<s", "t>u")
+    )
+    for pairs in ([("p&q", "r<s")], [("r<s", "t>u")]):
+        root = ET.fromstring(render_ternary_svg(ds, pairs=pairs))
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert set(texts) == {"p&q", "r<s", "t>u", "A&B", "c<d"}
 
 
 def test_render_three_components_has_no_star():
