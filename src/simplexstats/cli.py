@@ -215,8 +215,16 @@ def _emit(kind: str, config: dict, results: dict, args) -> int:
     return 0
 
 
-def _tree_shape(args, dataset: CompositionDataset) -> nested.NestingTree:
-    """The tree a subcommand should use: parsed from --tree or found by search."""
+def _tree_shape(args, dataset: CompositionDataset, config: dict, wanted: bool, selector: str):
+    """The tree a subcommand uses, recorded in config: parsed from --tree or
+    found by search. When no nested model is wanted it is None, and a tree
+    flag, which would go unused, is an error that names selector, the
+    option that selects one."""
+    if not wanted:
+        for flag, given in (("--tree", args.tree), ("--tree-search", args.tree_search)):
+            if given:
+                raise InputError(f"{flag} applies only with {selector}")
+        return None
     if args.tree and args.tree_search:
         raise InputError("give either --tree or --tree-search, not both")
     if args.tree:
@@ -225,11 +233,13 @@ def _tree_shape(args, dataset: CompositionDataset) -> nested.NestingTree:
             raise InputError(
                 f"tree covers {tree.n_components} components, data has {dataset.n_components}"
             )
-        return tree
-    if args.tree_search:
+    elif args.tree_search:
         best, _ = treesearch.search(dataset, criterion=args.criterion)
-        return best.tree.strip_alphas()
-    raise InputError("a nested model needs --tree or --tree-search")
+        tree = best.tree.strip_alphas()
+    else:
+        raise InputError("a nested model needs --tree or --tree-search")
+    config["tree"] = tree.render(include_alphas=False)
+    return tree
 
 
 def _report_payload(tr: inference.TestReport) -> dict:
@@ -255,10 +265,7 @@ def _cmd_fit(args) -> int:
     tol = Tolerance()
     config = _data_config(args)
     config["model"] = args.model
-    tree = None
-    if args.model == "ndd":
-        tree = _tree_shape(args, dataset)
-        config["tree"] = tree.render(include_alphas=False)
+    tree = _tree_shape(args, dataset, config, args.model == "ndd", "--model ndd")
     groups = {}
     for label in dataset.groups:
         fit, mean, mean_se = inference._group_fit(dataset, label, tree, tol)
@@ -298,12 +305,11 @@ def _cmd_test(args) -> int:
     tol = Tolerance()
     config = _data_config(args)
     config["method"] = args.method
+    shape = _tree_shape(args, dataset, config, args.method == "ndd-lrt", "--method ndd-lrt")
     if args.method == "dirichlet-lrt":
         tr = inference.two_sample_dirichlet_lrt(dataset, tol)
         results = _report_payload(tr)
     elif args.method == "ndd-lrt":
-        shape = _tree_shape(args, dataset)
-        config["tree"] = shape.render(include_alphas=False)
         tr = inference.two_sample_ndd_lrt(dataset, shape, tol)
         results = _report_payload(tr)
     elif args.method == "clr-hotelling":
@@ -339,10 +345,7 @@ def _cmd_ci(args) -> int:
     config = _data_config(args)
     config["model"] = args.model
     config["level"] = args.level
-    tree = None
-    if args.model == "ndd":
-        tree = _tree_shape(args, dataset)
-        config["tree"] = tree.render(include_alphas=False)
+    tree = _tree_shape(args, dataset, config, args.model == "ndd", "--model ndd")
     cis = inference.pairwise_mean_cis(dataset, level=args.level, tol=tol, tree=tree)
     groups = list(dataset.groups[:2])
     results = {
@@ -402,6 +405,8 @@ def _sim_generator(alpha_text, tree_text, which: str):
 
 
 def _cmd_simulate(args) -> int:
+    if args.tree and args.procedure != "ndd-lrt":
+        raise InputError("--tree applies only with --procedure ndd-lrt")
     gen1 = _sim_generator(args.alpha, args.gen_tree, "")
     if gen1 is None:
         raise InputError("the simulation needs a generator: --alpha or --gen-tree")
@@ -466,15 +471,14 @@ def _cmd_ternary(args) -> int:
     if not args.out:
         raise InputError("ternary needs --out FILE.svg")
     dataset = _load_dataset(args)
-    pairs = None
-    if args.pair:
-        pairs = []
-        for text in args.pair:
-            names = _csv_list(text)
-            if len(names) != 2:
-                raise InputError(f"--pair needs exactly two component names, got {text!r}")
-            pairs.append((names[0], names[1]))
-    ternary.emit_ternary_svg(dataset, args.out, pairs=pairs, all_pairs=args.all_pairs)
+    pairs = []
+    for text in args.pair or ():
+        names = _csv_list(text)
+        if len(names) != 2:
+            raise InputError(f"--pair needs exactly two component names, got {text!r}")
+        pairs.append((names[0], names[1]))
+    # --all-pairs draws every pair; with neither flag, no pair is requested.
+    ternary.emit_ternary_svg(dataset, args.out, pairs=None if args.all_pairs else pairs)
     sys.stdout.write(f"wrote {args.out}\n")
     return 0
 

@@ -115,9 +115,8 @@ def log_density(params: DirichletParams, x) -> float | np.ndarray:
             f"{arr.shape[-1]} parts vs {params.n_components} parameters"
         )
     a = params.alpha
-    const = _lgamma_core(np.asarray(a.sum())) - _lgamma_core(a).sum()
-    val = const + ((a - 1.0) * np.log(arr)).sum(axis=-1)
-    return float(val) if arr.ndim == 1 else val
+    val = _per_obs_loglik(a[None], np.log(np.atleast_2d(arr)), a.sum(keepdims=True))
+    return float(val[0]) if arr.ndim == 1 else val
 
 
 def moments(params: DirichletParams) -> tuple[np.ndarray, np.ndarray]:

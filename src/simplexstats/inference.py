@@ -42,6 +42,7 @@ from .errors import (
 from .numerics import (
     Tolerance,
     _digamma_trigamma_core,
+    _is_integer,
     chi_square_sf,
     f_sf,
     normal_quantile,
@@ -160,6 +161,15 @@ _NULL_LRT_CACHE: dict[tuple[int, int, int, int], dict[Tolerance, np.ndarray]] = 
 _CHUNK_DRAWS = 1024 * 100 * 4
 
 
+def _check_calibration_replicates(count) -> None:
+    """Raise InputError unless count, the draws of a calibration reference
+    sample, is an integer of at least 1 (a bool is not)."""
+    if not (_is_integer(count) and count >= 1):
+        raise InputError(
+            f"calibration replicates must be an integer of at least 1, got {count!r}"
+        )
+
+
 def _chunk_rows(n_obs: int, k: int) -> int:
     """Replicates per chunk of (n_obs, K) draws."""
     return max(1, _CHUNK_DRAWS // (n_obs * k))
@@ -200,10 +210,6 @@ def _null_lrt_sample(
     precisions from 2 to 1000), so one reference sample serves all null
     members of a given shape.
     """
-    if replicates < 1:
-        raise InputError(
-            f"calibration replicates must be at least 1, got {replicates}"
-        )
     key = (int(n_obs), int(k), int(replicates), int(seed))
     cached = _NULL_LRT_CACHE.get(key, {}).get(tol)
     if cached is not None:
@@ -259,7 +265,8 @@ def calibrated_uniformity_cutoff(
     """
     if not (0.0 < level < 1.0):
         raise InputError(f"level must be in (0, 1), got {level}")
-    sample = _null_lrt_sample(int(n_obs), int(k), int(replicates), seed, tol)
+    _check_calibration_replicates(replicates)
+    sample = _null_lrt_sample(int(n_obs), int(k), replicates, seed, tol)
     return float(np.quantile(sample, 1.0 - level))
 
 
@@ -281,6 +288,8 @@ def one_sample_uniformity_test(
     This is the one-row case of _uniformity_lrt_batch; a fit that stops
     short of tolerance gives converged=False.
     """
+    if calibration_replicates is not None:
+        _check_calibration_replicates(calibration_replicates)
     stats = dirichlet._as_stats(data)
     k = stats.n_components
     res = _uniformity_lrt_batch(stats, tol)
@@ -355,6 +364,8 @@ def maugard_procedure(
     """
     if not (0.0 < level < 1.0):
         raise InputError(f"level must be in (0, 1), got {level}")
+    if calibration_replicates is not None:
+        _check_calibration_replicates(calibration_replicates)
     g1, g2, x1, x2 = _two_group_dataset(dataset, groups)
     r1, r2 = (
         one_sample_uniformity_test(

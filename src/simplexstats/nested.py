@@ -13,9 +13,14 @@ each node's branch compositions: its children's leaf-column sums divided by
 their total. ``_child_leaf_sets`` keys each node by its children's leaf sets,
 ``_branch_blocks`` applies that block rule to one dataset or a stack, and
 ``_assemble`` multiplies per-node splits down to the leaves; studies and
-tree search share them. The same downward walk sums per-node relative
-variances for the delta-method standard errors, and one re-weighting walk,
-``_reweight``, sets the fitted edge weights or clears them.
+tree search share them. A node's term is the Dirichlet log-likelihood of
+its block (``dirichlet._per_obs_loglik`` in the density, ``dirichlet.mle``
+in the fit) less the change-of-variables term (k - 1) log mass.
+``decompose`` gives each node's block and mass, and ``mle`` the fitted tree
+and the summed log-likelihood. The same downward walk sums per-node
+relative variances for the delta-method standard errors, and one
+re-weighting walk, ``_reweight``, sets the fitted edge weights or clears
+them.
 
 The flat tree (root with K leaf children) recovers the plain Dirichlet model.
 
@@ -42,7 +47,7 @@ from .errors import (
     TreeFormatError,
     TreeStructureError,
 )
-from .numerics import Tolerance, _lgamma_core
+from .numerics import Tolerance
 
 __all__ = [
     "TreeNode",
@@ -51,7 +56,6 @@ __all__ = [
     "SubtreeBlock",
     "SubtreeDecomposition",
     "NddFitResult",
-    "SubtreeFit",
     "flat_tree",
     "parse_tree",
     "render_tree",
@@ -360,18 +364,19 @@ class NddParams:
         """(label, child labels, Dirichlet over the children) per internal
         node, in pre-order."""
         labels = self.tree.internal_nodes()
-        out = []
-        for label, node in labels:
-            child_labels = _child_labels(self.tree, node, labels)
-            alphas = np.array([c.alpha for c in node.children], dtype=float)
-            out.append((label, child_labels, dirichlet.DirichletParams(alpha=alphas)))
-        return tuple(out)
+        return tuple(
+            (label, _child_labels(self.tree, node, labels), dd)
+            for (label, node), dd in zip(labels, self._splits)
+        )
 
     @functools.cached_property
     def _splits(self) -> tuple[dirichlet.DirichletParams, ...]:
         """The Dirichlet over each internal node's children, in pre-order,
         built and validated once for every draw."""
-        return tuple(dd for _, _, dd in self.subtree_params())
+        return tuple(
+            dirichlet.DirichletParams(alpha=[c.alpha for c in node.children])
+            for _, node in self.tree.internal_nodes()
+        )
 
 
 def _child_labels(
@@ -406,8 +411,6 @@ def leaf_means(params: NddParams) -> np.ndarray:
 class SubtreeBlock:
     """The branch compositions observed at one internal node."""
 
-    label: str
-    child_labels: tuple[str, ...]
     matrix: np.ndarray  # (n, k_children), rows sum to 1
     mass: np.ndarray  # (n,) share of total mass reaching this node
 
@@ -545,19 +548,10 @@ def decompose(tree: NestingTree, data) -> SubtreeDecomposition:
     ``mass`` is the node's share of the whole.
     """
     matrix = _bind_matrix(tree, data)
-    labels = tree.internal_nodes()
-    blocks = []
-    for (label, node), children in zip(labels, _child_leaf_sets(tree)):
-        block, mass = _branch_blocks(children, matrix)
-        blocks.append(
-            SubtreeBlock(
-                label=label,
-                child_labels=_child_labels(tree, node, labels),
-                matrix=block,
-                mass=mass,
-            )
-        )
-    return SubtreeDecomposition(tree=tree, blocks=tuple(blocks))
+    blocks = tuple(
+        SubtreeBlock(*_branch_blocks(children, matrix)) for children in _child_leaf_sets(tree)
+    )
+    return SubtreeDecomposition(tree=tree, blocks=blocks)
 
 
 def reconstruct(decomposition: SubtreeDecomposition) -> np.ndarray:
@@ -582,26 +576,13 @@ def log_density(params: NddParams, x) -> float | np.ndarray:
     """
     arr = np.asarray(x, dtype=float) if not isinstance(x, CompositionDataset) else x
     decomp = decompose(params.tree, arr)
-    subparams = params.subtree_params()
-    n = decomp.n_observations
-    total = np.zeros(n, dtype=float)
-    for (label, _children, dpar), blk in zip(subparams, decomp.blocks):
-        a = dpar.alpha
-        const = _lgamma_core(np.asarray(a.sum())) - _lgamma_core(a).sum()
-        total += const + ((a - 1.0) * np.log(blk.matrix)).sum(axis=1)
+    total = np.zeros(decomp.n_observations, dtype=float)
+    for dd, blk in zip(params._splits, decomp.blocks):
+        a = dd.alpha
+        total += dirichlet._per_obs_loglik(a[None], np.log(blk.matrix), a.sum(keepdims=True))
         total -= (len(a) - 1.0) * np.log(blk.mass)
     single = not isinstance(x, CompositionDataset) and np.asarray(x).ndim == 1
     return float(total[0]) if single else total
-
-
-@dataclass(frozen=True)
-class SubtreeFit:
-    """One internal node's fit and its share of the total log-likelihood."""
-
-    label: str
-    child_labels: tuple[str, ...]
-    fit: dirichlet.FitResult
-    log_likelihood: float  # includes this node's change-of-variables term
 
 
 @dataclass(frozen=True)
@@ -609,7 +590,6 @@ class NddFitResult:
     """Maximum-likelihood fit of a nested model."""
 
     params: NddParams
-    subtree_fits: tuple[SubtreeFit, ...]
     log_likelihood: float
     converged: bool
 
@@ -622,26 +602,16 @@ def mle(tree: NestingTree, data, tol: Tolerance = Tolerance()) -> NddFitResult:
     reported total is the leaf-space log-likelihood: each subtree's term
     carries its own change-of-variables correction.
     """
-    decomp = decompose(tree, data)
-    fits: list[SubtreeFit] = []
-    for blk in decomp.blocks:
-        fit = dirichlet.mle(blk.matrix, tol=tol)
-        jac = (blk.matrix.shape[1] - 1.0) * np.log(blk.mass).sum()
-        fits.append(
-            SubtreeFit(
-                label=blk.label,
-                child_labels=blk.child_labels,
-                fit=fit,
-                log_likelihood=fit.log_likelihood - jac,
-            )
-        )
-
-    fitted_tree = _reweight(tree, (f.fit.params.alpha.tolist() for f in fits))
+    blocks = decompose(tree, data).blocks
+    fits = [dirichlet.mle(blk.matrix, tol=tol) for blk in blocks]
+    terms = (
+        f.log_likelihood - (blk.matrix.shape[1] - 1.0) * np.log(blk.mass).sum()
+        for f, blk in zip(fits, blocks)
+    )
     return NddFitResult(
-        params=NddParams(tree=fitted_tree),
-        subtree_fits=tuple(fits),
-        log_likelihood=float(sum(f.log_likelihood for f in fits)),
-        converged=all(f.fit.converged for f in fits),
+        params=NddParams(tree=_reweight(tree, (f.params.alpha.tolist() for f in fits))),
+        log_likelihood=float(sum(terms)),
+        converged=all(f.converged for f in fits),
     )
 
 

@@ -121,6 +121,11 @@ def _finish(values: np.ndarray, scalar: bool):
     return float(values) if scalar else values
 
 
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; bools are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_df(df, name: str) -> int:
     if isinstance(df, (bool, np.bool_)):
         raise DomainError(f"{name} must be an integer, got {df!r}")

@@ -40,7 +40,7 @@ from .composition import SufficientStats
 from .dirichlet import DirichletParams
 from .errors import InputError, NumericalError
 from .nested import NddParams, NestingTree
-from .numerics import Tolerance, chi_square_sf
+from .numerics import Tolerance, _is_integer, chi_square_sf
 
 __all__ = [
     "MaugardProcedure",
@@ -78,9 +78,8 @@ class MaugardProcedure:
     calibration_replicates: int | None = 10000
 
     def __post_init__(self):
-        n = self.calibration_replicates
-        if n is not None and not (_is_integer(n) and n >= 1):
-            raise InputError(f"calibration replicates must be at least 1, got {n!r}")
+        if self.calibration_replicates is not None:
+            inference._check_calibration_replicates(self.calibration_replicates)
 
     @property
     def name(self) -> str:
@@ -274,11 +273,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _is_integer(value) -> bool:
-    """Whether value is a Python or numpy integer; bools are not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _seed_words(master_seed) -> list[int]:

@@ -124,9 +124,9 @@ def _panel_svg(
 def render_ternary_svg(
     dataset: CompositionDataset,
     pairs: list[tuple[str, str]] | None = None,
-    all_pairs: bool = False,
 ) -> str:
-    """Render one panel per component pair into a single SVG document."""
+    """Render one panel per component pair into a single SVG document;
+    pairs=None draws every unordered pair."""
     if dataset.n_observations == 0:
         raise EmptyGroupError("cannot draw a ternary diagram of no data")
     if dataset.n_components < 3:
@@ -134,7 +134,7 @@ def render_ternary_svg(
             "ternary diagrams need at least 3 components, got "
             f"{dataset.n_components}"
         )
-    if all_pairs:
+    if pairs is None:
         pairs = component_pairs(dataset.components)
     if not pairs:
         raise InputError("no component pairs requested")
@@ -188,10 +188,9 @@ def emit_ternary_svg(
     dataset: CompositionDataset,
     path: str,
     pairs: list[tuple[str, str]] | None = None,
-    all_pairs: bool = False,
 ) -> str:
     """Render and write an SVG file; nothing is written on error."""
-    svg = render_ternary_svg(dataset, pairs=pairs, all_pairs=all_pairs)
+    svg = render_ternary_svg(dataset, pairs=pairs)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(svg)

@@ -130,6 +130,32 @@ def test_tree_component_count_must_match(small_csv, capsys):
     assert "tree covers 2 components" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fit", "--tree", "((a,b),c)", "CSV"], "--tree applies only with --model ndd"),
+        (["ci", "--tree-search", "CSV"], "--tree-search applies only with --model ndd"),
+        (
+            ["test", "--method", "dirichlet-lrt", "--tree", "((a,b),c)", "CSV"],
+            "--tree applies only with --method ndd-lrt",
+        ),
+        (
+            ["simulate", "type1", "--alpha", "2,3,4", "--n", "7", "--replicates", "5",
+             "--procedure", "dirichlet-lrt", "--tree", "((a,b),c)"],
+            "--tree applies only with --procedure ndd-lrt",
+        ),
+    ],
+    ids=["fit", "ci", "test", "simulate"],
+)
+def test_tree_flags_the_command_would_ignore_exit_1(small_csv, capsys, argv, message):
+    # Each of these used to exit 0 and drop the tree flag without a word.
+    argv = [small_csv if arg == "CSV" else arg for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"simplexstats: error: {message}\n"
+
+
 def test_two_sample_tests_match_library(capsys):
     ds = parse_csv(FIXTURE)
 
@@ -408,6 +434,9 @@ def test_ternary_writes_svg(small_csv, tmp_path, capsys):
 
     assert main(["ternary", small_csv, "--all-pairs"]) == 1
     assert "--out" in capsys.readouterr().err
+
+    assert main(["ternary", small_csv, "--out", str(out)]) == 1
+    assert "no component pairs requested" in capsys.readouterr().err
 
     assert main(
         ["ternary", small_csv, "--pair", "a", "--out", str(out)]

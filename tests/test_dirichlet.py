@@ -1,5 +1,8 @@
 """Flat Dirichlet model: density, sampling, fitting, information."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -45,6 +48,21 @@ def test_log_density_scalar_for_single_vector():
     params = DirichletParams(alpha=[2.0, 3.0])
     out = dirichlet.log_density(params, np.array([0.4, 0.6]))
     assert isinstance(out, float)
+
+
+DENSITY_PINS = pathlib.Path(__file__).parent / "data" / "log_density_and_nested_fit_pins.json"
+
+
+def test_log_density_matches_recorded_values_exactly():
+    # Recorded when log_density had its own lgamma formula; scored through
+    # _per_obs_loglik it must give the same bits at K = 2..40 and
+    # concentrations from 0.05 to 1e6, per row and for one vector.
+    for case in json.loads(DENSITY_PINS.read_text())["dirichlet"]:
+        x = np.array(case["x"])
+        for alpha, want in zip(case["alpha"], case["log_density"]):
+            params = DirichletParams(alpha=alpha)
+            assert dirichlet.log_density(params, x).tolist() == want
+            assert dirichlet.log_density(params, x[0]) == want[0]
 
 
 def test_moments_match_closed_form():

@@ -575,11 +575,22 @@ def test_uniformity_test_rejects_unusable_data():
         one_sample_uniformity_test(np.repeat(x[:1], 6, axis=0))
 
 
-@pytest.mark.parametrize("replicates", [0, -5])
-def test_calibration_needs_at_least_one_replicate(replicates):
+@pytest.mark.parametrize("replicates", [0, -5, True, 2.5, 500.0])
+def test_calibration_needs_at_least_one_replicate(replicates, monkeypatch):
+    # 2.5 used to fail with a bare TypeError in the uniformity test and to
+    # run 2 draws in the cutoff; True ran a one-draw calibration. Every entry
+    # point refuses the count before it fits anything.
     x = np.random.default_rng(29).dirichlet([9.0, 6.0, 6.0, 6.0], size=7)
+    ds = CompositionDataset.from_arrays(np.vstack([x, x[::-1]]), ["a"] * 7 + ["b"] * 7)
+
+    def no_fit(*args):
+        raise AssertionError("fitted before checking the calibration count")
+
+    monkeypatch.setattr(dirichlet, "_fit_batch", no_fit)
     with pytest.raises(InputError, match="at least 1"):
         one_sample_uniformity_test(x, calibration_replicates=replicates)
+    with pytest.raises(InputError, match="at least 1"):
+        maugard_procedure(ds, calibration_replicates=replicates)
     with pytest.raises(InputError, match="at least 1"):
         calibrated_uniformity_cutoff(7, 4, replicates=replicates)
 

@@ -1,6 +1,8 @@
 """Tree-structured model: parsing, decomposition, density, fitting, sampling."""
 
 import dataclasses
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -293,6 +295,22 @@ def test_mle_log_likelihood_equals_density_sum():
     assert fit.converged
     total = nested.log_density(fit.params, x).sum()
     assert fit.log_likelihood == pytest.approx(total, rel=1e-10)
+
+
+DENSITY_PINS = pathlib.Path(__file__).parent / "data" / "log_density_and_nested_fit_pins.json"
+
+
+def test_log_density_and_mle_match_recorded_values_exactly():
+    # Recorded when the nested density had its own lgamma formula and the
+    # fit kept per-node records: densities, fitted weights and the total
+    # log-likelihood keep their bits.
+    for case in json.loads(DENSITY_PINS.read_text())["nested"]:
+        params = NddParams(tree=parse_tree(case["tree"]))
+        x = np.array(case["x"])
+        assert nested.log_density(params, x).tolist() == case["log_density"]
+        fit = nested.mle(params.tree.strip_alphas(), x)
+        assert [dd.alpha.tolist() for _, _, dd in fit.params.subtree_params()] == case["fit_weights"]
+        assert fit.log_likelihood == case["fit_log_likelihood"]
 
 
 def test_mle_recovers_generating_weights():

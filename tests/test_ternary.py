@@ -34,8 +34,8 @@ def test_component_pairs_order():
 
 def test_render_is_deterministic_and_well_formed():
     ds = _dataset()
-    svg1 = render_ternary_svg(ds, all_pairs=True)
-    svg2 = render_ternary_svg(ds, all_pairs=True)
+    svg1 = render_ternary_svg(ds)
+    svg2 = render_ternary_svg(ds)
     assert svg1 == svg2
     assert svg1.startswith("<svg ")
     assert svg1.endswith("</svg>\n")
@@ -104,7 +104,7 @@ def test_vertex_geometry():
 def test_render_errors():
     ds = _dataset()
     with pytest.raises(InputError, match="no component pairs requested"):
-        render_ternary_svg(ds)
+        render_ternary_svg(ds, pairs=[])
     with pytest.raises(InputError, match="repeats a component"):
         render_ternary_svg(ds, pairs=[("w", "w")])
     with pytest.raises(InputError, match="unknown component"):
@@ -127,4 +127,4 @@ def test_emit_writes_file_and_reports_path(tmp_path):
     )
 
     with pytest.raises(InputError, match="cannot write"):
-        emit_ternary_svg(ds, str(tmp_path / "missing" / "plot.svg"), all_pairs=True)
+        emit_ternary_svg(ds, str(tmp_path / "missing" / "plot.svg"))
