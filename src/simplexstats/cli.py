@@ -21,6 +21,8 @@ from .numerics import Tolerance
 
 __all__ = ["main", "build_parser"]
 
+_CALIBRATION_REPLICATES = 10000  # reference draws when --calibration-replicates is not given
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1 instead of 2."""
@@ -80,7 +82,7 @@ def _add_tree_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--criterion",
         choices=("loglik", "aic"),
-        default="loglik",
+        default=None,
         help="ranking criterion for --tree-search (default: loglik)",
     )
 
@@ -117,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument(
         "--calibration-replicates",
         type=int,
-        default=10000,
-        help="reference draws for the finite-sample calibration (default: 10000)",
+        default=None,
+        help=f"reference draws for the finite-sample calibration (default: {_CALIBRATION_REPLICATES})",
     )
     _add_io_options(p_test)
     p_test.set_defaults(func=_cmd_test)
@@ -153,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0, help="master seed; fixed seeds give identical runs")
     p_sim.add_argument("--level", type=float, default=0.05)
     p_sim.add_argument("--no-calibration", action="store_true", help="maugard only: use the asymptotic decision")
-    p_sim.add_argument("--calibration-replicates", type=int, default=10000)
+    p_sim.add_argument("--calibration-replicates", type=int, default=None, help=f"maugard only (default: {_CALIBRATION_REPLICATES})")
     _add_io_options(p_sim, with_csv=False)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -183,7 +185,21 @@ def _load_dataset(args) -> CompositionDataset:
 def _calibration(args) -> int | None:
     """The one calibration setting: reference draws, or None for the
     asymptotic decision (--no-calibration)."""
-    return None if args.no_calibration else args.calibration_replicates
+    if args.no_calibration:
+        return None
+    if args.calibration_replicates is None:
+        return _CALIBRATION_REPLICATES
+    return args.calibration_replicates
+
+
+def _reject_unused(args, selector: str, *flags: str) -> None:
+    """Raise InputError on the first of flags given on the command line:
+    each applies only with selector, so the command would drop it. A flag
+    counts as given when its value is neither None nor False, its defaults."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False:
+            raise InputError(f"{flag} applies only with {selector}")
 
 
 def _data_config(args) -> dict:
@@ -219,11 +235,11 @@ def _tree_shape(args, dataset: CompositionDataset, config: dict, wanted: bool, s
     """The tree a subcommand uses, recorded in config: parsed from --tree or
     found by search. When no nested model is wanted it is None, and a tree
     flag, which would go unused, is an error that names selector, the
-    option that selects one."""
+    option that selects one; so is --criterion without --tree-search."""
+    if not args.tree_search:
+        _reject_unused(args, "--tree-search", "--criterion")
     if not wanted:
-        for flag, given in (("--tree", args.tree), ("--tree-search", args.tree_search)):
-            if given:
-                raise InputError(f"{flag} applies only with {selector}")
+        _reject_unused(args, selector, "--tree", "--tree-search")
         return None
     if args.tree and args.tree_search:
         raise InputError("give either --tree or --tree-search, not both")
@@ -234,7 +250,7 @@ def _tree_shape(args, dataset: CompositionDataset, config: dict, wanted: bool, s
                 f"tree covers {tree.n_components} components, data has {dataset.n_components}"
             )
     elif args.tree_search:
-        best, _ = treesearch.search(dataset, criterion=args.criterion)
+        best, _ = treesearch.search(dataset, criterion=args.criterion or "loglik")
         tree = best.tree.strip_alphas()
     else:
         raise InputError("a nested model needs --tree or --tree-search")
@@ -305,6 +321,12 @@ def _cmd_test(args) -> int:
     tol = Tolerance()
     config = _data_config(args)
     config["method"] = args.method
+    if args.method != "uniformity":
+        _reject_unused(args, "--method uniformity", "--group")
+    if args.method not in ("uniformity", "maugard"):
+        _reject_unused(
+            args, "--method uniformity or maugard", "--no-calibration", "--calibration-replicates"
+        )
     shape = _tree_shape(args, dataset, config, args.method == "ndd-lrt", "--method ndd-lrt")
     if args.method == "dirichlet-lrt":
         tr = inference.two_sample_dirichlet_lrt(dataset, tol)
@@ -405,8 +427,10 @@ def _sim_generator(alpha_text, tree_text, which: str):
 
 
 def _cmd_simulate(args) -> int:
-    if args.tree and args.procedure != "ndd-lrt":
-        raise InputError("--tree applies only with --procedure ndd-lrt")
+    if args.procedure != "ndd-lrt":
+        _reject_unused(args, "--procedure ndd-lrt", "--tree")
+    if args.procedure != "maugard":
+        _reject_unused(args, "--procedure maugard", "--no-calibration", "--calibration-replicates")
     gen1 = _sim_generator(args.alpha, args.gen_tree, "")
     if gen1 is None:
         raise InputError("the simulation needs a generator: --alpha or --gen-tree")

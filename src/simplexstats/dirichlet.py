@@ -8,12 +8,16 @@ that the inferential machinery works in.
 Fitting starts with 15 steps of the classical fixed-point update (given mean
 log proportions, solve digamma(alpha_j) = digamma(sum alpha) + mean_log_j for
 each component with a Newton inverse-digamma), then takes damped Newton steps
-in alpha. All three fits of the library, this one and the common-mean and
-uniform-mean nulls of the inference module, run one damped Newton driver
-(_newton_ascent) over one iteration loop (_ascend) and one line search
-(_backtrack), on one Dirichlet objective (_per_obs_loglik). A fit converges
-when the gradient max-norm falls below rel_tol or the largest parameter move
-below abs_tol, within max_iter steps. A private batch variant runs many
+in alpha. The inverse digamma is most of a small fit's cost, so its first 4
+of 5 Newton steps evaluate digamma and trigamma on the series shifted past 4
+rather than 10, and only the last step evaluates them in full; the result is
+that of 5 full steps to within that step's rounding. All three fits of the
+library, this one and the common-mean and uniform-mean nulls of the
+inference module, run one damped Newton driver (_newton_ascent) over one
+iteration loop (_ascend) and one line search (_backtrack), on one Dirichlet
+objective (_per_obs_loglik). A fit converges when the gradient max-norm
+falls below rel_tol or the largest parameter move below abs_tol, within
+max_iter steps. A private batch variant runs many
 independent fits as one array program; the public API wraps the
 single-dataset case. Each row of a batch is fitted by itself, bit for bit,
 so _ascend may run a batch in fixed blocks of rows and callers may stack
@@ -37,6 +41,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .numerics import (
+    _SHIFT_TO,
     EULER_GAMMA,
     Tolerance,
     _digamma_core,
@@ -99,7 +104,11 @@ class DirichletParams:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a maximum-likelihood fit."""
+    """Outcome of a maximum-likelihood fit.
+
+    converged is always True: mle raises NonConvergenceError instead of
+    returning a fit that stopped short of tolerance.
+    """
 
     params: DirichletParams
     log_likelihood: float
@@ -143,12 +152,29 @@ def sample(params: DirichletParams, n: int, rng: np.random.Generator) -> np.ndar
     return g
 
 
+# Shift point of the series behind the inverse digamma's first Newton steps.
+_INV_DIGAMMA_SHIFT = 4
+
+
 def _inv_digamma(y: np.ndarray) -> np.ndarray:
-    """Solve digamma(x) = y with the standard initializer and 5 Newton steps."""
-    x = np.where(y >= -2.22, np.exp(y) + 0.5, -1.0 / (y + EULER_GAMMA))
+    """Solve digamma(x) = y with Minka's initializer and 5 Newton steps.
+
+    Steps 1-4 take digamma and trigamma from the series shifted past 4, not
+    10: at most 4 passes of the shift loop instead of 10, at a truncation of
+    about 3e-10, which moves the root they approach by under 1e-9 relative.
+    Step 5 is exact, and Newton converges quadratically, so the result is
+    that of 5 exact steps to within the rounding of that step (at most 8 ulp
+    apart for x from 1e-8 to 1e8).
+    """
+    # Each branch sees only arguments of its own side, so exp never underflows.
+    x = np.where(
+        y >= -2.22,
+        np.exp(np.maximum(y, -2.22)) + 0.5,
+        -1.0 / (np.minimum(y, -2.22) + EULER_GAMMA),
+    )
     x = np.maximum(x, 1.0e-300)
-    for _ in range(5):
-        psi, psi1 = _digamma_trigamma_core(x)
+    for shift_to in (_INV_DIGAMMA_SHIFT,) * 4 + (_SHIFT_TO,):
+        psi, psi1 = _digamma_trigamma_core(x, shift_to)
         x = x - (psi - y) / psi1
         x = np.maximum(x, 1.0e-300)
     return x

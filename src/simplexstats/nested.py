@@ -587,7 +587,11 @@ def log_density(params: NddParams, x) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class NddFitResult:
-    """Maximum-likelihood fit of a nested model."""
+    """Maximum-likelihood fit of a nested model.
+
+    converged is always True: mle raises NonConvergenceError when a node's
+    fit stops short of tolerance.
+    """
 
     params: NddParams
     log_likelihood: float

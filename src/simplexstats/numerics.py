@@ -52,7 +52,7 @@ _FPMIN = 1.0e-300
 _MAX_ITER = 500
 
 # Asymptotic series are applied after shifting the argument above this point.
-_SHIFT_TO = 10.0
+_SHIFT_TO = 10
 
 # Bernoulli-number coefficients for the three asymptotic series, lowest order
 # first. Truncation error at z = 10 is below 1e-15 relative in each case.
@@ -157,8 +157,9 @@ def _reciprocal_square(z: np.ndarray) -> np.ndarray:
     return 1.0 / (z * z)
 
 
-def _shift_up(x: np.ndarray, fill: float, *terms):
-    """Add 1 to each element of x until it is at least _SHIFT_TO.
+def _shift_up(x: np.ndarray, fill: float, *terms, shift_to: int = _SHIFT_TO):
+    """Add 1 to each positive element of x until it is at least shift_to,
+    a whole number: shift_to passes at most.
 
     Returns the shifted z and, per term, the sum of term(z) over the values
     each element took below the shift point. Elements already past it see
@@ -166,8 +167,8 @@ def _shift_up(x: np.ndarray, fill: float, *terms):
     """
     z = x.astype(float, copy=True)
     sums = [np.zeros_like(z) for _ in terms]
-    for _ in range(10):
-        low = z < _SHIFT_TO
+    for _ in range(shift_to):
+        low = z < shift_to
         if not low.any():
             break
         zl = np.where(low, z, fill)
@@ -202,10 +203,19 @@ def _trigamma_core(x: np.ndarray) -> np.ndarray:
     return _trigamma_series(z, 1.0 / (z * z)) + shift
 
 
-def _digamma_trigamma_core(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Digamma and trigamma at the same points, from one shift loop; each
-    matches its single core bit for bit."""
-    z, (shift, shift_sq) = _shift_up(x, np.inf, _reciprocal, _reciprocal_square)
+def _digamma_trigamma_core(
+    x: np.ndarray, shift_to: int = _SHIFT_TO
+) -> tuple[np.ndarray, np.ndarray]:
+    """Digamma and trigamma at the same points, from one shift loop; at the
+    default shift point each matches its single core bit for bit.
+
+    A lower shift_to takes fewer passes and truncates the series earlier:
+    past 4, the first omitted terms are about 3e-10 for digamma and 1e-9
+    for trigamma, which an approximate Newton step can afford.
+    """
+    z, (shift, shift_sq) = _shift_up(
+        x, np.inf, _reciprocal, _reciprocal_square, shift_to=shift_to
+    )
     w = 1.0 / (z * z)
     return _digamma_series(z, w) - shift, _trigamma_series(z, w) + shift_sq
 

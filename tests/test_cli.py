@@ -144,11 +144,49 @@ def test_tree_component_count_must_match(small_csv, capsys):
              "--procedure", "dirichlet-lrt", "--tree", "((a,b),c)"],
             "--tree applies only with --procedure ndd-lrt",
         ),
+        (
+            ["fit", "--model", "ndd", "--tree", "((a,b),c)", "--criterion", "aic", "CSV"],
+            "--criterion applies only with --tree-search",
+        ),
+        (["ci", "--criterion", "loglik", "CSV"], "--criterion applies only with --tree-search"),
+        (
+            ["test", "--method", "dirichlet-lrt", "--no-calibration", "CSV"],
+            "--no-calibration applies only with --method uniformity or maugard",
+        ),
+        (
+            ["test", "--method", "ndd-lrt", "--tree", "((a,b),c)",
+             "--calibration-replicates", "0", "CSV"],
+            "--calibration-replicates applies only with --method uniformity or maugard",
+        ),
+        (
+            ["test", "--method", "clr-hotelling", "--group", "g1", "CSV"],
+            "--group applies only with --method uniformity",
+        ),
+        (
+            ["test", "--method", "maugard", "--group", "g1", "CSV"],
+            "--group applies only with --method uniformity",
+        ),
+        (
+            ["simulate", "type1", "--alpha", "2,3,4", "--n", "7", "--replicates", "5",
+             "--no-calibration"],
+            "--no-calibration applies only with --procedure maugard",
+        ),
+        (
+            ["simulate", "type1", "--alpha", "2,3,4", "--n", "7", "--replicates", "5",
+             "--procedure", "ndd-lrt", "--tree", "((a,b),c)",
+             "--calibration-replicates", "500"],
+            "--calibration-replicates applies only with --procedure maugard",
+        ),
     ],
-    ids=["fit", "ci", "test", "simulate"],
+    ids=[
+        "fit", "ci", "test", "simulate", "fit-criterion", "ci-criterion",
+        "test-no-calibration", "test-calibration-replicates", "test-group",
+        "maugard-group", "simulate-no-calibration", "simulate-calibration-replicates",
+    ],
 )
 def test_tree_flags_the_command_would_ignore_exit_1(small_csv, capsys, argv, message):
-    # Each of these used to exit 0 and drop the tree flag without a word.
+    # Each of these used to exit 0 and drop a flag of another method,
+    # procedure or tree option without a word.
     argv = [small_csv if arg == "CSV" else arg for arg in argv]
     assert main(argv) == 1
     captured = capsys.readouterr()

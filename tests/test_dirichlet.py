@@ -12,7 +12,14 @@ from simplexstats import dirichlet
 from simplexstats.composition import SufficientStats
 from simplexstats.dirichlet import DirichletParams
 from simplexstats.errors import DegenerateDataError, DomainError, NumericalError
-from simplexstats.numerics import Tolerance, _digamma_core, digamma, trigamma
+from simplexstats.numerics import (
+    EULER_GAMMA,
+    Tolerance,
+    _digamma_core,
+    _digamma_trigamma_core,
+    digamma,
+    trigamma,
+)
 
 
 def test_params_validate_and_freeze():
@@ -311,10 +318,42 @@ def _numerical_hessian(f, x0, h=1e-4):
     return hess
 
 
+INV_DIGAMMA_GRID = np.geomspace(1e-8, 1e8, 1001)
+
+
 def test_inv_digamma_recovers_its_argument():
-    x = np.geomspace(1e-3, 1e6, 1001)
+    x = INV_DIGAMMA_GRID
     back = dirichlet._inv_digamma(_digamma_core(x))
     assert np.max(np.abs(back - x) / x) < 1e-13
+
+
+def test_inv_digamma_matches_five_exact_newton_steps():
+    x = INV_DIGAMMA_GRID
+    with np.errstate(all="raise"):
+        y = _digamma_core(x)
+        start = np.where(
+            y >= -2.22,
+            np.exp(np.maximum(y, -2.22)) + 0.5,
+            -1.0 / (np.minimum(y, -2.22) + EULER_GAMMA),
+        )
+        want = np.maximum(start, 1e-300)
+        for _ in range(5):
+            psi, psi1 = _digamma_trigamma_core(want)
+            want = np.maximum(want - (psi - y) / psi1, 1e-300)
+        got = dirichlet._inv_digamma(y)
+        # The last exact step lands anywhere in the band its own rounding
+        # leaves, up to 8 ulp wide on this grid, as it does from any start
+        # that close to the root.
+        assert np.all(np.abs(got - want) <= 16 * np.spacing(want))
+
+        # The first four steps run on the series shifted past 4. Its digamma
+        # error moves the root they approach by the error over x * psi1(x);
+        # its trigamma error is below the first omitted term, 7/6 z**-15,
+        # which is under 4.4e-9 of psi1(z) > 1/z for z >= 4.
+        approx, approx1 = _digamma_trigamma_core(x, dirichlet._INV_DIGAMMA_SHIFT)
+        exact, exact1 = _digamma_trigamma_core(x)
+        assert np.max(np.abs(approx - exact) / (x * exact1)) <= 1e-9
+        assert np.max(np.abs(approx1 - exact1) / exact1) <= 5e-9
 
 
 def test_fisher_information_matches_numerical_hessian():

@@ -301,9 +301,11 @@ DENSITY_PINS = pathlib.Path(__file__).parent / "data" / "log_density_and_nested_
 
 
 def test_log_density_and_mle_match_recorded_values_exactly():
-    # Recorded when the nested density had its own lgamma formula and the
-    # fit kept per-node records: densities, fitted weights and the total
-    # log-likelihood keep their bits.
+    # The densities were recorded when the nested density had its own
+    # lgamma formula, and keep their bits. The fitted weights and the total
+    # log-likelihood were re-recorded when the warmup's inverse digamma took
+    # its first Newton steps on the series shifted past 4 (they moved by at
+    # most 2.4e-14 and 1.3e-15 relative), and keep the bits of that fit.
     for case in json.loads(DENSITY_PINS.read_text())["nested"]:
         params = NddParams(tree=parse_tree(case["tree"]))
         x = np.array(case["x"])
