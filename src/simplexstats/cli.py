@@ -2,9 +2,12 @@
 
 Subcommands mirror the library: ``fit``, ``test``, ``ci``, ``tree-search``,
 ``simulate``, ``ternary``. Every data-driven subcommand reads a grouped
-compositional CSV; reports print as text by default, as JSON with ``--json``,
-and can be written to a file with ``--out``. Exit codes: 0 on success, 1 for
-input and usage problems, 2 when a numerical routine fails to converge.
+compositional CSV. ``ternary`` writes an SVG file to ``--out``; every other
+subcommand prints a report as text by default, as JSON with ``--json``, and
+can also write it to a file with ``--out``. Two flags that exclude each
+other, or a flag the chosen method would drop, are usage problems. Exit
+codes: 0 on success, 1 for input and usage problems, 2 when a numerical
+routine fails to converge.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from .errors import InputError, NumericalError
 from .numerics import Tolerance
 
 __all__ = ["main", "build_parser"]
-
-_CALIBRATION_REPLICATES = 10000  # reference draws when --calibration-replicates is not given
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,22 +48,24 @@ def _alpha_vector(text: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _add_io_options(sub: argparse.ArgumentParser, with_csv: bool = True) -> None:
-    if with_csv:
-        sub.add_argument("csv", help="grouped compositional data, one row per observation")
-        sub.add_argument("--group-column", default="group", help="name of the label column (default: group)")
-        sub.add_argument(
-            "--components",
-            default=None,
-            help="comma-separated component columns to use (default: every non-label column)",
-        )
-        sub.add_argument(
-            "--zero-replace",
-            type=float,
-            default=None,
-            metavar="EPS",
-            help="replace exact zeros with EPS and renormalize each row",
-        )
+def _add_csv_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("csv", help="grouped compositional data, one row per observation")
+    sub.add_argument("--group-column", default="group", help="name of the label column (default: group)")
+    sub.add_argument(
+        "--components",
+        default=None,
+        help="comma-separated component columns to use (default: every non-label column)",
+    )
+    sub.add_argument(
+        "--zero-replace",
+        type=float,
+        default=None,
+        metavar="EPS",
+        help="replace exact zeros with EPS and renormalize each row",
+    )
+
+
+def _add_report_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="print the report as JSON instead of text")
     sub.add_argument("--out", default=None, metavar="FILE", help="also write the JSON report to FILE")
     sub.add_argument(
@@ -73,8 +76,9 @@ def _add_io_options(sub: argparse.ArgumentParser, with_csv: bool = True) -> None
 
 
 def _add_tree_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tree", default=None, help="nesting tree, e.g. '((AQ1,OQ),(AQ2,TQ))'")
-    sub.add_argument(
+    choice = sub.add_mutually_exclusive_group()
+    choice.add_argument("--tree", default=None, help="nesting tree, e.g. '((AQ1,OQ),(AQ2,TQ))'")
+    choice.add_argument(
         "--tree-search",
         action="store_true",
         help="pick the nesting tree by likelihood search over all candidate shapes",
@@ -99,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = subs.add_parser("fit", help="fit a model to each group", parents=[], description="Fit a Dirichlet or nested Dirichlet model to each group in a CSV.")
     p_fit.add_argument("--model", choices=("dirichlet", "ndd"), default="dirichlet")
     _add_tree_options(p_fit)
-    _add_io_options(p_fit)
+    _add_csv_options(p_fit)
+    _add_report_options(p_fit)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_test = subs.add_parser("test", help="run a two-sample or uniformity test", description="Run a hypothesis test on grouped compositional data.")
@@ -110,31 +115,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_tree_options(p_test)
     p_test.add_argument("--group", default=None, help="group to test (uniformity only; default: the single group present)")
-    p_test.add_argument("--level", type=float, default=0.05, help="decision level for the screening procedure (default: 0.05)")
-    p_test.add_argument(
+    p_test.add_argument("--level", type=float, default=None, help="decision level for the screening procedure (maugard only; default: 0.05)")
+    calibration = p_test.add_mutually_exclusive_group()
+    calibration.add_argument(
         "--no-calibration",
         action="store_true",
         help="use the asymptotic chi-square decision instead of the simulated finite-sample one",
     )
-    p_test.add_argument(
+    calibration.add_argument(
         "--calibration-replicates",
         type=int,
         default=None,
-        help=f"reference draws for the finite-sample calibration (default: {_CALIBRATION_REPLICATES})",
+        help=f"reference draws for the finite-sample calibration (default: {inference.CALIBRATION_REPLICATES})",
     )
-    _add_io_options(p_test)
+    _add_csv_options(p_test)
+    _add_report_options(p_test)
     p_test.set_defaults(func=_cmd_test)
 
     p_ci = subs.add_parser("ci", help="confidence intervals for mean differences", description="Componentwise confidence intervals for the difference of group mean compositions.")
     p_ci.add_argument("--model", choices=("dirichlet", "ndd"), default="dirichlet")
     _add_tree_options(p_ci)
     p_ci.add_argument("--level", type=float, default=0.95, help="simultaneous confidence level (default: 0.95)")
-    _add_io_options(p_ci)
+    _add_csv_options(p_ci)
+    _add_report_options(p_ci)
     p_ci.set_defaults(func=_cmd_ci)
 
     p_ts = subs.add_parser("tree-search", help="enumerate, screen, and rank nesting trees", description="Enumerate candidate nesting trees, drop shapes incompatible with the sample correlations, and rank the rest by fit.")
     p_ts.add_argument("--criterion", choices=("loglik", "aic"), default="loglik")
-    _add_io_options(p_ts)
+    _add_csv_options(p_ts)
+    _add_report_options(p_ts)
     p_ts.set_defaults(func=_cmd_tree_search)
 
     p_sim = subs.add_parser("simulate", help="Monte Carlo error-rate studies", description="Estimate rejection rates of a testing procedure over simulated two-group datasets.")
@@ -144,25 +153,30 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("maugard", "dirichlet-lrt", "ndd-lrt"),
         default="dirichlet-lrt",
     )
-    p_sim.add_argument("--alpha", default=None, help="generator concentrations for group 1, e.g. 12,5,5,5")
-    p_sim.add_argument("--alpha2", default=None, help="generator concentrations for group 2 (power mode)")
-    p_sim.add_argument("--gen-tree", default=None, help="weighted nesting tree generator for group 1")
-    p_sim.add_argument("--gen-tree2", default=None, help="weighted nesting tree generator for group 2 (power mode)")
+    generator_1 = p_sim.add_mutually_exclusive_group()
+    generator_2 = p_sim.add_mutually_exclusive_group()
+    generator_1.add_argument("--alpha", default=None, help="generator concentrations for group 1, e.g. 12,5,5,5")
+    generator_2.add_argument("--alpha2", default=None, help="generator concentrations for group 2 (power mode)")
+    generator_1.add_argument("--gen-tree", default=None, help="weighted nesting tree generator for group 1")
+    generator_2.add_argument("--gen-tree2", default=None, help="weighted nesting tree generator for group 2 (power mode)")
     p_sim.add_argument("--tree", default=None, help="nesting tree the ndd-lrt procedure tests with")
     p_sim.add_argument("--n", type=int, required=True, help="observations per group")
     p_sim.add_argument("--n2", type=int, default=None, help="observations in group 2 when unequal")
     p_sim.add_argument("--replicates", type=int, default=10000)
     p_sim.add_argument("--seed", type=int, default=0, help="master seed; fixed seeds give identical runs")
     p_sim.add_argument("--level", type=float, default=0.05)
-    p_sim.add_argument("--no-calibration", action="store_true", help="maugard only: use the asymptotic decision")
-    p_sim.add_argument("--calibration-replicates", type=int, default=None, help=f"maugard only (default: {_CALIBRATION_REPLICATES})")
-    _add_io_options(p_sim, with_csv=False)
+    calibration = p_sim.add_mutually_exclusive_group()
+    calibration.add_argument("--no-calibration", action="store_true", help="maugard only: use the asymptotic decision")
+    calibration.add_argument("--calibration-replicates", type=int, default=None, help=f"maugard only (default: {inference.CALIBRATION_REPLICATES})")
+    _add_report_options(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_tern = subs.add_parser("ternary", help="ternary scatter plots as SVG", description="Draw grouped ternary scatter panels and write them to an SVG file.")
-    p_tern.add_argument("--pair", action="append", default=None, metavar="A,B", help="components for the bottom corners of one panel; repeatable")
-    p_tern.add_argument("--all-pairs", action="store_true", help="one panel for every unordered component pair")
-    _add_io_options(p_tern)
+    panels = p_tern.add_mutually_exclusive_group()
+    panels.add_argument("--pair", action="append", default=None, metavar="A,B", help="components for the bottom corners of one panel; repeatable")
+    panels.add_argument("--all-pairs", action="store_true", help="one panel for every unordered component pair")
+    _add_csv_options(p_tern)
+    p_tern.add_argument("--out", required=True, metavar="FILE", help="SVG file to write")
     p_tern.set_defaults(func=_cmd_ternary)
 
     return parser
@@ -188,7 +202,7 @@ def _calibration(args) -> int | None:
     if args.no_calibration:
         return None
     if args.calibration_replicates is None:
-        return _CALIBRATION_REPLICATES
+        return inference.CALIBRATION_REPLICATES
     return args.calibration_replicates
 
 
@@ -241,8 +255,6 @@ def _tree_shape(args, dataset: CompositionDataset, config: dict, wanted: bool, s
     if not wanted:
         _reject_unused(args, selector, "--tree", "--tree-search")
         return None
-    if args.tree and args.tree_search:
-        raise InputError("give either --tree or --tree-search, not both")
     if args.tree:
         tree = nested.parse_tree(args.tree).strip_alphas()
         if tree.n_components != dataset.n_components:
@@ -298,7 +310,6 @@ def _cmd_fit(args) -> int:
             "n": dataset.labels.count(label),
             **fitted,
             "log_likelihood": fit.log_likelihood,
-            "converged": fit.converged,
         }
     results = {"components": list(dataset.components), "groups": groups}
     return _emit("fit", config, results, args)
@@ -323,6 +334,8 @@ def _cmd_test(args) -> int:
     config["method"] = args.method
     if args.method != "uniformity":
         _reject_unused(args, "--method uniformity", "--group")
+    if args.method != "maugard":
+        _reject_unused(args, "--method maugard", "--level")
     if args.method not in ("uniformity", "maugard"):
         _reject_unused(
             args, "--method uniformity or maugard", "--no-calibration", "--calibration-replicates"
@@ -348,10 +361,11 @@ def _cmd_test(args) -> int:
         )
         results = _report_payload(tr)
     else:  # maugard
-        config["level"] = args.level
+        level = 0.05 if args.level is None else args.level
+        config["level"] = level
         config["calibrated"] = not args.no_calibration
         res = inference.maugard_procedure(
-            dataset, level=args.level, tol=tol, calibration_replicates=_calibration(args)
+            dataset, level=level, tol=tol, calibration_replicates=_calibration(args)
         )
         results = {
             "verdict": res.verdict,
@@ -402,7 +416,7 @@ def _cmd_tree_search(args) -> int:
             row["reason"] = cand.filter_reason
         else:
             row["log_likelihood"] = cand.log_likelihood
-            row["converged"] = cand.converged
+            row["converged"] = cand.log_likelihood is not None
         table.append(row)
     results = {
         "components": list(dataset.components),
@@ -415,9 +429,7 @@ def _cmd_tree_search(args) -> int:
     return _emit("tree-search", config, results, args)
 
 
-def _sim_generator(alpha_text, tree_text, which: str):
-    if alpha_text and tree_text:
-        raise InputError(f"give either --alpha{which} or --gen-tree{which}, not both")
+def _sim_generator(alpha_text, tree_text):
     if tree_text:
         tree = nested.parse_tree(tree_text)
         return nested.NddParams(tree=tree)
@@ -431,10 +443,10 @@ def _cmd_simulate(args) -> int:
         _reject_unused(args, "--procedure ndd-lrt", "--tree")
     if args.procedure != "maugard":
         _reject_unused(args, "--procedure maugard", "--no-calibration", "--calibration-replicates")
-    gen1 = _sim_generator(args.alpha, args.gen_tree, "")
+    gen1 = _sim_generator(args.alpha, args.gen_tree)
     if gen1 is None:
         raise InputError("the simulation needs a generator: --alpha or --gen-tree")
-    gen2 = _sim_generator(args.alpha2, args.gen_tree2, "2")
+    gen2 = _sim_generator(args.alpha2, args.gen_tree2)
     if args.mode == "type1":
         if gen2 is not None:
             raise InputError("type1 mode uses one shared generator; drop --alpha2/--gen-tree2")
@@ -492,8 +504,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ternary(args) -> int:
-    if not args.out:
-        raise InputError("ternary needs --out FILE.svg")
     dataset = _load_dataset(args)
     pairs = []
     for text in args.pair or ():

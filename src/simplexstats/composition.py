@@ -3,8 +3,8 @@
 A composition is a vector of positive parts that sum to one. This module
 validates raw vectors and matrices, bundles observations with group labels
 and component names, reduces them to the sufficient statistics every fitting
-routine consumes, and provides the classical log-ratio transforms plus
-barycentric coordinates for ternary plots.
+routine consumes, and provides the centered log-ratio transform and the
+pooled sample correlation the tree search screens on.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ __all__ = [
     "SufficientStats",
     "validate",
     "clr",
-    "alr",
     "sample_correlation",
-    "ternary_coordinates",
 ]
 
 DEFAULT_SUM_TOLERANCE = 1.0e-6
@@ -260,43 +258,19 @@ def clr(x) -> np.ndarray:
     return logs - logs.mean(axis=-1, keepdims=True)
 
 
-def alr(x, ref: int = -1) -> np.ndarray:
-    """Additive log-ratio transform against the ``ref`` component.
-
-    Returns the K-1 log ratios log(x_j / x_ref) for j != ref, keeping the
-    original component order.
-    """
-    arr = validate(x)
-    k = arr.shape[-1]
-    ref_idx = ref % k
-    logs = np.log(arr)
-    out = logs - logs[..., ref_idx : ref_idx + 1]
-    keep = [j for j in range(k) if j != ref_idx]
-    return out[..., keep]
-
-
-def sample_correlation(data, pooled: bool = True) -> np.ndarray:
+def sample_correlation(data) -> np.ndarray:
     """Pearson correlation matrix of component proportions.
 
-    ``data`` is a CompositionDataset or a plain matrix. With ``pooled`` the
-    groups' rows are concatenated as-is; otherwise each group is centered at
-    its own mean first, so the correlations describe within-group variation.
+    ``data`` is a CompositionDataset, whose groups' rows are pooled as they
+    are, or a plain matrix.
     """
     if isinstance(data, CompositionDataset):
         matrix = data.matrix
-        if pooled:
-            centered = matrix - matrix.mean(axis=0)
-        else:
-            centered = np.empty_like(matrix)
-            for lab in data.groups:
-                mask = np.array([v == lab for v in data.labels])
-                sub = matrix[mask]
-                centered[mask] = sub - sub.mean(axis=0)
     else:
         matrix = validate(np.asarray(data, dtype=float))
         if matrix.ndim == 1:
             matrix = matrix[None, :]
-        centered = matrix - matrix.mean(axis=0)
+    centered = matrix - matrix.mean(axis=0)
 
     if centered.shape[0] < 2:
         raise DegenerateDataError("correlation needs at least 2 observations")
@@ -308,22 +282,3 @@ def sample_correlation(data, pooled: bool = True) -> np.ndarray:
     corr = scaled.T @ scaled
     np.fill_diagonal(corr, 1.0)
     return np.clip(corr, -1.0, 1.0)
-
-
-def ternary_coordinates(points) -> np.ndarray:
-    """Map 3-part compositions to 2-D coordinates in the unit triangle.
-
-    Vertices sit at (0,0), (1,0) and (0.5, sqrt(3)/2) for the first, second
-    and third part respectively. Accepts a vector or matrix; rows are
-    renormalized before mapping.
-    """
-    arr = validate(points)
-    if arr.shape[-1] != 3:
-        raise DimensionMismatchError(
-            f"ternary coordinates need exactly 3 parts, got {arr.shape[-1]}"
-        )
-    b = np.atleast_2d(arr)
-    xy = np.empty((b.shape[0], 2))
-    xy[:, 0] = b[:, 1] + 0.5 * b[:, 2]
-    xy[:, 1] = (np.sqrt(3.0) / 2.0) * b[:, 2]
-    return xy[0] if arr.ndim == 1 else xy

@@ -104,16 +104,13 @@ class DirichletParams:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a maximum-likelihood fit.
-
-    converged is always True: mle raises NonConvergenceError instead of
-    returning a fit that stopped short of tolerance.
-    """
+    """Outcome of a converged maximum-likelihood fit: mle raises
+    NonConvergenceError instead of returning a fit that stopped short of
+    tolerance, so every FitResult is at the maximum."""
 
     params: DirichletParams
     log_likelihood: float
     iterations: int
-    converged: bool
 
 
 def log_density(params: DirichletParams, x) -> float | np.ndarray:
@@ -453,7 +450,6 @@ def mle(data, tol: Tolerance = Tolerance()) -> FitResult:
         params=DirichletParams(alpha=alpha[0]),
         log_likelihood=float(loglik[0]),
         iterations=int(iters[0]),
-        converged=True,
     )
 
 

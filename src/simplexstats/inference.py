@@ -55,6 +55,7 @@ __all__ = [
     "REJECT_BOTH",
     "REJECT_ONE",
     "FAIL_BOTH",
+    "CALIBRATION_REPLICATES",
     "one_sample_uniformity_test",
     "maugard_procedure",
     "calibrated_uniformity_cutoff",
@@ -148,6 +149,8 @@ def _uniformity_null_batch(
 # ---------------------------------------------------------------------------
 # Finite-sample calibration of the uniformity test
 
+# Reference draws of the finite-sample calibration unless a caller sets them.
+CALIBRATION_REPLICATES = 10000
 _CALIBRATION_SEED = 987654321
 # Keyed by (n, K, replicates, seed), then by the tolerance of the fits.
 _NULL_LRT_CACHE: dict[tuple[int, int, int, int], dict[Tolerance, np.ndarray]] = {}
@@ -251,7 +254,7 @@ def calibrated_uniformity_cutoff(
     n_obs: int,
     k: int,
     level: float = 0.05,
-    replicates: int = 10000,
+    replicates: int = CALIBRATION_REPLICATES,
     seed: int = _CALIBRATION_SEED,
     tol: Tolerance = Tolerance(),
 ) -> float:
@@ -345,7 +348,7 @@ def maugard_procedure(
     level: float = 0.05,
     tol: Tolerance = Tolerance(),
     groups=None,
-    calibration_replicates: int | None = 10000,
+    calibration_replicates: int | None = CALIBRATION_REPLICATES,
 ) -> MaugardResult:
     """Run the uniformity test on both groups and combine the decisions.
 

@@ -587,15 +587,11 @@ def log_density(params: NddParams, x) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class NddFitResult:
-    """Maximum-likelihood fit of a nested model.
-
-    converged is always True: mle raises NonConvergenceError when a node's
-    fit stops short of tolerance.
-    """
+    """Converged maximum-likelihood fit of a nested model: mle raises
+    NonConvergenceError when a node's fit stops short of tolerance."""
 
     params: NddParams
     log_likelihood: float
-    converged: bool
 
 
 def mle(tree: NestingTree, data, tol: Tolerance = Tolerance()) -> NddFitResult:
@@ -615,7 +611,6 @@ def mle(tree: NestingTree, data, tol: Tolerance = Tolerance()) -> NddFitResult:
     return NddFitResult(
         params=NddParams(tree=_reweight(tree, (f.params.alpha.tolist() for f in fits))),
         log_likelihood=float(sum(terms)),
-        converged=all(f.converged for f in fits),
     )
 
 

@@ -75,7 +75,7 @@ class MaugardProcedure:
     least 1); None decides on the asymptotic chi-square p-values.
     """
 
-    calibration_replicates: int | None = 10000
+    calibration_replicates: int | None = inference.CALIBRATION_REPLICATES
 
     def __post_init__(self):
         if self.calibration_replicates is not None:

@@ -57,15 +57,14 @@ MAX_COMPONENTS = 8
 class TreeCandidate:
     """One tree shape moving through the search pipeline.
 
-    log_likelihood and converged are filled by select_tree; a shape it never
-    fitted, such as one the screen filtered, reads converged False. filtered
-    marks shapes ruled out by the correlation-sign screen, with the
+    log_likelihood is filled by select_tree and is None on a shape whose fit
+    failed or that it never fitted, such as one the screen filtered.
+    filtered marks shapes ruled out by the correlation-sign screen, with the
     witnessing node, leaf pair, and outside leaf recorded.
     """
 
     tree: NestingTree
     log_likelihood: float | None = None
-    converged: bool = False
     filtered: bool = False
     filter_reason: str = ""
     witness: tuple[str, tuple[str, str], str] | None = None
@@ -219,7 +218,6 @@ def filter_impossible(
             TreeCandidate(
                 tree=tree,
                 log_likelihood=cand.log_likelihood,
-                converged=cand.converged,
                 filtered=True,
                 filter_reason=reason + label,
                 witness=(label, pair, w),
@@ -270,9 +268,9 @@ def select_tree(
     trees positionally. Returns the best fit's parameters and the full
     ranking, best first. criterion is "loglik" (default) or "aic", which
     penalizes trees with more edges; ties and fit failures fall back to the
-    enumeration order, and failed fits rank last with their log_likelihood
-    left unset and converged False. A tree fails when one of its node fits
-    fails.
+    enumeration order, and failed fits rank last with log_likelihood None,
+    whatever value the candidate came in with. A tree fails when one of its
+    node fits fails.
 
     A tree's log-likelihood is the sum of its nodes' terms, and each
     distinct node (the leaf sets of its children) is fitted once for all
@@ -299,14 +297,13 @@ def select_tree(
     for order, (cand, tree_keys) in enumerate(zip(survivors, keys)):
         parts = [terms[key] for key in tree_keys]
         if None in parts:
-            fitted.append((np.inf, order, replace(cand, converged=False)))
+            fitted.append((np.inf, order, replace(cand, log_likelihood=None)))
             continue
         ll = float(sum(parts))
         # Every child of every node carries one edge weight.
         edges = sum(map(len, tree_keys))
         score = -ll if criterion == "loglik" else 2.0 * edges - 2.0 * ll
-        # Every node converged, or the tree would have failed.
-        fitted.append((score, order, replace(cand, log_likelihood=ll, converged=True)))
+        fitted.append((score, order, replace(cand, log_likelihood=ll)))
 
     fitted.sort(key=lambda item: (item[0], item[1]))
     if fitted[0][0] == np.inf:

@@ -67,7 +67,9 @@ def test_fit_dirichlet_text_and_json(small_csv, capsys):
     assert doc["results"]["components"] == ["a", "b", "c"]
     g1 = doc["results"]["groups"]["g1"]
     assert g1["n"] == 6
-    assert g1["converged"] is True
+    # mle raises instead of returning an unconverged fit, so no group
+    # carries a converged flag that could only read true.
+    assert all("converged" not in g for g in doc["results"]["groups"].values())
     assert len(g1["alpha"]) == 3
     assert sum(g1["mean"]) == pytest.approx(1.0)
     assert len(g1["mean_se"]) == 3
@@ -122,7 +124,7 @@ def test_tree_and_tree_search_are_exclusive(small_csv, capsys):
         ]
     )
     assert code == 1
-    assert "not both" in capsys.readouterr().err
+    assert "argument --tree-search: not allowed with argument --tree" in capsys.readouterr().err
 
 
 def test_tree_component_count_must_match(small_csv, capsys):
@@ -177,11 +179,20 @@ def test_tree_component_count_must_match(small_csv, capsys):
              "--calibration-replicates", "500"],
             "--calibration-replicates applies only with --procedure maugard",
         ),
+        (
+            ["test", "--method", "dirichlet-lrt", "--level", "0.01", "CSV"],
+            "--level applies only with --method maugard",
+        ),
+        (
+            ["test", "--method", "uniformity", "--group", "g1", "--level", "0.01", "CSV"],
+            "--level applies only with --method maugard",
+        ),
     ],
     ids=[
         "fit", "ci", "test", "simulate", "fit-criterion", "ci-criterion",
         "test-no-calibration", "test-calibration-replicates", "test-group",
         "maugard-group", "simulate-no-calibration", "simulate-calibration-replicates",
+        "lrt-level", "uniformity-level",
     ],
 )
 def test_tree_flags_the_command_would_ignore_exit_1(small_csv, capsys, argv, message):
@@ -192,6 +203,54 @@ def test_tree_flags_the_command_would_ignore_exit_1(small_csv, capsys, argv, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"simplexstats: error: {message}\n"
+
+
+SIMULATE = ["simulate", "type1", "--n", "7", "--replicates", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fit", "--model", "ndd", "--tree", "((a,b),c)", "--tree-search", "CSV"],
+         "argument --tree-search: not allowed with argument --tree"),
+        (["test", "--method", "ndd-lrt", "--tree", "((a,b),c)", "--tree-search", "CSV"],
+         "argument --tree-search: not allowed with argument --tree"),
+        (["ci", "--model", "ndd", "--tree-search", "--tree", "((a,b),c)", "CSV"],
+         "argument --tree: not allowed with argument --tree-search"),
+        (SIMULATE + ["--alpha", "2,3,4", "--gen-tree", "((a:1,b:1):1,c:1)"],
+         "argument --gen-tree: not allowed with argument --alpha"),
+        (["simulate", "power", "--n", "7", "--alpha", "2,3,4", "--alpha2", "4,3,2",
+          "--gen-tree2", "((a:1,b:1):1,c:1)"],
+         "argument --gen-tree2: not allowed with argument --alpha2"),
+        (["test", "--method", "maugard", "--no-calibration",
+          "--calibration-replicates", "500", "CSV"],
+         "argument --calibration-replicates: not allowed with argument --no-calibration"),
+        (SIMULATE + ["--alpha", "2,3,4", "--procedure", "maugard", "--no-calibration",
+                     "--calibration-replicates", "500"],
+         "argument --calibration-replicates: not allowed with argument --no-calibration"),
+        (["ternary", "CSV", "--pair", "a,b", "--all-pairs", "--out", "OUT"],
+         "argument --all-pairs: not allowed with argument --pair"),
+        (["ternary", "CSV", "--all-pairs", "--out", "OUT", "--json"],
+         "unrecognized arguments: --json"),
+        (["ternary", "CSV", "--all-pairs", "--out", "OUT", "--stamp"],
+         "unrecognized arguments: --stamp"),
+    ],
+    ids=[
+        "fit-tree", "test-tree", "ci-tree", "simulate-generator", "simulate-generator2",
+        "test-calibration", "simulate-calibration", "ternary-pairs",
+        "ternary-json", "ternary-stamp",
+    ],
+)
+def test_flags_that_exclude_each_other_or_go_unread_exit_1(small_csv, tmp_path, capsys, argv, message):
+    # Each of these used to exit 0 and drop one of the flags, or check the
+    # pair by hand after parsing.
+    out = tmp_path / "panels.svg"
+    argv = [{"CSV": small_csv, "OUT": str(out)}.get(arg, arg) for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out.exists()
 
 
 def test_two_sample_tests_match_library(capsys):
@@ -447,7 +506,7 @@ def test_simulate_argument_guards(capsys):
 
     both = base + ["--alpha", "1,2,3", "--gen-tree", "((a:1,b:1):1,c:1)"]
     assert main(both) == 1
-    assert "not both" in capsys.readouterr().err
+    assert "argument --gen-tree: not allowed with argument --alpha" in capsys.readouterr().err
 
     ndd = base + ["--alpha", "1,2,3", "--procedure", "ndd-lrt"]
     assert main(ndd) == 1

@@ -259,12 +259,12 @@ def test_filter_matches_per_tree_screen(k, seeds):
 
 def test_filter_keeps_fitted_fields_of_flagged_candidates():
     cands = [
-        treesearch.TreeCandidate(tree=c.tree, log_likelihood=1.5, converged=True)
+        treesearch.TreeCandidate(tree=c.tree, log_likelihood=1.5)
         for c in enumerate_trees(4, components=QUADRANTS)
     ]
     flagged = filter_impossible(cands, QUADRANT_CORR)
     assert any(c.filtered for c in flagged)
-    assert all((c.log_likelihood, c.converged) == (1.5, True) for c in flagged)
+    assert all(c.log_likelihood == 1.5 for c in flagged)
 
 
 def _edges(tree):
@@ -342,15 +342,15 @@ def test_search_end_to_end_recovers_generating_tree():
 
 
 def test_filtered_candidates_read_unconverged():
-    # The screen's rejects are never fitted, so nothing converged for them.
+    # The screen's rejects are never fitted, so they have no log-likelihood.
     fixture = importlib.resources.files("simplexstats") / "data" / "synthetic_navigation.csv"
     _, ranking = search(parse_csv(str(fixture)))
     filtered = [c for c in ranking if c.filtered]
     assert filtered
     for cand in filtered:
-        assert (cand.converged, cand.log_likelihood) == (False, None)
+        assert cand.log_likelihood is None
     for cand in ranking[: len(ranking) - len(filtered)]:
-        assert cand.converged is True and cand.log_likelihood is not None
+        assert cand.log_likelihood is not None
 
 
 def _reference_fits(x, candidates):
@@ -371,11 +371,11 @@ def _reference_ranking(fits, criterion):
     scored = []
     for order, (cand, fit) in enumerate(fits):
         if fit is None:
-            scored.append((np.inf, order, cand, None, False))
+            scored.append((np.inf, order, cand, None))
             continue
         ll = fit.log_likelihood
         score = -ll if criterion == "loglik" else 2.0 * _edges(cand.tree) - 2.0 * ll
-        scored.append((score, order, cand, ll, fit.converged))
+        scored.append((score, order, cand, ll))
     scored.sort(key=lambda item: item[:2])
     return scored
 
@@ -384,8 +384,7 @@ def _assert_matches_reference(x, candidates, fits, criterion):
     best, ranking = select_tree(x, candidates, criterion=criterion)
     ref = _reference_ranking(fits, criterion)
     assert [c.tree for c in ranking] == [r[2].tree for r in ref]
-    for cand, (_, _, _, ll, converged) in zip(ranking, ref):
-        assert cand.converged == converged
+    for cand, (_, _, _, ll) in zip(ranking, ref):
         if ll is None:
             assert cand.log_likelihood is None
         else:
@@ -444,19 +443,33 @@ def test_select_tree_fails_exactly_the_trees_with_a_failed_node():
         )
 
 
-@pytest.mark.filterwarnings("error")
-def test_select_tree_marks_failed_candidates_unconverged():
+def _fixed_ratio_sample():
     # c1:c2 is fixed at 1:2, so the node holding c1 and c2 alone cannot fit.
     y = np.random.default_rng(31).dirichlet([3.0, 4.0, 5.0], size=40)
     s = y[:, 0] + y[:, 1]
-    x = np.column_stack([s / 3.0, 2.0 * s / 3.0, y[:, 2]])
-    _, ranking = select_tree(x, enumerate_trees(3))
+    return np.column_stack([s / 3.0, 2.0 * s / 3.0, y[:, 2]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_select_tree_marks_failed_candidates_unconverged():
+    _, ranking = select_tree(_fixed_ratio_sample(), enumerate_trees(3))
     failed = ranking[-1]
     assert failed.tree.render() == "((c1,c2),c3)"
     assert failed.log_likelihood is None
-    assert failed.converged is False
     for cand in ranking[:-1]:
-        assert cand.log_likelihood is not None and cand.converged is True
+        assert cand.log_likelihood is not None
+
+
+@pytest.mark.filterwarnings("error")
+def test_select_tree_clears_the_log_likelihood_a_failed_candidate_came_in_with():
+    # A ranking from other data carries a log-likelihood on every candidate;
+    # a tree that fails on the new data must not keep its old value.
+    _, first = select_tree(np.random.default_rng(5).dirichlet([3.0, 4.0, 5.0], 40), enumerate_trees(3))
+    assert all(c.log_likelihood is not None for c in first)
+    _, ranking = select_tree(_fixed_ratio_sample(), first)
+    failed = ranking[-1]
+    assert failed.tree.render() == "((c1,c2),c3)"
+    assert failed.log_likelihood is None
 
 
 def test_select_tree_fits_each_distinct_node_once(monkeypatch):
