@@ -15,9 +15,9 @@ Every iterative fit exists in a private batch form operating on arrays of
 independent datasets; the public functions wrap the single-dataset case. The
 uniformity test is the one-row case of _uniformity_lrt_batch, the batch the
 screening study and the calibration reference sample run, and the nested test
-is the one-row case of _ndd_lrt_batch, which runs the two-sample batch on
-the carriers _ndd_node_stats reduces, once per child count: nodes with the
-same number of children fit as one stacked batch. The two-sample batch fits
+is the one-row case of nested._fit_nodes over _two_sample_lrt_batch, one
+batch per child count on the carriers nested._node_stats reduces (``nested``
+holds all per-node work). The two-sample batch fits
 both groups' alternatives as one stacked batch too. The simulation harness
 drives the batch forms directly.
 The likelihood-ratio tests report a fit that stops short of tolerance as
@@ -255,7 +255,6 @@ def calibrated_uniformity_cutoff(
     k: int,
     level: float = 0.05,
     replicates: int = CALIBRATION_REPLICATES,
-    seed: int = _CALIBRATION_SEED,
     tol: Tolerance = Tolerance(),
 ) -> float:
     """Finite-sample critical value of the uniformity LRT statistic.
@@ -264,12 +263,16 @@ def calibrated_uniformity_cutoff(
     (roughly 8% actual size at n=7 for a nominal 5%). This returns the
     (1 - level) quantile of the statistic's null distribution, simulated at
     the requested shape, which restores the nominal size. It converges to
-    the chi-square quantile as n grows.
+    the chi-square quantile as n grows. n_obs and k are integers of at
+    least 2; the reference sample is the one calibrated p-values use.
     """
+    for name, value in (("n_obs", n_obs), ("k", k)):
+        if not (_is_integer(value) and value >= 2):
+            raise InputError(f"{name} must be an integer of at least 2, got {value!r}")
     if not (0.0 < level < 1.0):
         raise InputError(f"level must be in (0, 1), got {level}")
     _check_calibration_replicates(replicates)
-    sample = _null_lrt_sample(int(n_obs), int(k), replicates, seed, tol)
+    sample = _null_lrt_sample(int(n_obs), int(k), replicates, _CALIBRATION_SEED, tol)
     return float(np.quantile(sample, 1.0 - level))
 
 
@@ -626,41 +629,6 @@ def two_sample_dirichlet_lrt(
     )
 
 
-def _ndd_node_stats(tree: nested.NestingTree, x: np.ndarray) -> list[SufficientStats]:
-    """Per internal node in pre-order, the carrier of its branch compositions
-    for a (B, n, K) stack in tree component order."""
-    return [
-        SufficientStats.reduce(nested._branch_blocks(children, x)[0])
-        for children in nested._child_leaf_sets(tree)
-    ]
-
-
-def _ndd_lrt_batch(nodes1, nodes2, tol: Tolerance):
-    """_two_sample_lrt_batch at each internal node, on the groups' per-node
-    carriers from _ndd_node_stats, as a list in node order.
-
-    Nodes with the same number of children run as one batch of their
-    stacked carriers, as treesearch._node_terms groups them; each node's
-    results are its rows of that batch.
-    """
-    by_count: dict[int, list[int]] = {}
-    for i, stats in enumerate(nodes1):
-        by_count.setdefault(stats.n_components, []).append(i)
-    results: list = [None] * len(nodes1)
-    for group in by_count.values():
-        res = _two_sample_lrt_batch(
-            SufficientStats.concat([nodes1[i] for i in group]),
-            SufficientStats.concat([nodes2[i] for i in group]),
-            tol,
-        )
-        lo = 0
-        for i in group:
-            hi = lo + nodes1[i].mean_log.shape[0]
-            results[i] = {key: val[lo:hi] for key, val in res.items()}
-            lo = hi
-    return results
-
-
 def two_sample_ndd_lrt(
     dataset: CompositionDataset,
     tree: nested.NestingTree,
@@ -677,9 +645,11 @@ def two_sample_ndd_lrt(
     g1, g2, x1, x2 = _two_group_dataset(dataset, groups)
     m1 = nested._bind_matrix(tree, dataset.group_dataset(g1))
     m2 = nested._bind_matrix(tree, dataset.group_dataset(g2))
-    results = _ndd_lrt_batch(
-        _ndd_node_stats(tree, m1[None]), _ndd_node_stats(tree, m2[None]), tol
+    keys = nested._child_leaf_sets(tree)
+    nodes1, nodes2 = (
+        [stats for stats, _ in nested._node_stats(keys, m[None])] for m in (m1, m2)
     )
+    results = nested._fit_nodes(lambda s1, s2: _two_sample_lrt_batch(s1, s2, tol), nodes1, nodes2)
     labels = tree.internal_nodes()
     per_subtree = []
     for (label, node), res in zip(labels, results):

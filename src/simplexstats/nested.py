@@ -10,14 +10,14 @@ Dirichlet(a_1..a_k) split.
 
 A nested likelihood is a sum of independent per-node Dirichlet terms over
 each node's branch compositions: its children's leaf-column sums divided by
-their total. ``_child_leaf_sets`` keys each node by its children's leaf sets,
-``_branch_blocks`` applies that block rule to one dataset or a stack, and
-``_assemble`` multiplies per-node splits down to the leaves; studies and
-tree search share them. A node's term is the Dirichlet log-likelihood of
-its block (``dirichlet._per_obs_loglik`` in the density, ``dirichlet.mle``
-in the fit) less the change-of-variables term (k - 1) log mass.
-``decompose`` gives each node's block and mass, and ``mle`` the fitted tree
-and the summed log-likelihood. The same downward walk sums per-node
+their total. This module holds all per-node work of the fit, the nested LRT
+and tree search: ``_child_leaf_sets`` keys a node by its children's leaf
+sets, ``_branch_blocks`` cuts its block, ``_node_stats`` reduces blocks as
+they are cut, ``_fit_nodes`` fits one batch per child count, and
+``_node_term`` is a block's Dirichlet log-likelihood less (k - 1) sum log
+mass. ``mle`` sums those terms but fits node by node with ``dirichlet.mle``
+while the benchmark's tracer counts those calls. ``_assemble`` multiplies
+per-node splits down to the leaves; the same downward walk sums per-node
 relative variances for the delta-method standard errors, and one
 re-weighting walk, ``_reweight``, sets the fitted edge weights or clears
 them.
@@ -39,11 +39,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dirichlet
-from .composition import CompositionDataset, validate
+from .composition import CompositionDataset, SufficientStats, validate
 from .errors import (
+    DegenerateDataError,
     DimensionMismatchError,
     DomainError,
     InputError,
+    NonConvergenceError,
     TreeFormatError,
     TreeStructureError,
 )
@@ -498,6 +500,35 @@ def _branch_blocks(children, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return masses / mass[..., None], mass
 
 
+def _node_stats(keys, x: np.ndarray):
+    """Per node key, the carrier of its block of a (B, n, K) stack x and its
+    (B, n) mass; lazily, so one block is held at a time."""
+    for children in keys:
+        block, mass = _branch_blocks(children, x)
+        yield SufficientStats.reduce(block), mass
+
+
+def _fit_nodes(fit, *columns) -> list[dict]:
+    """Each node's rows of fit's per-row result dict, in node order. fit runs
+    once per child count on the joined carriers of each column (one carrier
+    per node for each argument of fit); a row's fit ignores its batch."""
+    first = columns[0]
+    out: list = [None] * len(first)
+    for count in dict.fromkeys(stats.n_components for stats in first):
+        group = [i for i, stats in enumerate(first) if stats.n_components == count]
+        res = fit(*(SufficientStats.concat([col[i] for i in group]) for col in columns))
+        bounds = np.cumsum([0] + [first[i].mean_log.shape[0] for i in group])
+        for i, lo, hi in zip(group, bounds, bounds[1:]):
+            out[i] = {key: val[lo:hi] for key, val in res.items()}
+    return out
+
+
+def _node_term(loglik, k: int, mass: np.ndarray):
+    """A k-child node's Dirichlet log-likelihood less (k - 1) sum log mass,
+    over mass's last axis."""
+    return loglik - (k - 1.0) * np.log(mass).sum(axis=-1)
+
+
 def _assemble(tree: NestingTree, splits, n: int, op: np.ufunc = np.multiply) -> np.ndarray:
     """Combine per-node splits down to the leaves with op, from op.identity
     at the root: products of branch fractions by default.
@@ -600,17 +631,21 @@ def mle(tree: NestingTree, data, tol: Tolerance = Tolerance()) -> NddFitResult:
     The branch compositions at distinct internal nodes are independent, so
     the joint fit splits into one Dirichlet fit per internal node. The
     reported total is the leaf-space log-likelihood: each subtree's term
-    carries its own change-of-variables correction.
+    carries its own change-of-variables correction (_node_term). A node's
+    DegenerateDataError or NonConvergenceError names the node's label.
     """
-    blocks = decompose(tree, data).blocks
-    fits = [dirichlet.mle(blk.matrix, tol=tol) for blk in blocks]
-    terms = (
-        f.log_likelihood - (blk.matrix.shape[1] - 1.0) * np.log(blk.mass).sum()
-        for f, blk in zip(fits, blocks)
-    )
+    fits, total = [], 0.0
+    for (label, _), blk in zip(tree.internal_nodes(), decompose(tree, data).blocks):
+        try:
+            fit = dirichlet.mle(blk.matrix, tol=tol)
+        except (DegenerateDataError, NonConvergenceError) as exc:
+            exc.args = (f"subtree {label!r}: {exc}",)
+            raise
+        fits.append(fit)
+        total += _node_term(fit.log_likelihood, blk.matrix.shape[1], blk.mass)
     return NddFitResult(
         params=NddParams(tree=_reweight(tree, (f.params.alpha.tolist() for f in fits))),
-        log_likelihood=float(sum(terms)),
+        log_likelihood=float(total),
     )
 
 

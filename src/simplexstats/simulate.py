@@ -19,13 +19,13 @@ O(R * n * K). Reductions are per replicate and the fits run once on the
 joined (R, K) statistics, so results do not depend on the chunk size.
 
 Drawn columns follow generator 1; SimSpec binds named trees to them by leaf
-name. The nested test runs through inference._ndd_node_stats and
-inference._ndd_lrt_batch, the path of inference.two_sample_ndd_lrt. Fits
-that are independent run as one stacked batch: both groups of the screening
-procedure, both groups' alternatives of a two-sample test, and the nodes of
-a tree that have the same number of children. Each batch runs in fixed
-blocks of rows (dirichlet._BLOCK_ROWS), so its temporaries do not grow with
-R; every row's fit is the one it gets alone, bit for bit.
+name. The nested test runs the per-node helpers of ``nested``, as
+inference.two_sample_ndd_lrt does. Fits that are independent run as one
+stacked batch: both groups of the screening procedure, both groups'
+alternatives of a two-sample test, and the nodes of a tree that have the
+same number of children. Each batch runs in fixed blocks of rows
+(dirichlet._BLOCK_ROWS), so its temporaries do not grow with R; every row's
+fit is the one it gets alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -391,7 +391,7 @@ def _stack_stats(x: np.ndarray) -> SufficientStats:
 
 def _node_blocks(tree: NestingTree, x: np.ndarray) -> list[SufficientStats]:
     """Per-node carriers of a (B, n, K) stack, as the nested test fits them."""
-    return inference._ndd_node_stats(tree, x)
+    return [stats for stats, _ in nested._node_stats(nested._child_leaf_sets(tree), x)]
 
 
 def _carriers(spec: SimSpec, x: np.ndarray) -> list[SufficientStats]:
@@ -449,7 +449,9 @@ def _maugard_outcomes(spec: SimSpec, c1, c2):
 def _lrt_outcomes(spec: SimSpec, c1, c2):
     # The plain test is the one-node case: a single carrier per group.
     lam, ok = 0.0, True
-    for res in inference._ndd_lrt_batch(c1, c2, spec.tol):
+    for res in nested._fit_nodes(
+        lambda s1, s2: inference._two_sample_lrt_batch(s1, s2, spec.tol), c1, c2
+    ):
         lam = lam + res["statistic"]
         ok = ok & res["usable"] & res["converged"]
     # An unusable row's statistic is NaN; it is tallied as a fit failure.

@@ -15,12 +15,11 @@ has 57 possible internal leaf sets).
 
 A nested log-likelihood is a sum of per-node terms, and a node's term
 depends only on the leaf sets of its children (``nested._child_leaf_sets``),
-which many candidate trees share. Selection therefore builds each distinct
-node's block once with ``nested._branch_blocks``, fits all nodes with the
-same number of children in one batched Dirichlet fit, and scores a tree by
-adding up its nodes' terms. Unscreened, the 2,752 candidates at K = 6 hold
-11,348 nodes, 813 of them distinct; the 39,208 at K = 7 hold 192,788, of
-which 4,012 are distinct.
+which many candidate trees share. Selection therefore runs each distinct
+node once through the per-node helpers of ``nested`` (one batched Dirichlet
+fit per child count) and scores a tree by adding up its nodes' terms.
+Unscreened, the 2,752 candidates at K = 6 hold 11,348 nodes, 813 of them
+distinct; the 39,208 at K = 7 hold 192,788, of which 4,012 are distinct.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dirichlet, nested
-from .composition import CompositionDataset, SufficientStats, sample_correlation, validate
+from .composition import CompositionDataset, sample_correlation, validate
 from .errors import DimensionMismatchError, InputError, NumericalError
 from .nested import NddParams, NestingTree, TreeNode
 from .numerics import Tolerance
@@ -233,27 +232,20 @@ def _as_matrix(data) -> np.ndarray:
 
 
 def _node_terms(keys, x: np.ndarray, tol: Tolerance) -> dict:
-    """Each node's share of a tree's log-likelihood, or None if its fit fails.
+    """Each node's nested._node_term, or None where its fit, batched by
+    child count, is unusable (too few rows, a constant branch) or does not
+    converge and dirichlet.mle would raise."""
 
-    The share is the node's Dirichlet log-likelihood minus its
-    change-of-variables term (k - 1) sum log mass, as in nested.mle. Nodes
-    with the same number of children are fitted in one batch; a node whose
-    fit is unusable (too few rows, a constant branch) or does not converge
-    gets None, where dirichlet.mle would raise.
-    """
-    by_count: dict[int, list] = {}
-    for key in keys:
-        by_count.setdefault(len(key), []).append(key)
-    terms = {}
-    for count, group in by_count.items():
-        blocks, masses = zip(*(nested._branch_blocks(key, x) for key in group))
-        stats = SufficientStats.reduce(np.stack(blocks))
-        jacobians = (count - 1.0) * np.log(np.stack(masses)).sum(axis=1)
+    def fit(stats):
         _, loglik, _, converged, usable = dirichlet._fit_batch(stats, tol)
-        ok = usable & converged
-        for i, key in enumerate(group):
-            terms[key] = float(loglik[i]) - jacobians[i] if ok[i] else None
-    return terms
+        return {"loglik": loglik, "ok": usable & converged}
+
+    keys = list(keys)
+    stats, masses = zip(*nested._node_stats(keys, x[None]))
+    return {
+        key: float(nested._node_term(res["loglik"][0], len(key), mass[0])) if res["ok"][0] else None
+        for key, mass, res in zip(keys, masses, nested._fit_nodes(fit, stats))
+    }
 
 
 def select_tree(

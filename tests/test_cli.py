@@ -90,6 +90,22 @@ def test_fit_ndd_requires_tree(small_csv, capsys):
     assert g2["tree"].startswith("((a:")
 
 
+def test_fit_ndd_names_the_subtree_that_cannot_be_fitted(tmp_path, capsys):
+    # a:b is fixed at 1:2 in both groups, so node N1 of ((a,b),c,d) cannot
+    # support a Dirichlet fit.
+    y = np.random.default_rng(47).dirichlet([3.0, 4.0, 5.0], size=20)
+    x = np.column_stack([y[:, 0] / 3.0, 2.0 * y[:, 0] / 3.0, y[:, 1:]])
+    lines = ["group,a,b,c,d"] + [
+        f"g{1 + i % 2}," + ",".join(repr(float(v)) for v in row) for i, row in enumerate(x)
+    ]
+    path = tmp_path / "fixed_ratio.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["fit", "--model", "ndd", "--tree", "((a,b),c,d)", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "subtree 'N1': a component is constant" in captured.err
+
+
 def test_fit_ndd_reports_leaf_means_in_csv_column_order(capsys):
     # The tree lists AQ2 before OQ; the CSV's columns are TQ, AQ1, OQ, AQ2.
     text = "((TQ,AQ1),(AQ2,OQ))"

@@ -188,10 +188,13 @@ def test_stacked_ndd_batch_equals_per_node_batches_bitwise():
     tree = parse_tree("((a,b,c),(d,e),f)")
     rng = np.random.default_rng(29)
     alpha = [2.0, 3.0, 1.5, 4.0, 0.8, 3.0]
-    nodes1 = inference._ndd_node_stats(tree, rng.dirichlet(alpha, size=(40, 7)))
-    nodes2 = inference._ndd_node_stats(tree, rng.dirichlet(alpha, size=(40, 9)))
+    keys = nested._child_leaf_sets(tree)
+    nodes1 = [s for s, _ in nested._node_stats(keys, rng.dirichlet(alpha, size=(40, 7)))]
+    nodes2 = [s for s, _ in nested._node_stats(keys, rng.dirichlet(alpha, size=(40, 9)))]
     tol = Tolerance()
-    stacked = inference._ndd_lrt_batch(nodes1, nodes2, tol)
+    stacked = nested._fit_nodes(
+        lambda s1, s2: inference._two_sample_lrt_batch(s1, s2, tol), nodes1, nodes2
+    )
     assert [s.n_components for s in nodes1] == [3, 3, 2]
     for s1, s2, got in zip(nodes1, nodes2, stacked):
         want = inference._two_sample_lrt_batch(s1, s2, tol)
@@ -648,6 +651,20 @@ def test_calibrated_cutoff_exceeds_asymptotic_at_small_n():
     assert 7.815 < cut < 10.5
 
 
+@pytest.mark.parametrize(
+    "n_obs,k", [(0, 4), (1, 4), (True, 4), (7.5, 4), (7, 1), (7, 4.0), (7, False)]
+)
+def test_calibrated_cutoff_refuses_a_shape_before_drawing(monkeypatch, n_obs, k):
+    # n_obs = 0 divided by zero sizing the chunks, k = 1 warned in a divide,
+    # n_obs = 1 or True failed the fits, and n_obs = 7.5 read as 7.
+    def no_draw(*args):
+        raise AssertionError("drew a reference sample before checking its shape")
+
+    monkeypatch.setattr(inference, "_null_lrt_sample", no_draw)
+    with pytest.raises(InputError, match="integer of at least 2"):
+        calibrated_uniformity_cutoff(n_obs, k, replicates=100)
+
+
 def test_calibrated_cutoff_approaches_chi_square_at_large_n():
     cut = calibrated_uniformity_cutoff(400, 4, replicates=4000)
     assert abs(cut - 7.8147) < 0.6
@@ -691,7 +708,7 @@ def test_calibration_cache_keeps_each_tolerance_apart(monkeypatch):
     # A reference sample fitted at a loose tolerance must not answer a later
     # call at the default one.
     def cutoff(**tol):
-        return calibrated_uniformity_cutoff(7, 4, replicates=2000, seed=5, tol=Tolerance(**tol))
+        return calibrated_uniformity_cutoff(7, 4, replicates=2000, tol=Tolerance(**tol))
 
     monkeypatch.setattr(inference, "_NULL_LRT_CACHE", {})
     fresh = cutoff()
@@ -700,7 +717,7 @@ def test_calibration_cache_keeps_each_tolerance_apart(monkeypatch):
     assert loose != fresh
     assert cutoff() == fresh
     assert cutoff(abs_tol=1e-2, rel_tol=1e-2) == loose
-    assert list(inference._NULL_LRT_CACHE) == [(7, 4, 2000, 5)]
+    assert list(inference._NULL_LRT_CACHE) == [(7, 4, 2000, inference._CALIBRATION_SEED)]
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])

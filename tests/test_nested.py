@@ -11,7 +11,12 @@ import scipy.stats as st
 from simplexstats import dirichlet, nested, treesearch
 from simplexstats.composition import CompositionDataset
 from simplexstats.dirichlet import DirichletParams
-from simplexstats.errors import TreeFormatError, TreeStructureError
+from simplexstats.errors import (
+    DegenerateDataError,
+    NonConvergenceError,
+    TreeFormatError,
+    TreeStructureError,
+)
 from simplexstats.nested import (
     NddParams,
     NestingTree,
@@ -20,6 +25,7 @@ from simplexstats.nested import (
     parse_tree,
     render_tree,
 )
+from simplexstats.numerics import Tolerance
 
 BEST_TREE_TEXT = "((AQ1:11.6,OQ:10.3):8.1,(AQ2:5.6,TQ:9.2):11.2)"
 
@@ -294,6 +300,24 @@ def test_mle_log_likelihood_equals_density_sum():
     fit = nested.mle(params.tree.strip_alphas(), x)
     total = nested.log_density(fit.params, x).sum()
     assert fit.log_likelihood == pytest.approx(total, rel=1e-10)
+
+
+def test_mle_names_the_subtree_whose_fit_fails():
+    # a:b is fixed at 1:2, so node N1 of ((a,b),c,d) sees one branch
+    # composition; on free data, three iterations stop the root's fit short.
+    tree = parse_tree("((a,b),c,d)")
+    y = np.random.default_rng(41).dirichlet([3.0, 4.0, 5.0], size=30)
+    fixed = np.column_stack([y[:, 0] / 3.0, 2.0 * y[:, 0] / 3.0, y[:, 1:]])
+    with pytest.raises(DegenerateDataError, match="subtree 'N1': a component is constant"):
+        nested.mle(tree, fixed)
+    free = np.random.default_rng(43).dirichlet([3.0, 4.0, 5.0, 2.0], size=30)
+    short = Tolerance(max_iter=3)
+    with pytest.raises(NonConvergenceError) as direct:
+        dirichlet.mle(nested.decompose(tree, free).blocks[0].matrix, tol=short)
+    with pytest.raises(NonConvergenceError, match="subtree 'root': ") as info:
+        nested.mle(tree, free, tol=short)
+    assert info.value.iterations == direct.value.iterations == 3
+    assert str(info.value) == f"subtree 'root': {direct.value}"
 
 
 DENSITY_PINS = pathlib.Path(__file__).parent / "data" / "log_density_and_nested_fit_pins.json"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from simplexstats import dirichlet, nested, treesearch
-from simplexstats.composition import CompositionDataset, sample_correlation
+from simplexstats.composition import CompositionDataset, SufficientStats, sample_correlation
 from simplexstats.errors import (
     DimensionMismatchError,
     InputError,
@@ -17,6 +17,7 @@ from simplexstats.errors import (
     ZeroComponentError,
 )
 from simplexstats.nested import NddParams, parse_tree
+from simplexstats.numerics import Tolerance
 from simplexstats.report import parse_csv
 from simplexstats.treesearch import (
     enumerate_trees,
@@ -494,6 +495,33 @@ def test_select_tree_fits_each_distinct_node_once(monkeypatch):
     assert len(rows) == len(child_counts) + winner_nodes
     assert sum(rows[: len(child_counts)]) == len(keys)
     assert rows[len(child_counts):] == [1] * winner_nodes
+
+
+@pytest.mark.filterwarnings("error")
+def test_node_terms_equal_each_node_fitted_alone():
+    # The shared batch fits nodes of 2, 3 and 4 children, each child count
+    # as one stack; each node's term must be the one its own one-row fit
+    # gives. c1:c2 is fixed at 1:2, so the node splitting c1 from c2 alone
+    # sees a constant branch composition and reads None.
+    y = np.random.default_rng(53).dirichlet([4.0, 3.0, 5.0, 2.0], size=60)
+    x = np.column_stack([y[:, 0] / 3.0, 2.0 * y[:, 0] / 3.0, y[:, 1:]])
+    trees = {c.tree.render(): c.tree for c in enumerate_trees(5)}
+    texts = ["((c1,c2),c3,c4,c5)", "((c1,c3,c4),(c2,c5))", "((c1,c5),(c2,c3,c4))", "(c1,(c2,c3,c4,c5))"]
+    keys = {key for text in texts for key in nested._child_leaf_sets(trees[text])}
+    assert sorted(len(key) for key in keys) == [2] * 6 + [3, 3, 4, 4]
+    tol = Tolerance()
+    terms = treesearch._node_terms(keys, x, tol)
+    assert terms.keys() == keys
+    for key in keys:
+        block, mass = nested._branch_blocks(key, x)
+        _, loglik, _, converged, usable = dirichlet._fit_batch(SufficientStats.reduce(block), tol)
+        if key == ((0,), (1,)):
+            assert not usable[0]
+            assert terms[key] is None
+            continue
+        assert usable[0] and converged[0]
+        want = nested._node_term(loglik[0], len(key), mass)
+        assert np.float64(terms[key]).tobytes() == want.tobytes(), key
 
 
 def test_select_tree_reports_bad_input():
