@@ -48,7 +48,6 @@ from .inference import (
     two_sample_ndd_lrt,
 )
 from .nested import NddParams, NestingTree, flat_tree, parse_tree, render_tree
-from .numerics import Tolerance
 from .simulate import DirichletLRT, MaugardProcedure, NddLRT, SimResult, SimSpec, run_power_study, run_type1_study
 from .treesearch import enumerate_trees, filter_impossible, select_tree
 
@@ -78,7 +77,6 @@ __all__ = [
     "SimplexStatsError",
     "SufficientStats",
     "TestReport",
-    "Tolerance",
     "TooFewComponentsError",
     "TreeFormatError",
     "TreeStructureError",

@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__, dirichlet, inference, nested, report, simulate, ternary, treesearch
 from .composition import CompositionDataset, sample_correlation
 from .errors import InputError, NumericalError
-from .numerics import Tolerance
 
 __all__ = ["main", "build_parser"]
 
@@ -290,13 +289,12 @@ def _report_payload(tr: inference.TestReport) -> dict:
 
 def _cmd_fit(args) -> int:
     dataset = _load_dataset(args)
-    tol = Tolerance()
     config = _data_config(args)
     config["model"] = args.model
     tree = _tree_shape(args, dataset, config, args.model == "ndd", "--model ndd")
     groups = {}
     for label in dataset.groups:
-        fit, mean, mean_se = inference._group_fit(dataset, label, tree, tol)
+        fit, mean, mean_se = inference._group_fit(dataset, label, tree)
         if args.model == "dirichlet":
             fitted = {
                 "alpha": fit.params.alpha,
@@ -329,7 +327,6 @@ def _uniformity_group(args, dataset: CompositionDataset) -> str:
 
 def _cmd_test(args) -> int:
     dataset = _load_dataset(args)
-    tol = Tolerance()
     config = _data_config(args)
     config["method"] = args.method
     if args.method != "uniformity":
@@ -342,10 +339,10 @@ def _cmd_test(args) -> int:
         )
     shape = _tree_shape(args, dataset, config, args.method == "ndd-lrt", "--method ndd-lrt")
     if args.method == "dirichlet-lrt":
-        tr = inference.two_sample_dirichlet_lrt(dataset, tol)
+        tr = inference.two_sample_dirichlet_lrt(dataset)
         results = _report_payload(tr)
     elif args.method == "ndd-lrt":
-        tr = inference.two_sample_ndd_lrt(dataset, shape, tol)
+        tr = inference.two_sample_ndd_lrt(dataset, shape)
         results = _report_payload(tr)
     elif args.method == "clr-hotelling":
         tr = inference.clr_hotelling_test(dataset)
@@ -355,7 +352,6 @@ def _cmd_test(args) -> int:
         config["group"] = label
         tr = inference.one_sample_uniformity_test(
             dataset.group_matrix(label),
-            tol,
             group=label,
             calibration_replicates=_calibration(args),
         )
@@ -365,7 +361,7 @@ def _cmd_test(args) -> int:
         config["level"] = level
         config["calibrated"] = not args.no_calibration
         res = inference.maugard_procedure(
-            dataset, level=level, tol=tol, calibration_replicates=_calibration(args)
+            dataset, level=level, calibration_replicates=_calibration(args)
         )
         results = {
             "verdict": res.verdict,
@@ -377,12 +373,11 @@ def _cmd_test(args) -> int:
 
 def _cmd_ci(args) -> int:
     dataset = _load_dataset(args)
-    tol = Tolerance()
     config = _data_config(args)
     config["model"] = args.model
     config["level"] = args.level
     tree = _tree_shape(args, dataset, config, args.model == "ndd", "--model ndd")
-    cis = inference.pairwise_mean_cis(dataset, level=args.level, tol=tol, tree=tree)
+    cis = inference.pairwise_mean_cis(dataset, level=args.level, tree=tree)
     groups = list(dataset.groups[:2])
     results = {
         "groups": groups,

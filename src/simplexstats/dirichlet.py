@@ -15,13 +15,14 @@ that of 5 full steps to within that step's rounding. All three fits of the
 library, this one and the common-mean and uniform-mean nulls of the
 inference module, run one damped Newton driver (_newton_ascent) over one
 iteration loop (_ascend) and one line search (_backtrack), on one Dirichlet
-objective (_per_obs_loglik). A fit converges when the gradient max-norm
-falls below rel_tol or the largest parameter move below abs_tol, within
-max_iter steps. A private batch variant runs many
-independent fits as one array program; the public API wraps the
-single-dataset case. Each row of a batch is fitted by itself, bit for bit,
-so _ascend may run a batch in fixed blocks of rows and callers may stack
-independent fits into one batch.
+objective (_per_obs_loglik). Every fit stops by one policy, which no
+public function lets a caller change: it converges when the gradient
+max-norm falls below 1e-8 or the largest parameter move below 1e-10, within
+1000 steps (numerics.Tolerance, the fits' private setting). A private batch
+variant runs many independent fits as one array program; the public API
+wraps the single-dataset case. Each row of a batch is fitted by itself, bit
+for bit, so _ascend may run a batch in fixed blocks of rows and callers may
+stack independent fits into one batch.
 """
 
 from __future__ import annotations
@@ -359,7 +360,7 @@ def _newton_ascent(x: np.ndarray, t0: int, value, newton, tol: Tolerance):
     return _ascend(step, np.arange(b), b, tol)
 
 
-def _fit_batch(stats: SufficientStats, tol: Tolerance):
+def _fit_batch(stats: SufficientStats, tol: Tolerance = Tolerance()):
     """Maximum-likelihood fits over one dataset or a stack of datasets.
 
     Every result is per row of the stack, (1, ...) for one dataset. Runs
@@ -424,7 +425,7 @@ def _as_stats(data) -> SufficientStats:
     return data
 
 
-def mle(data, tol: Tolerance = Tolerance()) -> FitResult:
+def mle(data) -> FitResult:
     """Maximum-likelihood fit from raw compositions or sufficient statistics.
 
     Raises DegenerateDataError when the input cannot identify the parameters
@@ -434,7 +435,7 @@ def mle(data, tol: Tolerance = Tolerance()) -> FitResult:
     stats = _as_stats(data)
     if stats.n < 2:
         raise DegenerateDataError("maximum likelihood needs at least 2 observations")
-    alpha, loglik, iters, conv, usable = _fit_batch(stats, tol)
+    alpha, loglik, iters, conv, usable = _fit_batch(stats)
     if not usable[0]:
         raise DegenerateDataError(
             "a component is constant across observations; the precision "
@@ -443,7 +444,7 @@ def mle(data, tol: Tolerance = Tolerance()) -> FitResult:
     if not conv[0]:
         raise NonConvergenceError(
             f"fixed-point warmup and Newton steps did not converge in "
-            f"{tol.max_iter} iterations",
+            f"{int(iters[0])} iterations",
             iterations=int(iters[0]),
         )
     return FitResult(

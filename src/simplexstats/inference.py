@@ -20,8 +20,9 @@ batch per child count on the carriers nested._node_stats reduces (``nested``
 holds all per-node work). The two-sample batch fits
 both groups' alternatives as one stacked batch too. The simulation harness
 drives the batch forms directly.
-The likelihood-ratio tests report a fit that stops short of tolerance as
-converged=False instead of raising.
+Every fit runs the one stopping policy of the library (README, "Models");
+no public function takes a tolerance. The likelihood-ratio tests report a
+fit that does not converge as converged=False instead of raising.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ class MeanDifferenceCI:
 # One-sample uniformity test
 
 def _uniformity_null_batch(
-    mean_log: np.ndarray, n: int | np.ndarray, init_a: np.ndarray, tol: Tolerance
+    mean_log: np.ndarray, n: int | np.ndarray, init_a: np.ndarray, tol: Tolerance = Tolerance()
 ):
     """Maximize the uniform-mean likelihood over the precision, per row.
 
@@ -152,8 +153,8 @@ def _uniformity_null_batch(
 # Reference draws of the finite-sample calibration unless a caller sets them.
 CALIBRATION_REPLICATES = 10000
 _CALIBRATION_SEED = 987654321
-# Keyed by (n, K, replicates, seed), then by the tolerance of the fits.
-_NULL_LRT_CACHE: dict[tuple[int, int, int, int], dict[Tolerance, np.ndarray]] = {}
+# Keyed by (n, K, replicates, seed).
+_NULL_LRT_CACHE: dict[tuple[int, int, int, int], np.ndarray] = {}
 # Draws per chunk (replicates x observations x components): the calibration
 # and the studies draw and reduce one chunk of replicates at a time, so they
 # hold one 3.3 MB stack, never all R replicates' draws. Chunks sized in
@@ -178,7 +179,7 @@ def _chunk_rows(n_obs: int, k: int) -> int:
     return max(1, _CHUNK_DRAWS // (n_obs * k))
 
 
-def _uniformity_lrt_batch(stats: SufficientStats, tol: Tolerance):
+def _uniformity_lrt_batch(stats: SufficientStats):
     """Batched uniformity LRT, per row of a statistics carrier ((1,) results
     for one dataset); the null precision starts at the alternative's,
     floored at 1.
@@ -186,9 +187,9 @@ def _uniformity_lrt_batch(stats: SufficientStats, tol: Tolerance):
     Returns a dict of per-row arrays: statistic, usable, converged, and the
     fitted pieces needed for reporting.
     """
-    alpha, ll1, _, conv1, usable = dirichlet._fit_batch(stats, tol)
+    alpha, ll1, _, conv1, usable = dirichlet._fit_batch(stats)
     a0, ll0, conv0 = _uniformity_null_batch(
-        np.atleast_2d(stats.mean_log), stats.n, np.maximum(alpha.sum(axis=1), 1.0), tol
+        np.atleast_2d(stats.mean_log), stats.n, np.maximum(alpha.sum(axis=1), 1.0)
     )
     return {
         "statistic": np.maximum(-2.0 * (ll0 - ll1), 0.0),
@@ -201,20 +202,17 @@ def _uniformity_lrt_batch(stats: SufficientStats, tol: Tolerance):
     }
 
 
-def _null_lrt_sample(
-    n_obs: int, k: int, replicates: int, seed: int, tol: Tolerance
-) -> np.ndarray:
+def _null_lrt_sample(n_obs: int, k: int, replicates: int, seed: int) -> np.ndarray:
     """Sorted sample of the uniformity LRT statistic under the null.
 
-    Simulated once per (n, K, replicates, seed) and fit tolerance, and
-    cached for the life of the process. The reference generator is the
-    uniform distribution on the simplex; the statistic's null distribution
-    is insensitive to the true precision (checked numerically over
-    precisions from 2 to 1000), so one reference sample serves all null
-    members of a given shape.
+    Simulated once per (n, K, replicates, seed) and cached for the life of
+    the process. The reference generator is the uniform distribution on the
+    simplex; the statistic's null distribution is insensitive to the true
+    precision (checked numerically over precisions from 2 to 1000), so one
+    reference sample serves all null members of a given shape.
     """
     key = (int(n_obs), int(k), int(replicates), int(seed))
-    cached = _NULL_LRT_CACHE.get(key, {}).get(tol)
+    cached = _NULL_LRT_CACHE.get(key)
     if cached is not None:
         return cached
     rng = np.random.default_rng(
@@ -229,21 +227,21 @@ def _null_lrt_sample(
         )
         for lo in range(0, replicates, rows)
     ]
-    res = _uniformity_lrt_batch(SufficientStats.concat(parts), tol)
+    res = _uniformity_lrt_batch(SufficientStats.concat(parts))
     lam = np.sort(res["statistic"][res["usable"] & res["converged"]])
     if 2 * lam.size < replicates:
         raise NumericalError(
             "null calibration failed: fewer than half of the reference "
             "fits converged"
         )
-    _NULL_LRT_CACHE.setdefault(key, {})[tol] = lam
+    _NULL_LRT_CACHE[key] = lam
     return lam
 
 
-def _calibrated_p(statistic, n_obs: int, k: int, replicates: int, tol: Tolerance):
+def _calibrated_p(statistic, n_obs: int, k: int, replicates: int):
     """Monte Carlo p-value(s) for uniformity LRT statistic(s), measured
     against the simulated finite-sample null distribution."""
-    sample = _null_lrt_sample(n_obs, k, replicates, _CALIBRATION_SEED, tol)
+    sample = _null_lrt_sample(n_obs, k, replicates, _CALIBRATION_SEED)
     stat = np.asarray(statistic, dtype=float)
     count_ge = sample.size - np.searchsorted(sample, stat, side="left")
     p = (1.0 + count_ge) / (sample.size + 1.0)
@@ -255,7 +253,6 @@ def calibrated_uniformity_cutoff(
     k: int,
     level: float = 0.05,
     replicates: int = CALIBRATION_REPLICATES,
-    tol: Tolerance = Tolerance(),
 ) -> float:
     """Finite-sample critical value of the uniformity LRT statistic.
 
@@ -272,13 +269,12 @@ def calibrated_uniformity_cutoff(
     if not (0.0 < level < 1.0):
         raise InputError(f"level must be in (0, 1), got {level}")
     _check_calibration_replicates(replicates)
-    sample = _null_lrt_sample(int(n_obs), int(k), replicates, _CALIBRATION_SEED, tol)
+    sample = _null_lrt_sample(int(n_obs), int(k), replicates, _CALIBRATION_SEED)
     return float(np.quantile(sample, 1.0 - level))
 
 
 def one_sample_uniformity_test(
     data,
-    tol: Tolerance = Tolerance(),
     group: str = "",
     calibration_replicates: int | None = None,
 ) -> TestReport:
@@ -291,14 +287,14 @@ def one_sample_uniformity_test(
     to also get a Monte Carlo p-value against the simulated finite-sample
     null distribution, reported as details["calibrated_p_value"].
 
-    This is the one-row case of _uniformity_lrt_batch; a fit that stops
-    short of tolerance gives converged=False.
+    This is the one-row case of _uniformity_lrt_batch; a fit that does not
+    converge (README, "Models") gives converged=False.
     """
     if calibration_replicates is not None:
         _check_calibration_replicates(calibration_replicates)
     stats = dirichlet._as_stats(data)
     k = stats.n_components
-    res = _uniformity_lrt_batch(stats, tol)
+    res = _uniformity_lrt_batch(stats)
     if not res["usable"][0]:
         raise DegenerateDataError("the data cannot support a Dirichlet fit")
     lam = float(res["statistic"][0])
@@ -309,9 +305,7 @@ def one_sample_uniformity_test(
         "log_likelihood_alt": float(res["alt_loglik"][0]),
     }
     if calibration_replicates is not None:
-        details["calibrated_p_value"] = _calibrated_p(
-            lam, stats.n, k, calibration_replicates, tol
-        )
+        details["calibrated_p_value"] = _calibrated_p(lam, stats.n, k, calibration_replicates)
         details["calibration_replicates"] = int(calibration_replicates)
     return TestReport(
         test="uniformity",
@@ -349,7 +343,6 @@ def _maugard_verdicts(p1, p2, level: float):
 def maugard_procedure(
     dataset: CompositionDataset,
     level: float = 0.05,
-    tol: Tolerance = Tolerance(),
     groups=None,
     calibration_replicates: int | None = CALIBRATION_REPLICATES,
 ) -> MaugardResult:
@@ -374,9 +367,7 @@ def maugard_procedure(
         _check_calibration_replicates(calibration_replicates)
     g1, g2, x1, x2 = _two_group_dataset(dataset, groups)
     r1, r2 = (
-        one_sample_uniformity_test(
-            x, tol=tol, group=g, calibration_replicates=calibration_replicates
-        )
+        one_sample_uniformity_test(x, group=g, calibration_replicates=calibration_replicates)
         for g, x in ((g1, x1), (g2, x2))
     )
     p1, p2 = (
@@ -511,7 +502,7 @@ def _common_mean_fit(
     init_pi: np.ndarray,
     init_a1: np.ndarray,
     init_a2: np.ndarray,
-    tol: Tolerance,
+    tol: Tolerance = Tolerance(),
 ):
     """Maximize the pooled log-likelihood under a common mean composition.
 
@@ -554,9 +545,7 @@ def _common_mean_fit(
     return pi, np.exp(x[:, k1]), np.exp(x[:, k]), total, converged, iterations
 
 
-def _two_sample_lrt_batch(
-    stats1: SufficientStats, stats2: SufficientStats, tol: Tolerance
-):
+def _two_sample_lrt_batch(stats1: SufficientStats, stats2: SufficientStats):
     """Batched two-sample likelihood-ratio test on stacked statistics.
 
     Both groups' alternatives fit as one stacked batch. Returns a dict of
@@ -564,16 +553,14 @@ def _two_sample_lrt_batch(
     needed for reporting (alt alphas, null mean/precisions).
     """
     b = stats1.mean_log.shape[0]
-    alpha, ll, _, conv, ok = dirichlet._fit_batch(
-        SufficientStats.concat([stats1, stats2]), tol
-    )
+    alpha, ll, _, conv, ok = dirichlet._fit_batch(SufficientStats.concat([stats1, stats2]))
     alpha1, ll1, conv1, ok1 = alpha[:b], ll[:b], conv[:b], ok[:b]
     alpha2, ll2, conv2, ok2 = alpha[b:], ll[b:], conv[b:], ok[b:]
     a1_hat, a2_hat = alpha1.sum(axis=1), alpha2.sum(axis=1)
     n1, n2 = stats1.n[:, None], stats2.n[:, None]
     init_pi = (n1 * (alpha1 / a1_hat[:, None]) + n2 * (alpha2 / a2_hat[:, None])) / (n1 + n2)
     pi0, a1_0, a2_0, ll0, conv0, iters = _common_mean_fit(
-        stats1, stats2, init_pi, np.maximum(a1_hat, 1.0e-6), np.maximum(a2_hat, 1.0e-6), tol
+        stats1, stats2, init_pi, np.maximum(a1_hat, 1.0e-6), np.maximum(a2_hat, 1.0e-6)
     )
     lam = np.maximum(-2.0 * (ll0 - (ll1 + ll2)), 0.0)
     return {
@@ -591,11 +578,7 @@ def _two_sample_lrt_batch(
     }
 
 
-def two_sample_dirichlet_lrt(
-    dataset: CompositionDataset,
-    tol: Tolerance = Tolerance(),
-    groups=None,
-) -> TestReport:
+def two_sample_dirichlet_lrt(dataset: CompositionDataset, groups=None) -> TestReport:
     """Likelihood-ratio test of equal mean compositions.
 
     Null: both groups share one mean composition but keep their own
@@ -603,9 +586,7 @@ def two_sample_dirichlet_lrt(
     is -2 log LR with K-1 degrees of freedom.
     """
     g1, g2, x1, x2 = _two_group_dataset(dataset, groups)
-    res = _two_sample_lrt_batch(
-        SufficientStats.reduce(x1[None]), SufficientStats.reduce(x2[None]), tol
-    )
+    res = _two_sample_lrt_batch(SufficientStats.reduce(x1[None]), SufficientStats.reduce(x2[None]))
     if not res["usable"][0]:
         raise DegenerateDataError("a group cannot support a Dirichlet fit")
     k = dataset.n_components
@@ -632,7 +613,6 @@ def two_sample_dirichlet_lrt(
 def two_sample_ndd_lrt(
     dataset: CompositionDataset,
     tree: nested.NestingTree,
-    tol: Tolerance = Tolerance(),
     groups=None,
 ) -> TestReport:
     """Two-sample test under a nested model: one test per subtree, summed.
@@ -649,7 +629,7 @@ def two_sample_ndd_lrt(
     nodes1, nodes2 = (
         [stats for stats, _ in nested._node_stats(keys, m[None])] for m in (m1, m2)
     )
-    results = nested._fit_nodes(lambda s1, s2: _two_sample_lrt_batch(s1, s2, tol), nodes1, nodes2)
+    results = nested._fit_nodes(_two_sample_lrt_batch, nodes1, nodes2)
     labels = tree.internal_nodes()
     per_subtree = []
     for (label, node), res in zip(labels, results):
@@ -685,21 +665,16 @@ def two_sample_ndd_lrt(
 # Confidence intervals
 
 
-def _group_fit(
-    dataset: CompositionDataset,
-    label: str,
-    tree: nested.NestingTree | None,
-    tol: Tolerance,
-):
+def _group_fit(dataset: CompositionDataset, label: str, tree: nested.NestingTree | None):
     """(fit, mean, mean_se) of one group, the last two in dataset column
     order: with no tree, a Dirichlet fit with inverse-information SEs; with
     one, a nested fit of tree with its leaf means and delta-method SEs."""
     if tree is None:
         x = dataset.group_matrix(label)
-        fit = dirichlet.mle(x, tol=tol)
+        fit = dirichlet.mle(x)
         return fit, fit.params.mean, dirichlet.mean_standard_errors(fit.params, x.shape[0])
     sub = dataset.group_dataset(label)
-    fit = nested.mle(tree, sub, tol=tol)
+    fit = nested.mle(tree, sub)
     mean = nested.leaf_means(fit.params)
     se = nested.delta_method_ses(fit.params, sub.n_observations)
     if tree.leaf_names is not None:
@@ -711,7 +686,6 @@ def _group_fit(
 def pairwise_mean_cis(
     dataset: CompositionDataset,
     level: float = 0.95,
-    tol: Tolerance = Tolerance(),
     groups=None,
     tree: nested.NestingTree | None = None,
 ) -> tuple[MeanDifferenceCI, ...]:
@@ -727,8 +701,8 @@ def pairwise_mean_cis(
         raise InputError(f"level must be in (0, 1), got {level}")
     g1, g2, _, _ = _two_group_dataset(dataset, groups)
     k = dataset.n_components
-    _, mean1, se1 = _group_fit(dataset, g1, tree, tol)
-    _, mean2, se2 = _group_fit(dataset, g2, tree, tol)
+    _, mean1, se1 = _group_fit(dataset, g1, tree)
+    _, mean2, se2 = _group_fit(dataset, g2, tree)
     z = normal_quantile(1.0 - (1.0 - level) / (2.0 * k))
     out = []
     for j, name in enumerate(dataset.components):

@@ -49,7 +49,6 @@ from .errors import (
     TreeFormatError,
     TreeStructureError,
 )
-from .numerics import Tolerance
 
 __all__ = [
     "TreeNode",
@@ -625,7 +624,7 @@ class NddFitResult:
     log_likelihood: float
 
 
-def mle(tree: NestingTree, data, tol: Tolerance = Tolerance()) -> NddFitResult:
+def mle(tree: NestingTree, data) -> NddFitResult:
     """Fit every subtree by Dirichlet maximum likelihood.
 
     The branch compositions at distinct internal nodes are independent, so
@@ -637,7 +636,7 @@ def mle(tree: NestingTree, data, tol: Tolerance = Tolerance()) -> NddFitResult:
     fits, total = [], 0.0
     for (label, _), blk in zip(tree.internal_nodes(), decompose(tree, data).blocks):
         try:
-            fit = dirichlet.mle(blk.matrix, tol=tol)
+            fit = dirichlet.mle(blk.matrix)
         except (DegenerateDataError, NonConvergenceError) as exc:
             exc.args = (f"subtree {label!r}: {exc}",)
             raise

@@ -13,7 +13,9 @@ its separate evaluation bit for bit.
 
 All functions accept a float or an ndarray and apply elementwise; a scalar in
 gives a Python float out. Inputs outside a function's domain raise
-:class:`~simplexstats.errors.DomainError`.
+:class:`~simplexstats.errors.DomainError`, and so do arguments at which
+digamma or trigamma leaves the double range. At an infinite argument the
+tails and log-gamma return their limits.
 """
 
 from __future__ import annotations
@@ -82,9 +84,16 @@ _TRIGAMMA_TAIL = (
 )
 
 
+# Digamma (about -1/x) and trigamma (about 1/x^2) leave the double range
+# below these arguments, as scipy's do; the public functions refuse them.
+_DIGAMMA_MIN = float(np.nextafter(1.0 / np.finfo(float).max, 1.0))
+_TRIGAMMA_MIN = float(1.0 / np.sqrt(np.finfo(float).max))
+
+
 @dataclass(frozen=True)
 class Tolerance:
-    """Convergence policy for iterative procedures.
+    """Convergence policy of the library's fits, private to them: no public
+    function takes one, and every production fit runs at the defaults.
 
     abs_tol bounds the parameter change between iterations, rel_tol bounds the
     scaled gradient max-norm, and max_iter caps the iteration count.
@@ -127,14 +136,12 @@ def _is_integer(value) -> bool:
 
 
 def _check_df(df, name: str) -> int:
-    if isinstance(df, (bool, np.bool_)):
+    """df as an int: an integer or an integral float of any numpy type (a
+    bool, a fractional float or anything else raises DomainError)."""
+    integral = isinstance(df, (float, np.floating)) and float(df).is_integer()
+    if not (_is_integer(df) or integral):
         raise DomainError(f"{name} must be an integer, got {df!r}")
-    if isinstance(df, float) and not df.is_integer():
-        raise DomainError(f"{name} must be an integer, got {df!r}")
-    try:
-        value = int(df)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be an integer, got {df!r}") from None
+    value = int(df)
     if value < 1:
         raise DomainError(f"{name} must be at least 1, got {value}")
     return value
@@ -221,20 +228,32 @@ def _digamma_trigamma_core(
 
 
 def log_gamma(x):
-    """Natural log of the gamma function for x > 0."""
+    """Natural log of the gamma function for x > 0; infinite at x = inf."""
     arr, scalar = _prepare(x, "x", positive=True)
-    return _finish(_lgamma_core(arr), scalar)
+    inf = np.isinf(arr)
+    # The core's (z - 0.5) log z - z is inf - inf at inf; it sees 1 there.
+    out = np.where(inf, np.inf, _lgamma_core(np.where(inf, 1.0, arr)))
+    return _finish(out, scalar)
+
+
+def _check_in_range(arr: np.ndarray, least: float, what: str) -> None:
+    if np.any(arr < least):
+        raise DomainError(
+            f"x must be at least {least!r}: below it {what} leaves the double range"
+        )
 
 
 def digamma(x):
-    """First derivative of log-gamma for x > 0."""
+    """First derivative of log-gamma for x > 0, down to _DIGAMMA_MIN."""
     arr, scalar = _prepare(x, "x", positive=True)
+    _check_in_range(arr, _DIGAMMA_MIN, "digamma")
     return _finish(_digamma_core(arr), scalar)
 
 
 def trigamma(x):
-    """Second derivative of log-gamma for x > 0."""
+    """Second derivative of log-gamma for x > 0, down to _TRIGAMMA_MIN."""
     arr, scalar = _prepare(x, "x", positive=True)
+    _check_in_range(arr, _TRIGAMMA_MIN, "trigamma")
     return _finish(_trigamma_core(arr), scalar)
 
 
@@ -282,15 +301,17 @@ def _gamma_q_contfrac(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _gamma_pq(a: np.ndarray, x: np.ndarray):
-    """(P, Q) regularized incomplete gamma pair, elementwise."""
+    """(P, Q) regularized incomplete gamma pair, elementwise; (1, 0) at
+    x = inf."""
     use_series = x < a + 1.0
+    inf = np.isinf(x)
     # Evaluate each branch on safe stand-in arguments and stitch the results.
     xs = np.where(use_series, x, 0.0)
-    xc = np.where(use_series, a + 1.5, x)
+    xc = np.where(use_series | inf, a + 1.5, x)
     p_series = _gamma_p_series(a, xs)
     q_cf = _gamma_q_contfrac(a, xc)
-    p = np.where(use_series, p_series, 1.0 - q_cf)
-    q = np.where(use_series, 1.0 - p_series, q_cf)
+    p = np.where(use_series, p_series, np.where(inf, 1.0, 1.0 - q_cf))
+    q = np.where(use_series, 1.0 - p_series, np.where(inf, 0.0, q_cf))
     return p, q
 
 

@@ -25,7 +25,8 @@ stacked batch: both groups of the screening procedure, both groups'
 alternatives of a two-sample test, and the nodes of a tree that have the
 same number of children. Each batch runs in fixed blocks of rows
 (dirichlet._BLOCK_ROWS), so its temporaries do not grow with R; every row's
-fit is the one it gets alone, bit for bit.
+fit is the one it gets alone, bit for bit. Every fit runs the library's one
+stopping policy (README, "Models"): a study has no tolerance setting.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .composition import SufficientStats
 from .dirichlet import DirichletParams
 from .errors import InputError, NumericalError
 from .nested import NddParams, NestingTree
-from .numerics import Tolerance, _is_integer, chi_square_sf
+from .numerics import _is_integer, chi_square_sf
 
 __all__ = [
     "MaugardProcedure",
@@ -179,7 +180,6 @@ class SimSpec:
     replicates: int = 10000
     level: float = 0.05
     master_seed: int = 0
-    tol: Tolerance = Tolerance()
 
     def __post_init__(self):
         if not _is_integer(self.replicates):
@@ -432,15 +432,13 @@ def _maugard_outcomes(spec: SimSpec, c1, c2):
     proc = spec.procedure
     k = spec.n_components
     r = c1[0].mean_log.shape[0]
-    res = inference._uniformity_lrt_batch(SufficientStats.concat([c1[0], c2[0]]), spec.tol)
+    res = inference._uniformity_lrt_batch(SufficientStats.concat([c1[0], c2[0]]))
     good = res["usable"] & res["converged"]
     p = []
     for rows, n in zip((slice(0, r), slice(r, 2 * r)), spec.n_pair):
         stat = res["statistic"][rows]
         if proc.calibration_replicates is not None:
-            p.append(inference._calibrated_p(
-                stat, n, k, proc.calibration_replicates, spec.tol
-            ))
+            p.append(inference._calibrated_p(stat, n, k, proc.calibration_replicates))
         else:
             p.append(chi_square_sf(np.where(good[rows], stat, 0.0), k - 1))
     return inference._maugard_verdicts(p[0], p[1], spec.level), good[:r] & good[r:]
@@ -449,9 +447,7 @@ def _maugard_outcomes(spec: SimSpec, c1, c2):
 def _lrt_outcomes(spec: SimSpec, c1, c2):
     # The plain test is the one-node case: a single carrier per group.
     lam, ok = 0.0, True
-    for res in nested._fit_nodes(
-        lambda s1, s2: inference._two_sample_lrt_batch(s1, s2, spec.tol), c1, c2
-    ):
+    for res in nested._fit_nodes(inference._two_sample_lrt_batch, c1, c2):
         lam = lam + res["statistic"]
         ok = ok & res["usable"] & res["converged"]
     # An unusable row's statistic is NaN; it is tallied as a fit failure.

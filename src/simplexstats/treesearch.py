@@ -34,7 +34,6 @@ from . import dirichlet, nested
 from .composition import CompositionDataset, sample_correlation, validate
 from .errors import DimensionMismatchError, InputError, NumericalError
 from .nested import NddParams, NestingTree, TreeNode
-from .numerics import Tolerance
 
 __all__ = [
     "TreeCandidate",
@@ -231,13 +230,13 @@ def _as_matrix(data) -> np.ndarray:
     return np.asarray(data, dtype=float)
 
 
-def _node_terms(keys, x: np.ndarray, tol: Tolerance) -> dict:
+def _node_terms(keys, x: np.ndarray) -> dict:
     """Each node's nested._node_term, or None where its fit, batched by
     child count, is unusable (too few rows, a constant branch) or does not
     converge and dirichlet.mle would raise."""
 
     def fit(stats):
-        _, loglik, _, converged, usable = dirichlet._fit_batch(stats, tol)
+        _, loglik, _, converged, usable = dirichlet._fit_batch(stats)
         return {"loglik": loglik, "ok": usable & converged}
 
     keys = list(keys)
@@ -251,7 +250,6 @@ def _node_terms(keys, x: np.ndarray, tol: Tolerance) -> dict:
 def select_tree(
     data,
     candidates: list[TreeCandidate],
-    tol: Tolerance = Tolerance(),
     criterion: str = "loglik",
 ) -> tuple[NddParams, list[TreeCandidate]]:
     """Fit every surviving candidate and rank them.
@@ -284,7 +282,7 @@ def select_tree(
         raise DimensionMismatchError(
             f"{x.shape[1]} columns vs {sorted(widths)} tree components"
         )
-    terms = _node_terms({key for tree_keys in keys for key in tree_keys}, x, tol)
+    terms = _node_terms({key for tree_keys in keys for key in tree_keys}, x)
     fitted: list[tuple[float, int, TreeCandidate]] = []
     for order, (cand, tree_keys) in enumerate(zip(survivors, keys)):
         parts = [terms[key] for key in tree_keys]
@@ -301,19 +299,17 @@ def select_tree(
     if fitted[0][0] == np.inf:
         raise NumericalError("every candidate tree failed to fit")
     ranking = [item[2] for item in fitted]
-    return nested.mle(ranking[0].tree, raw, tol=tol).params, ranking
+    return nested.mle(ranking[0].tree, raw).params, ranking
 
 
 def search(
-    dataset: CompositionDataset,
-    tol: Tolerance = Tolerance(),
-    criterion: str = "loglik",
+    dataset: CompositionDataset, criterion: str = "loglik"
 ) -> tuple[NddParams, list[TreeCandidate]]:
     """End-to-end search on a dataset: enumerate, screen on the pooled
     sample correlation, fit the survivors on the pooled rows."""
     cands = enumerate_trees(dataset.n_components, dataset.components)
     corr = sample_correlation(dataset)
     cands = filter_impossible(cands, corr)
-    best, ranking = select_tree(dataset, cands, tol=tol, criterion=criterion)
+    best, ranking = select_tree(dataset, cands, criterion=criterion)
     skipped = [c for c in cands if c.filtered]
     return best, ranking + skipped

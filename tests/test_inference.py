@@ -1,5 +1,6 @@
 """Hypothesis tests, screening, and confidence intervals."""
 
+import functools
 import json
 import pathlib
 
@@ -89,7 +90,6 @@ def test_two_sample_lrt_equals_its_row_of_the_batch_path():
     batch = inference._two_sample_lrt_batch(
         SufficientStats.reduce(np.stack([ds.group_matrix("one") for ds in sets])),
         SufficientStats.reduce(np.stack([ds.group_matrix("two") for ds in sets])),
-        Tolerance(),
     )
     for i, ds in enumerate(sets):
         tr = two_sample_dirichlet_lrt(ds)
@@ -191,19 +191,16 @@ def test_stacked_ndd_batch_equals_per_node_batches_bitwise():
     keys = nested._child_leaf_sets(tree)
     nodes1 = [s for s, _ in nested._node_stats(keys, rng.dirichlet(alpha, size=(40, 7)))]
     nodes2 = [s for s, _ in nested._node_stats(keys, rng.dirichlet(alpha, size=(40, 9)))]
-    tol = Tolerance()
-    stacked = nested._fit_nodes(
-        lambda s1, s2: inference._two_sample_lrt_batch(s1, s2, tol), nodes1, nodes2
-    )
+    stacked = nested._fit_nodes(inference._two_sample_lrt_batch, nodes1, nodes2)
     assert [s.n_components for s in nodes1] == [3, 3, 2]
     for s1, s2, got in zip(nodes1, nodes2, stacked):
-        want = inference._two_sample_lrt_batch(s1, s2, tol)
+        want = inference._two_sample_lrt_batch(s1, s2)
         assert got.keys() == want.keys()
         for key in want:
             assert got[key].dtype == want[key].dtype
             assert got[key].shape == want[key].shape
             assert got[key].tobytes() == want[key].tobytes(), key
-        fit1, fit2 = dirichlet._fit_batch(s1, tol), dirichlet._fit_batch(s2, tol)
+        fit1, fit2 = dirichlet._fit_batch(s1), dirichlet._fit_batch(s2)
         assert want["alt_alpha_1"].tobytes() == fit1[0].tobytes()
         assert want["alt_alpha_2"].tobytes() == fit2[0].tobytes()
         assert want["alt_loglik"].tobytes() == (fit1[1] + fit2[1]).tobytes()
@@ -320,7 +317,7 @@ def _oracle_cases():
 
 @pytest.mark.parametrize("s1, s2", _oracle_cases())
 def test_common_mean_null_reaches_the_scipy_optimum(s1, s2):
-    res = inference._two_sample_lrt_batch(s1, s2, Tolerance())
+    res = inference._two_sample_lrt_batch(s1, s2)
     assert res["converged"][0]
     best = _null_oracle(s1, s2, res)
     ours = res["null_loglik"][0]
@@ -350,7 +347,7 @@ def test_common_mean_rows_converge_at_local_maxima(alpha, seed):
     gen = DirichletParams(alpha=alpha)
     spec = SimSpec(gen, gen, 3, DirichletLRT(), replicates=2000, master_seed=seed)
     s1, s2 = (SufficientStats.reduce(x) for x in simulate._draw_stacks(spec, 0, 2000)[:2])
-    res = inference._two_sample_lrt_batch(s1, s2, Tolerance())
+    res = inference._two_sample_lrt_batch(s1, s2)
     assert res["iterations"].max() <= 25
     ok = res["converged"]
     assert ok.sum() >= 1999
@@ -385,8 +382,8 @@ def test_common_mean_line_search_base_is_the_objective_at_its_point(monkeypatch)
 
     monkeypatch.setattr(dirichlet, "_backtrack", checking)
     for s1, s2 in (_mixed_carriers(), _alpha_005_rows(range(120, 340))):
-        inference._two_sample_lrt_batch(s1, s2, Tolerance())
-        inference._uniformity_lrt_batch(s2, Tolerance())
+        inference._two_sample_lrt_batch(s1, s2)
+        inference._uniformity_lrt_batch(s2)
     assert sum(checked[5]) > 500
     assert sum(checked[4]) > 500
     assert sum(checked[1]) > 500
@@ -401,7 +398,7 @@ def test_null_objective_scores_a_zero_precision_as_infeasible():
     assert inference._null_ll(x, w, m).tolist() == [-np.inf]
 
 
-def test_two_sample_lrt_with_a_constant_column_raises_degenerate_at_any_cap():
+def test_two_sample_lrt_with_a_constant_column_raises_degenerate_at_any_cap(monkeypatch):
     # Group a's last column is constant at 1e-300. At max_iter = 17 its null
     # fit steps a log-precision to where the precision is 0; that must not
     # reach lgamma as a RuntimeWarning before the test reports the data.
@@ -412,9 +409,13 @@ def test_two_sample_lrt_with_a_constant_column_raises_degenerate_at_any_cap():
          [0.99948388877055394, 3.6193091331537094e-27, 1.0153665529989982e-10, 5.1611112790940375e-04],
          [0.73116691668595379, 2.2910613321678531e-04, 1.8176560062071172e-03, 0.26678632117462225]]
     ds = CompositionDataset.from_arrays(np.array(a + b), ["a"] * 3 + ["b"] * 3)
+    fits = dirichlet._fit_batch, inference._common_mean_fit
     for max_iter in (16, 17, 1000):
+        short = Tolerance(max_iter=max_iter)
+        monkeypatch.setattr(dirichlet, "_fit_batch", functools.partial(fits[0], tol=short))
+        monkeypatch.setattr(inference, "_common_mean_fit", functools.partial(fits[1], tol=short))
         with pytest.raises(DegenerateDataError):
-            two_sample_dirichlet_lrt(ds, tol=Tolerance(max_iter=max_iter))
+            two_sample_dirichlet_lrt(ds)
 
 
 def test_common_mean_row_pinned_at_the_cap_stops_unconverged():
@@ -422,7 +423,7 @@ def test_common_mean_row_pinned_at_the_cap_stops_unconverged():
     # runs to _T_CAP; the row stops there, unconverged, instead of creeping
     # on to max_iter, and the other rows converge.
     s1, s2 = _mixed_carriers()
-    res = inference._two_sample_lrt_batch(s1, s2, Tolerance())
+    res = inference._two_sample_lrt_batch(s1, s2)
     assert res["null_precision_1"][5] == np.exp(dirichlet._T_CAP)
     assert not res["converged"][5] and res["iterations"][5] < 50
     assert res["converged"][np.arange(23) != 5].all()
@@ -545,11 +546,10 @@ def test_uniformity_null_centre_rows_are_unconverged_from_every_start():
 )
 def test_uniformity_test_equals_its_row_of_the_batch_path(alpha, n, small):
     x = np.random.default_rng(47).dirichlet(alpha, size=n)
-    tol = Tolerance()
     # The one-dataset carrier gives the batch's (1,) results.
-    res = inference._uniformity_lrt_batch(SufficientStats.from_matrix(x), tol)
+    res = inference._uniformity_lrt_batch(SufficientStats.from_matrix(x))
     assert (res["alt_alpha"][0].sum() < 1.0) == small
-    tr = one_sample_uniformity_test(x, tol)
+    tr = one_sample_uniformity_test(x)
     lam = res["statistic"][0]
     assert repr(tr.statistic) == repr(float(lam))
     assert repr(tr.p_value) == repr(chi_square_sf(float(lam), len(alpha) - 1))
@@ -562,9 +562,12 @@ def test_uniformity_test_equals_its_row_of_the_batch_path(alpha, n, small):
     }
 
 
-def test_uniformity_test_reports_nonconvergence():
+def test_uniformity_test_reports_nonconvergence(monkeypatch):
     x = np.random.default_rng(53).dirichlet([6.0, 4.0, 3.0, 5.0], size=9)
-    tr = one_sample_uniformity_test(x, Tolerance(max_iter=3))
+    with monkeypatch.context() as m:
+        short = functools.partial(dirichlet._fit_batch, tol=Tolerance(max_iter=3))
+        m.setattr(dirichlet, "_fit_batch", short)
+        tr = one_sample_uniformity_test(x)
     assert tr.converged is False
     assert tr.statistic >= 0.0
     assert one_sample_uniformity_test(x).converged is True
@@ -602,14 +605,14 @@ def test_calibration_refuses_a_sample_with_half_the_fits_failed(monkeypatch):
     # At one replicate the reference sample must not come back empty.
     batch = inference._uniformity_lrt_batch
 
-    def unconverged(stats, tol):
-        res = batch(stats, tol)
+    def unconverged(stats):
+        res = batch(stats)
         res["converged"] = np.zeros_like(res["converged"])
         return res
 
     monkeypatch.setattr(inference, "_uniformity_lrt_batch", unconverged)
     with pytest.raises(NumericalError, match="fewer than half"):
-        inference._null_lrt_sample(7, 4, 1, 13, Tolerance())
+        inference._null_lrt_sample(7, 4, 1, 13)
     assert (7, 4, 1, 13) not in inference._NULL_LRT_CACHE
 
 
@@ -704,31 +707,27 @@ def test_maugard_uncalibrated_uses_asymptotic_pvalues():
         assert "calibrated_p_value" not in tr.details
 
 
-def test_calibration_cache_keeps_each_tolerance_apart(monkeypatch):
-    # A reference sample fitted at a loose tolerance must not answer a later
-    # call at the default one.
-    def cutoff(**tol):
-        return calibrated_uniformity_cutoff(7, 4, replicates=2000, tol=Tolerance(**tol))
-
+def test_calibration_cache_holds_one_sample_per_shape_count_and_seed(monkeypatch):
+    # The cache is flat: the first call simulates and stores the sorted
+    # sample under (n, K, replicates, seed); the second reads it back.
     monkeypatch.setattr(inference, "_NULL_LRT_CACHE", {})
-    fresh = cutoff()
-    monkeypatch.setattr(inference, "_NULL_LRT_CACHE", {})
-    loose = cutoff(abs_tol=1e-2, rel_tol=1e-2)
-    assert loose != fresh
-    assert cutoff() == fresh
-    assert cutoff(abs_tol=1e-2, rel_tol=1e-2) == loose
-    assert list(inference._NULL_LRT_CACHE) == [(7, 4, 2000, inference._CALIBRATION_SEED)]
+    first = calibrated_uniformity_cutoff(7, 4, replicates=300)
+    key = (7, 4, 300, inference._CALIBRATION_SEED)
+    assert list(inference._NULL_LRT_CACHE) == [key]
+    sample = inference._NULL_LRT_CACHE[key]
+    assert isinstance(sample, np.ndarray) and (np.diff(sample) >= 0.0).all()
+    assert calibrated_uniformity_cutoff(7, 4, replicates=300) == first
+    assert inference._null_lrt_sample(*key) is sample
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_calibration_sample_drawn_in_chunks_equals_one_draw(monkeypatch, k):
-    tol = Tolerance()
     samples = []
     for rows in (250, 100):  # one draw, then 100 + 100 + 50 replicates
         monkeypatch.setattr(inference, "_NULL_LRT_CACHE", {})
         monkeypatch.setattr(inference, "_CHUNK_DRAWS", rows * 7 * k)
         assert inference._chunk_rows(7, k) == rows
-        samples.append(inference._null_lrt_sample(7, k, 250, 19, tol))
+        samples.append(inference._null_lrt_sample(7, k, 250, 19))
     assert np.array_equal(samples[1], samples[0])
 
 

@@ -1,6 +1,7 @@
 """Tree-structured model: parsing, decomposition, density, fitting, sampling."""
 
 import dataclasses
+import functools
 import json
 import pathlib
 
@@ -302,7 +303,7 @@ def test_mle_log_likelihood_equals_density_sum():
     assert fit.log_likelihood == pytest.approx(total, rel=1e-10)
 
 
-def test_mle_names_the_subtree_whose_fit_fails():
+def test_mle_names_the_subtree_whose_fit_fails(monkeypatch):
     # a:b is fixed at 1:2, so node N1 of ((a,b),c,d) sees one branch
     # composition; on free data, three iterations stop the root's fit short.
     tree = parse_tree("((a,b),c,d)")
@@ -311,11 +312,12 @@ def test_mle_names_the_subtree_whose_fit_fails():
     with pytest.raises(DegenerateDataError, match="subtree 'N1': a component is constant"):
         nested.mle(tree, fixed)
     free = np.random.default_rng(43).dirichlet([3.0, 4.0, 5.0, 2.0], size=30)
-    short = Tolerance(max_iter=3)
+    short = functools.partial(dirichlet._fit_batch, tol=Tolerance(max_iter=3))
+    monkeypatch.setattr(dirichlet, "_fit_batch", short)
     with pytest.raises(NonConvergenceError) as direct:
-        dirichlet.mle(nested.decompose(tree, free).blocks[0].matrix, tol=short)
+        dirichlet.mle(nested.decompose(tree, free).blocks[0].matrix)
     with pytest.raises(NonConvergenceError, match="subtree 'root': ") as info:
-        nested.mle(tree, free, tol=short)
+        nested.mle(tree, free)
     assert info.value.iterations == direct.value.iterations == 3
     assert str(info.value) == f"subtree 'root': {direct.value}"
 

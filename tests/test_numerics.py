@@ -178,6 +178,69 @@ def test_chi_square_sf_rejects_bad_arguments():
         chi_square_sf(1.0, True)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tails_and_log_gamma_reach_their_limits_at_infinity():
+    # Each of these was NaN with an "invalid value" warning: the continued
+    # fraction and the log-gamma series met inf - inf.
+    inf = np.inf
+    cases = [
+        (chi_square_sf(inf, 3), st.chi2.sf(inf, 3), 0.0),
+        (chi_square_cdf(inf, 3), st.chi2.cdf(inf, 3), 1.0),
+        (regularized_gamma_q(1.0, inf), sp.gammaincc(1.0, inf), 0.0),
+        (regularized_gamma_p(1.0, inf), sp.gammainc(1.0, inf), 1.0),
+        (normal_cdf(inf), st.norm.cdf(inf), 1.0),
+        (normal_cdf(-inf), st.norm.cdf(-inf), 0.0),
+        (log_gamma(inf), sp.gammaln(inf), inf),
+    ]
+    for got, ref, limit in cases:
+        assert got == ref == limit
+    # In an array, the finite elements keep their values bit for bit.
+    x = np.array([0.5, 3.0, inf, 40.0])
+    a = np.array([2.0, 2.0, 2.0, 7.5])
+    finite = np.isfinite(x)
+    assert regularized_gamma_q(a, x)[finite].tobytes() == regularized_gamma_q(a[finite], x[finite]).tobytes()
+    assert chi_square_sf(x, 4).tolist()[2] == 0.0
+    assert log_gamma(x)[finite].tobytes() == log_gamma(x[finite]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "df", [3, np.int8(3), np.uint64(3), 3.0, np.float16(3.0), np.float32(3.0), np.float64(3.0)]
+)
+def test_df_accepts_integers_and_integral_floats_of_any_type(df):
+    assert chi_square_sf(2.0, df) == chi_square_sf(2.0, 3)
+    assert f_sf(1.0, df, 10) == f_sf(1.0, 3, 10)
+    assert f_sf(1.0, 10, df) == f_sf(1.0, 10, 3)
+
+
+@pytest.mark.parametrize(
+    "df", [np.float32(3.5), np.float64(2.5), 2.5, np.inf, np.nan, True, np.bool_(True), "3", None]
+)
+def test_df_refuses_anything_but_an_integral_number(df):
+    # np.float32(3.5) used to read as df = 3.
+    for call in (lambda: chi_square_sf(2.0, df), lambda: f_sf(1.0, df, 10), lambda: f_sf(1.0, 10, df)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_digamma_and_trigamma_refuse_arguments_whose_value_leaves_the_double_range():
+    # scipy's values are finite from these bounds up and infinite just below.
+    for fn, ref, least in (
+        (digamma, sp.digamma, numerics._DIGAMMA_MIN),
+        (trigamma, lambda x: sp.polygamma(1, x), numerics._TRIGAMMA_MIN),
+    ):
+        below = np.nextafter(least, 0.0)
+        assert np.isfinite(ref(least)) and np.isinf(ref(below))
+        assert fn(least) == pytest.approx(ref(least), rel=1e-15)
+        for bad in (below, 5e-324, np.array([1.0, below])):
+            with pytest.raises(DomainError, match="leaves the double range"):
+                fn(bad)
+    for bad in (1e-155, 1e-170):
+        with pytest.raises(DomainError):
+            trigamma(bad)
+    assert trigamma(1e-154) == pytest.approx(sp.polygamma(1, 1e-154), rel=1e-15)
+
+
 def test_normal_quantile_rejects_boundary():
     for bad in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(DomainError):

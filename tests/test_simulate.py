@@ -420,10 +420,10 @@ def test_maugard_groups_fit_as_one_batch_equal_to_per_group_batches(calibration_
     proc = MaugardProcedure(calibration_replicates=calibration_replicates)
     spec = _spec(procedure=proc, n_per_group=(7, 9), replicates=40, master_seed=23)
     c1, c2, _ = simulate._stream(spec)
-    both = inference._uniformity_lrt_batch(SufficientStats.concat([c1[0], c2[0]]), spec.tol)
+    both = inference._uniformity_lrt_batch(SufficientStats.concat([c1[0], c2[0]]))
     p, ok = [], True
     for rows, (stats,), n in zip((slice(0, 40), slice(40, 80)), (c1, c2), (7, 9)):
-        alone = inference._uniformity_lrt_batch(stats, spec.tol)
+        alone = inference._uniformity_lrt_batch(stats)
         for key in alone:
             assert both[key][rows].tobytes() == alone[key].tobytes(), key
         good = alone["usable"] & alone["converged"]
@@ -431,7 +431,7 @@ def test_maugard_groups_fit_as_one_batch_equal_to_per_group_batches(calibration_
         if calibration_replicates is None:
             p.append(chi_square_sf(np.where(good, stat, 0.0), 3))
         else:
-            p.append(inference._calibrated_p(stat, n, 4, 300, spec.tol))
+            p.append(inference._calibrated_p(stat, n, 4, 300))
         ok = ok & good
     outcomes, got_ok = simulate._maugard_outcomes(spec, c1, c2)
     assert outcomes.tolist() == inference._maugard_verdicts(p[0], p[1], spec.level).tolist()

@@ -17,7 +17,6 @@ from simplexstats.errors import (
     ZeroComponentError,
 )
 from simplexstats.nested import NddParams, parse_tree
-from simplexstats.numerics import Tolerance
 from simplexstats.report import parse_csv
 from simplexstats.treesearch import (
     enumerate_trees,
@@ -484,9 +483,9 @@ def test_select_tree_fits_each_distinct_node_once(monkeypatch):
     rows = []
     fit_batch = dirichlet._fit_batch
 
-    def counting(stats, tol):
+    def counting(stats):
         rows.append(np.atleast_2d(stats.mean_log).shape[0])
-        return fit_batch(stats, tol)
+        return fit_batch(stats)
 
     monkeypatch.setattr(dirichlet, "_fit_batch", counting)
     best, _ = select_tree(x, cands)
@@ -509,12 +508,11 @@ def test_node_terms_equal_each_node_fitted_alone():
     texts = ["((c1,c2),c3,c4,c5)", "((c1,c3,c4),(c2,c5))", "((c1,c5),(c2,c3,c4))", "(c1,(c2,c3,c4,c5))"]
     keys = {key for text in texts for key in nested._child_leaf_sets(trees[text])}
     assert sorted(len(key) for key in keys) == [2] * 6 + [3, 3, 4, 4]
-    tol = Tolerance()
-    terms = treesearch._node_terms(keys, x, tol)
+    terms = treesearch._node_terms(keys, x)
     assert terms.keys() == keys
     for key in keys:
         block, mass = nested._branch_blocks(key, x)
-        _, loglik, _, converged, usable = dirichlet._fit_batch(SufficientStats.reduce(block), tol)
+        _, loglik, _, converged, usable = dirichlet._fit_batch(SufficientStats.reduce(block))
         if key == ((0,), (1,)):
             assert not usable[0]
             assert terms[key] is None
