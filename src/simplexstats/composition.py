@@ -125,6 +125,15 @@ class SufficientStats:
         depend on its matrix alone, bit for bit; so a matrix's statistics
         equal its row of any stack, and a stack reduced in parts and joined
         with concat equals the whole.
+
+        Each mean adds the observations in order, whatever the memory
+        layout, so a stack and any strided view of it reduce alike, bit for
+        bit. It runs fastest on an observation-major stack, whose
+        observation i is one contiguous (B, K) block (the studies' draws,
+        simulate._draw_stacks): each step adds a whole block, where a
+        C-ordered stack adds B rows of K. The log and square scratch is
+        observation-major whatever x's layout, so its two means always run
+        at that speed.
         """
         if x.ndim == 2:
             row = cls.reduce(x[None])
@@ -136,11 +145,13 @@ class SufficientStats:
             )
         # One scratch array serves log(x) and x * x: a second full-size
         # temporary can land in fresh memory and add a stack to peak RSS.
-        scratch = np.log(x)
+        b, n, k = x.shape
+        scratch = np.log(x, out=np.empty((n, b, k)).transpose(1, 0, 2))
         mean_log = scratch.mean(axis=1)
-        np.multiply(x, x, out=scratch)
+        # square is x * x bit for bit, and takes a quarter less time.
+        np.square(x, out=scratch)
         return cls(
-            n=np.full(x.shape[0], float(x.shape[1])),
+            n=np.full(b, float(n)),
             mean_log=mean_log,
             mean=x.mean(axis=1),
             mean_sq=scratch.mean(axis=1),

@@ -155,9 +155,11 @@ CALIBRATION_REPLICATES = 10000
 _CALIBRATION_SEED = 987654321
 # Keyed by (n, K, replicates, seed).
 _NULL_LRT_CACHE: dict[tuple[int, int, int, int], np.ndarray] = {}
-# Draws per chunk (replicates x observations x components): the calibration
-# and the studies draw and reduce one chunk of replicates at a time, so they
-# hold one 3.3 MB stack, never all R replicates' draws. Chunks sized in
+# Draws per chunk and group (replicates x observations x components): the
+# calibration and the studies draw and reduce one chunk of replicates at a
+# time, so they hold one chunk, never all R replicates' draws. That is one
+# 3.3 MB stack for the calibration and 2 x 3.3 MB for a study's two groups at
+# n = 100, K = 4 (chunks are sized by the larger group). Chunks sized in
 # replicates made small-n fits slower (the 10,000-row calibration at n = 7
 # by 1.5x): glibc's malloc sets its trim threshold from the largest block
 # freed, and with stacks smaller than the fits' (R, K) temporaries it gave

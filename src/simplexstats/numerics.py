@@ -14,8 +14,9 @@ its separate evaluation bit for bit.
 All functions accept a float or an ndarray and apply elementwise; a scalar in
 gives a Python float out. Inputs outside a function's domain raise
 :class:`~simplexstats.errors.DomainError`, and so do arguments at which
-digamma or trigamma leaves the double range. At an infinite argument the
-tails and log-gamma return their limits.
+digamma or trigamma leaves the double range, and so does an infinite shape
+of the regularized incomplete gamma and beta functions. At an infinite
+argument the tails and log-gamma return their limits.
 """
 
 from __future__ import annotations
@@ -112,11 +113,15 @@ class Tolerance:
             raise DomainError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
-def _prepare(x, name: str, *, positive=False, nonnegative=False, open_unit=False):
+def _prepare(
+    x, name: str, *, positive=False, nonnegative=False, open_unit=False, finite=False
+):
     """Coerce to float array, remember scalarness, enforce the stated domain."""
     arr = np.asarray(x, dtype=float)
     if np.any(np.isnan(arr)):
         raise DomainError(f"{name} is NaN")
+    if finite and np.any(np.isinf(arr)):
+        raise DomainError(f"{name} must be finite")
     if positive and not np.all(arr > 0.0):
         raise DomainError(f"{name} must be positive")
     if nonnegative and not np.all(arr >= 0.0):
@@ -316,8 +321,9 @@ def _gamma_pq(a: np.ndarray, x: np.ndarray):
 
 
 def regularized_gamma_p(a, x):
-    """Lower regularized incomplete gamma P(a, x) for a > 0, x >= 0."""
-    a_arr, s1 = _prepare(a, "a", positive=True)
+    """Lower regularized incomplete gamma P(a, x) for finite a > 0 and
+    x >= 0."""
+    a_arr, s1 = _prepare(a, "a", positive=True, finite=True)
     x_arr, s2 = _prepare(x, "x", nonnegative=True)
     a_arr, x_arr = np.broadcast_arrays(a_arr, x_arr)
     p, _ = _gamma_pq(np.asarray(a_arr, float), np.asarray(x_arr, float))
@@ -325,8 +331,9 @@ def regularized_gamma_p(a, x):
 
 
 def regularized_gamma_q(a, x):
-    """Upper regularized incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    a_arr, s1 = _prepare(a, "a", positive=True)
+    """Upper regularized incomplete gamma Q(a, x) = 1 - P(a, x), for finite
+    a > 0 and x >= 0."""
+    a_arr, s1 = _prepare(a, "a", positive=True, finite=True)
     x_arr, s2 = _prepare(x, "x", nonnegative=True)
     a_arr, x_arr = np.broadcast_arrays(a_arr, x_arr)
     _, q = _gamma_pq(np.asarray(a_arr, float), np.asarray(x_arr, float))
@@ -390,9 +397,10 @@ def _reg_beta_core(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def regularized_beta(a, b, x):
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    a_arr, s1 = _prepare(a, "a", positive=True)
-    b_arr, s2 = _prepare(b, "b", positive=True)
+    """Regularized incomplete beta I_x(a, b) for finite a, b > 0 and x in
+    [0, 1]."""
+    a_arr, s1 = _prepare(a, "a", positive=True, finite=True)
+    b_arr, s2 = _prepare(b, "b", positive=True, finite=True)
     x_arr, s3 = _prepare(x, "x")
     if np.any(x_arr < 0.0) or np.any(x_arr > 1.0):
         raise DomainError("x must lie in [0, 1]")

@@ -15,8 +15,10 @@ A study draws its replicates in chunks of a fixed number of draws
 (inference._CHUNK_DRAWS: 1,024 replicates at n = 100, K = 4), reduces each
 chunk to the sufficient statistics its procedure fits, and drops the chunk's
 draws before drawing the next. Memory is O(chunk + R * K), not
-O(R * n * K). Reductions are per replicate and the fits run once on the
-joined (R, K) statistics, so results do not depend on the chunk size.
+O(R * n * K). A chunk's draws are observation-major (_draw_stacks), so its
+reduction adds whole (B, K) blocks, bit for bit as over a C-ordered stack.
+Reductions are per replicate and the fits run once on the joined (R, K)
+statistics, so results do not depend on the chunk size.
 
 Drawn columns follow generator 1; SimSpec binds named trees to them by leaf
 name. The nested test runs the per-node helpers of ``nested``, as
@@ -351,6 +353,10 @@ def _replicate_rngs(master_seed, lo: int, hi: int):
         yield rng
 
 
+# Replicates staged per block copy into a chunk's observation-major buffer.
+_STAGE_ROWS = 64
+
+
 def _draw_stacks(spec: SimSpec, lo: int, hi: int):
     """Draws of replicates lo to hi - 1, stacked to (hi - lo, n, K) per group.
 
@@ -362,27 +368,39 @@ def _draw_stacks(spec: SimSpec, lo: int, hi: int):
     When both groups share one Dirichlet generator, one call draws both:
     the gamma variates fill the rows in stream order and each row is
     normalized alone, so the split rows equal two calls bit for bit.
+
+    x1 and x2 are views of one observation-major (n1 + n2, hi - lo, K)
+    buffer: observation i of every replicate is one contiguous (hi - lo, K)
+    block, so a mean over the observation axis adds whole blocks, in the
+    same order as over a C-ordered stack, and equals it bit for bit.
+    Replicates are drawn into a small C-ordered stage and copied into the
+    buffer a block at a time, which costs less than one strided copy per
+    replicate.
     """
     n1, n2 = spec.n_pair
     k = spec.n_components
     g1, g2 = spec.generator_1, spec.generator_2
     merged = isinstance(g1, DirichletParams) and same_generator(g1, g2)
-    x1 = np.empty((hi - lo, n1, k))
-    x2 = np.empty((hi - lo, n2, k))
-    drawn = np.ones(hi - lo, dtype=bool)
+    b = hi - lo
+    buf = np.empty((n1 + n2, b, k))
+    rows = min(_STAGE_ROWS, b)
+    stage = np.empty((rows, n1 + n2, k))
+    drawn = np.ones(b, dtype=bool)
     for j, rng in enumerate(_replicate_rngs(spec.master_seed, lo, hi)):
+        row = stage[j % rows]
         try:
             if merged:
-                x = dirichlet.sample(g1, n1 + n2, rng)
-                x1[j], x2[j] = x[:n1], x[n1:]
+                row[...] = dirichlet.sample(g1, n1 + n2, rng)
             else:
-                x1[j] = _draw(g1, n1, rng)
-                x2[j] = _draw(g2, n2, rng)
+                row[:n1] = _draw(g1, n1, rng)
+                row[n1:] = _draw(g2, n2, rng)
         except NumericalError:
-            x1[j] = 1.0 / k
-            x2[j] = 1.0 / k
+            row[...] = 1.0 / k
             drawn[j] = False
-    return x1, x2, drawn
+        if (j + 1) % rows == 0 or j + 1 == b:
+            first = j - j % rows
+            buf[:, first : j + 1] = stage[: j + 1 - first].transpose(1, 0, 2)
+    return buf[:n1].transpose(1, 0, 2), buf[n1:].transpose(1, 0, 2), drawn
 
 
 def _stack_stats(x: np.ndarray) -> SufficientStats:

@@ -94,6 +94,33 @@ def test_stats_reduced_in_parts_and_joined_equal_the_whole_bitwise():
         assert np.array_equal(getattr(joined, name), getattr(whole, name))
 
 
+def _formula_stats(x):
+    """Each replicate's statistics of a C-ordered (B, n, K) stack, written out."""
+    return np.log(x).mean(axis=1), x.mean(axis=1), (x * x).mean(axis=1)
+
+
+# Layout guards: the studies reduce observation-major views of their draws
+# (simulate._draw_stacks), and their statistics must equal a C-ordered
+# stack's bit for bit. Widths from 8 up are where numpy sums in pairs.
+@pytest.mark.parametrize("k", [2, 4, 8, 9, 12])
+@pytest.mark.parametrize("b", [1, 5, 1024])
+def test_layout_observation_major_view_reduces_as_its_c_ordered_copy_bitwise(b, k):
+    rng = np.random.default_rng(b * 100 + k)
+    for n in (2, 7, 8, 9, 100, 129):
+        # Observations 3 on of an observation-major buffer, as a study's
+        # group 2 is.
+        buf = rng.dirichlet(np.linspace(0.3, 6.0, k), size=(n + 3, b))
+        view = buf[3:].transpose(1, 0, 2)
+        copy = np.ascontiguousarray(view)
+        assert view.strides[1] == max(view.strides) and copy.flags.c_contiguous
+        got, want = SufficientStats.reduce(view), SufficientStats.reduce(copy)
+        formula = _formula_stats(copy)
+        for name, value in zip(("mean_log", "mean", "mean_sq"), formula):
+            assert getattr(got, name).tobytes() == value.tobytes(), (n, name)
+            assert getattr(want, name).tobytes() == value.tobytes(), (n, name)
+        assert got.n.tolist() == want.n.tolist() == [float(n)] * b
+
+
 def test_concat_builds_each_joined_field_once():
     rng = np.random.default_rng(5)
     parts = [

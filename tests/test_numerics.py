@@ -203,6 +203,26 @@ def test_tails_and_log_gamma_reach_their_limits_at_infinity():
     assert log_gamma(x)[finite].tobytes() == log_gamma(x[finite]).tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: regularized_gamma_p(np.inf, 1.0),
+        lambda: regularized_gamma_q(np.inf, np.inf),
+        lambda: regularized_gamma_q(np.array([2.0, np.inf]), 1.0),
+        lambda: regularized_beta(np.inf, 1.0, 0.5),
+        lambda: regularized_beta(1.0, np.array([np.inf, 3.0]), 0.5),
+    ],
+    ids=["gamma-p", "gamma-q", "gamma-q-array", "beta-a", "beta-b-array"],
+)
+def test_regularized_functions_refuse_an_infinite_shape(call):
+    # Each of these was NaN with an "invalid value" warning; log_gamma keeps
+    # its limit at inf.
+    with pytest.raises(DomainError, match="must be finite"):
+        call()
+    assert log_gamma(np.inf) == np.inf
+
+
 @pytest.mark.parametrize(
     "df", [3, np.int8(3), np.uint64(3), 3.0, np.float16(3.0), np.float32(3.0), np.float64(3.0)]
 )

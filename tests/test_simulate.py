@@ -200,6 +200,72 @@ def test_draw_stacks_equal_per_replicate_generators_bitwise(gen1, gen2, n, seed,
         assert 0 < (~want[2]).sum() < hi - lo
 
 
+@pytest.mark.parametrize(
+    "gen1, gen2, n",
+    [
+        (CONTROL, CONTROL, 100),
+        (CONTROL, TREATMENT, (5, 11)),
+        (_TREE, _TREE, 7),
+        (_TINY, _TINY, 3),
+    ],
+    ids=["type1", "power", "nested", "underflow"],
+)
+def test_layout_draw_stacks_are_observation_major(gen1, gen2, n):
+    # Each group is a view of one (n1 + n2, B, K) buffer: observation i of
+    # every replicate is one contiguous (B, K) block.
+    spec = _spec(generator_1=gen1, generator_2=gen2, n_per_group=n, master_seed=3)
+    b, k = 70, spec.n_components
+    x1, x2, drawn = simulate._draw_stacks(spec, 0, b)
+    assert x1.base is x2.base is not None
+    for x, size in zip((x1, x2), spec.n_pair):
+        assert x.shape == (b, size, k)
+        assert x.strides == (k * 8, b * k * 8, 8)
+    if gen1 is _TINY:
+        assert not drawn.all()
+
+
+def _formula_carriers(spec, x):
+    """The procedure's carriers of a C-ordered copy of a stack, reduced by
+    the written-out formula."""
+    x = np.ascontiguousarray(x)
+    if isinstance(spec.procedure, NddLRT):
+        keys = nested._child_leaf_sets(spec.procedure.tree)
+        blocks = [nested._branch_blocks(children, x)[0] for children in keys]
+    else:
+        blocks = [x]
+    return [(np.log(y).mean(axis=1), y.mean(axis=1), (y * y).mean(axis=1)) for y in blocks]
+
+
+# One node of nine leaves: numpy sums eight or more columns in pairs.
+_NINE_LEAF = parse_tree("((a:3,b:2,c:4,d:2.5,e:3.5,f:1.5,g:2,h:5,i:3):6,(j:4,k:2):5)")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "gen, procedure, n",
+    [
+        (_WIDE, DirichletLRT(), (20, 13)),
+        (NddParams(tree=_NINE_LEAF), NddLRT(tree=_NINE_LEAF.strip_alphas()), 11),
+    ],
+    ids=["dirichlet-k9", "ndd-9-leaf-node"],
+)
+def test_layout_stream_carriers_equal_the_formula_on_c_ordered_draws(monkeypatch, gen, procedure, n):
+    # Chunks of 150 replicates: the last chunk and its last stage block are
+    # partial.
+    spec = _spec(generator_1=gen, generator_2=gen, n_per_group=n, procedure=procedure,
+                 replicates=400, master_seed=21)
+    monkeypatch.setattr(inference, "_CHUNK_DRAWS", 150 * max(spec.n_pair) * spec.n_components)
+    c1, c2, drawn = simulate._stream(spec)
+    x1, x2, want_drawn = _reference_stacks(spec, 0, spec.replicates)
+    assert drawn.tolist() == want_drawn.tolist()
+    for carriers, x in ((c1, x1), (c2, x2)):
+        want = _formula_carriers(spec, x)
+        assert len(carriers) == len(want)
+        for got, fields in zip(carriers, want):
+            for name, value in zip(("mean_log", "mean", "mean_sq"), fields):
+                assert getattr(got, name).tobytes() == value.tobytes(), name
+
+
 @pytest.mark.parametrize("power, sizes", [(False, [15]), (True, [6, 9])])
 def test_type1_dirichlet_study_draws_both_groups_in_one_call(monkeypatch, power, sizes):
     sample = dirichlet.sample
