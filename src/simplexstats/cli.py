@@ -433,6 +433,11 @@ def _sim_generator(alpha_text, tree_text):
     return None
 
 
+def _generator_config(gen):
+    """A study generator as its report shows it: the alphas or the tree."""
+    return gen.alpha if isinstance(gen, dirichlet.DirichletParams) else gen.tree.render()
+
+
 def _cmd_simulate(args) -> int:
     if args.procedure != "ndd-lrt":
         _reject_unused(args, "--procedure ndd-lrt", "--tree")
@@ -479,15 +484,9 @@ def _cmd_simulate(args) -> int:
         "level": res.level,
         "master_seed": res.master_seed,
     }
-    if isinstance(gen1, dirichlet.DirichletParams):
-        config["generator_1"] = gen1.alpha
-    else:
-        config["generator_1"] = gen1.tree.render()
+    config["generator_1"] = _generator_config(gen1)
     if args.mode == "power":
-        if isinstance(gen2, dirichlet.DirichletParams):
-            config["generator_2"] = gen2.alpha
-        else:
-            config["generator_2"] = gen2.tree.render()
+        config["generator_2"] = _generator_config(gen2)
     if isinstance(procedure, simulate.NddLRT):
         config["tree"] = procedure.tree.render(include_alphas=False)
     results = {

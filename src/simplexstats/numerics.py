@@ -11,6 +11,15 @@ recurrences, then apply an asymptotic series. Where a fit needs digamma and
 trigamma at the same points, one shift loop serves both values; each matches
 its separate evaluation bit for bit.
 
+The incomplete gamma sums a series below x = a + 1, and one modified Lentz
+loop evaluates its continued fraction above and the incomplete beta's. Near
+x = a these need about sqrt(a) terms, so each element stops at 500 +
+10 sqrt(shape) terms (pairs for the beta), a cap that stops growing at shape
+1e8. Against scipy the tails are accurate to about 1e-13 absolute for shapes
+up to 100; beyond, the exp(-x + a log x - log_gamma(a)) prefactor loses
+digits about linearly in the shape (measured: 2e-11 up to 1e4, 3e-9 up to
+1e6, 1e-6 up to 1e8), and past 1e8 values near x = a can be wrong outright.
+
 All functions accept a float or an ndarray and apply elementwise; a scalar in
 gives a Python float out. Inputs outside a function's domain raise
 :class:`~simplexstats.errors.DomainError`, and so do arguments at which
@@ -21,6 +30,7 @@ argument the tails and log-gamma return their limits.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +38,6 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "Tolerance",
     "EULER_GAMMA",
     "log_gamma",
     "digamma",
@@ -49,10 +58,12 @@ _LN_SQRT_2PI = 0.9189385332046727418
 _SQRT_2 = 1.4142135623730950488
 _SQRT_2PI = 2.5066282746310005024
 
-# Iterative routines: relative target and iteration caps.
+# Iterative routines: relative target, the least cap on their terms, and
+# the shape past which the cap stops growing (see _terms_cap).
 _EPS = 1.0e-15
 _FPMIN = 1.0e-300
 _MAX_ITER = 500
+_CAP_SHAPE = 1.0e8
 
 # Asymptotic series are applied after shifting the argument above this point.
 _SHIFT_TO = 10
@@ -262,13 +273,19 @@ def trigamma(x):
     return _finish(_trigamma_core(arr), scalar)
 
 
-def _gamma_p_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _terms_cap(shape: np.ndarray) -> np.ndarray:
+    """Per-element term cap of a series or continued fraction."""
+    return _MAX_ITER + 10.0 * np.sqrt(np.minimum(shape, _CAP_SHAPE))
+
+
+def _gamma_p_series(a: np.ndarray, x: np.ndarray, cap: np.ndarray) -> np.ndarray:
     """Lower regularized gamma by power series; wants x < a + 1."""
     term = 1.0 / a
     total = term.copy()
     ap = a.copy()
     active = x > 0.0
-    for _ in range(_MAX_ITER):
+    for n in itertools.count(1):
+        active &= n <= cap
         if not active.any():
             break
         ap = np.where(active, ap + 1.0, ap)
@@ -280,28 +297,40 @@ def _gamma_p_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, out, 0.0)
 
 
-def _gamma_q_contfrac(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Upper regularized gamma by Lentz continued fraction; wants x >= a + 1."""
-    b = x + 1.0 - a
-    c = np.full_like(x, 1.0 / _FPMIN)
-    d = 1.0 / np.maximum(np.abs(b), _FPMIN) * np.sign(np.where(b == 0.0, 1.0, b))
-    h = d.copy()
-    active = np.ones(x.shape, dtype=bool)
-    for i in range(1, _MAX_ITER + 1):
+def _lentz(h, c, d, terms, n_terms):
+    """Continued fraction by the modified Lentz method (Thompson and
+    Barnett 1986; Numerical Recipes 5.2) from its value h and ratios c, d
+    after the leading term. terms yields (a_j, b_j) for j = 1, 2, ...; an
+    element stops after n_terms terms or a term moving h by under _EPS."""
+    active = np.ones(np.shape(h), dtype=bool)
+    for j, (an, bn) in enumerate(terms, start=1):
+        active &= j <= n_terms
         if not active.any():
             break
-        an = -i * (i - a)
-        b = np.where(active, b + 2.0, b)
-        d_new = an * d + b
-        d_new = np.where(np.abs(d_new) < _FPMIN, _FPMIN, d_new)
-        c_new = b + an / c
+        d_new = an * d + bn
+        d_new = 1.0 / np.where(np.abs(d_new) < _FPMIN, _FPMIN, d_new)
+        c_new = bn + an / c
         c_new = np.where(np.abs(c_new) < _FPMIN, _FPMIN, c_new)
-        d_new = 1.0 / d_new
         delta = d_new * c_new
         h = np.where(active, h * delta, h)
         d = np.where(active, d_new, d)
         c = np.where(active, c_new, c)
         active = active & (np.abs(delta - 1.0) >= _EPS)
+    return h
+
+
+def _gamma_q_contfrac(a: np.ndarray, x: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """Upper regularized gamma by continued fraction; wants x >= a + 1."""
+
+    def terms(b):
+        for i in itertools.count(1):
+            b = b + 2.0
+            yield -i * (i - a), b
+
+    b = x + 1.0 - a
+    c = np.full_like(x, 1.0 / _FPMIN)
+    d = 1.0 / np.maximum(np.abs(b), _FPMIN) * np.sign(np.where(b == 0.0, 1.0, b))
+    h = _lentz(d, c, d, terms(b), cap)
     return np.exp(-x + a * np.log(x) - _lgamma_core(a)) * h
 
 
@@ -310,71 +339,55 @@ def _gamma_pq(a: np.ndarray, x: np.ndarray):
     x = inf."""
     use_series = x < a + 1.0
     inf = np.isinf(x)
-    # Evaluate each branch on safe stand-in arguments and stitch the results.
+    # Evaluate each branch on safe stand-ins, which run no term, and stitch.
+    cap = _terms_cap(a)
     xs = np.where(use_series, x, 0.0)
     xc = np.where(use_series | inf, a + 1.5, x)
-    p_series = _gamma_p_series(a, xs)
-    q_cf = _gamma_q_contfrac(a, xc)
+    p_series = _gamma_p_series(a, xs, cap)
+    q_cf = _gamma_q_contfrac(a, xc, np.where(use_series | inf, 0.0, cap))
     p = np.where(use_series, p_series, np.where(inf, 1.0, 1.0 - q_cf))
     q = np.where(use_series, 1.0 - p_series, np.where(inf, 0.0, q_cf))
     return p, q
 
 
-def regularized_gamma_p(a, x):
-    """Lower regularized incomplete gamma P(a, x) for finite a > 0 and
-    x >= 0."""
+def _gamma_tails(a, x):
+    """Checked (P, Q) at (a, x), broadcast, and whether both were scalars."""
     a_arr, s1 = _prepare(a, "a", positive=True, finite=True)
     x_arr, s2 = _prepare(x, "x", nonnegative=True)
     a_arr, x_arr = np.broadcast_arrays(a_arr, x_arr)
-    p, _ = _gamma_pq(np.asarray(a_arr, float), np.asarray(x_arr, float))
-    return _finish(p, s1 and s2)
+    return _gamma_pq(a_arr, x_arr), s1 and s2
+
+
+def regularized_gamma_p(a, x):
+    """Lower regularized incomplete gamma P(a, x) for finite a > 0 and
+    x >= 0."""
+    (p, _), scalar = _gamma_tails(a, x)
+    return _finish(p, scalar)
 
 
 def regularized_gamma_q(a, x):
     """Upper regularized incomplete gamma Q(a, x) = 1 - P(a, x), for finite
     a > 0 and x >= 0."""
-    a_arr, s1 = _prepare(a, "a", positive=True, finite=True)
-    x_arr, s2 = _prepare(x, "x", nonnegative=True)
-    a_arr, x_arr = np.broadcast_arrays(a_arr, x_arr)
-    _, q = _gamma_pq(np.asarray(a_arr, float), np.asarray(x_arr, float))
-    return _finish(q, s1 and s2)
+    (_, q), scalar = _gamma_tails(a, x)
+    return _finish(q, scalar)
 
 
-def _beta_contfrac(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Lentz continued fraction for the incomplete beta integral."""
+def _beta_contfrac(a: np.ndarray, b: np.ndarray, x: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """Continued fraction of the incomplete beta integral, whose odd and
+    even partial numerators alternate."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = np.ones_like(x)
+
+    def terms():
+        for m in itertools.count(1):
+            m2 = 2.0 * m
+            yield m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0
+            yield -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0
+
     d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
-    d = 1.0 / d
-    h = d.copy()
-    active = np.ones(x.shape, dtype=bool)
-    for m in range(1, _MAX_ITER + 1):
-        if not active.any():
-            break
-        m2 = 2.0 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d_new = 1.0 + aa * d
-        d_new = np.where(np.abs(d_new) < _FPMIN, _FPMIN, d_new)
-        c_new = 1.0 + aa / c
-        c_new = np.where(np.abs(c_new) < _FPMIN, _FPMIN, c_new)
-        d_new = 1.0 / d_new
-        h_mid = h * d_new * c_new
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d2 = 1.0 + aa * d_new
-        d2 = np.where(np.abs(d2) < _FPMIN, _FPMIN, d2)
-        c2 = 1.0 + aa / c_new
-        c2 = np.where(np.abs(c2) < _FPMIN, _FPMIN, c2)
-        d2 = 1.0 / d2
-        delta = d2 * c2
-        h_new = h_mid * delta
-        h = np.where(active, h_new, h)
-        d = np.where(active, d2, d)
-        c = np.where(active, c2, c)
-        active = active & (np.abs(delta - 1.0) >= _EPS)
-    return h
+    d = 1.0 / np.where(np.abs(d) < _FPMIN, _FPMIN, d)
+    return _lentz(d, np.ones_like(x), d, terms(), cap)
 
 
 def _reg_beta_core(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -391,7 +404,8 @@ def _reg_beta_core(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         + aa * np.log(xs)
         + bb * np.log1p(-xs)
     )
-    val = np.exp(log_front) * _beta_contfrac(aa, bb, xs) / aa
+    cap = np.where(interior, 2.0 * _terms_cap(np.maximum(aa, bb)), 0.0)
+    val = np.exp(log_front) * _beta_contfrac(aa, bb, xs, cap) / aa
     val = np.where(interior, val, np.where(xx <= 0.0, 0.0, 1.0))
     return np.where(swap, 1.0 - val, val)
 
@@ -405,31 +419,19 @@ def regularized_beta(a, b, x):
     if np.any(x_arr < 0.0) or np.any(x_arr > 1.0):
         raise DomainError("x must lie in [0, 1]")
     a_arr, b_arr, x_arr = np.broadcast_arrays(a_arr, b_arr, x_arr)
-    out = _reg_beta_core(
-        np.asarray(a_arr, float), np.asarray(b_arr, float), np.asarray(x_arr, float)
-    )
-    return _finish(out, s1 and s2 and s3)
+    return _finish(_reg_beta_core(a_arr, b_arr, x_arr), s1 and s2 and s3)
 
 
 def chi_square_sf(x, df):
-    """Upper tail P(X > x) of the chi-square distribution with df degrees."""
-    df_val = _check_df(df, "df")
-    x_arr, scalar = _prepare(x, "x", nonnegative=True)
-    a = np.full_like(x_arr if x_arr.ndim else np.atleast_1d(x_arr), df_val / 2.0)
-    x_half = np.atleast_1d(x_arr) / 2.0
-    _, q = _gamma_pq(a, x_half)
-    q = q.reshape(np.shape(x_arr))
-    return _finish(q, scalar)
+    """Upper tail P(X > x) of the chi-square distribution with df degrees:
+    Q(df/2, x/2)."""
+    return regularized_gamma_q(_check_df(df, "df") / 2.0, np.asarray(x, dtype=float) / 2.0)
 
 
 def chi_square_cdf(x, df):
-    """Lower tail P(X <= x) of the chi-square distribution with df degrees."""
-    df_val = _check_df(df, "df")
-    x_arr, scalar = _prepare(x, "x", nonnegative=True)
-    a = np.full(np.atleast_1d(x_arr).shape, df_val / 2.0)
-    p, _ = _gamma_pq(a, np.atleast_1d(x_arr) / 2.0)
-    p = p.reshape(np.shape(x_arr))
-    return _finish(p, scalar)
+    """Lower tail P(X <= x) of the chi-square distribution with df degrees:
+    P(df/2, x/2)."""
+    return regularized_gamma_p(_check_df(df, "df") / 2.0, np.asarray(x, dtype=float) / 2.0)
 
 
 def f_sf(x, df1, df2):
@@ -440,13 +442,8 @@ def f_sf(x, df1, df2):
     """
     d1 = _check_df(df1, "df1")
     d2 = _check_df(df2, "df2")
-    x_arr, scalar = _prepare(x, "x", nonnegative=True)
-    x1 = np.atleast_1d(x_arr)
-    t = d2 / (d2 + d1 * x1)
-    out = _reg_beta_core(
-        np.full_like(t, d2 / 2.0), np.full_like(t, d1 / 2.0), t
-    ).reshape(np.shape(x_arr))
-    return _finish(out, scalar)
+    x_arr, _ = _prepare(x, "x", nonnegative=True)
+    return regularized_beta(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x_arr))
 
 
 def _erfc_core(u: np.ndarray) -> np.ndarray:

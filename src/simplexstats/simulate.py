@@ -128,9 +128,7 @@ class NddLRT:
 
 
 def _generator_components(gen) -> int:
-    if isinstance(gen, DirichletParams):
-        return gen.n_components
-    if isinstance(gen, NddParams):
+    if isinstance(gen, (DirichletParams, NddParams)):
         return gen.n_components
     raise InputError(
         f"generator must be DirichletParams or NddParams, got {type(gen).__name__}"

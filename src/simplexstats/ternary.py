@@ -9,6 +9,7 @@ timestamps, so files can be compared byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .composition import CompositionDataset
@@ -27,11 +28,7 @@ _H = math.sqrt(3.0) / 2.0
 
 def component_pairs(components: tuple[str, ...]) -> list[tuple[str, str]]:
     """All unordered component pairs, in component order."""
-    out = []
-    for i in range(len(components)):
-        for j in range(i + 1, len(components)):
-            out.append((components[i], components[j]))
-    return out
+    return list(itertools.combinations(components, 2))
 
 
 def _escape(text: str) -> str:

@@ -122,6 +122,39 @@ def test_f_sf_matches_scipy():
         assert np.allclose(f_sf(x, df1, df2), st.f.sf(x, df1, df2), atol=1e-11)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "got, ref, tol",
+    [
+        # Values at the old fixed cap of 500 terms: 0.7393, off by 3.4e-7
+        # (twice), 0.0920 and 0.499956.
+        (lambda: chi_square_sf(1e6, 10**6), lambda: st.chi2.sf(1e6, 10**6), 1e-9),
+        (lambda: chi_square_sf(2e4, 20000), lambda: st.chi2.sf(2e4, 20000), 1e-10),
+        (lambda: regularized_gamma_p(1e4, 1e4), lambda: sp.gammainc(1e4, 1e4), 1e-10),
+        (lambda: regularized_gamma_p(1e6, 1e6 - 1e3), lambda: sp.gammainc(1e6, 1e6 - 1e3), 1e-9),
+        (lambda: regularized_beta(1e7, 1e7, 0.5), lambda: sp.betainc(1e7, 1e7, 0.5), 1e-7),
+    ],
+    ids=["chi2-1e6", "chi2-2e4", "gamma-p-1e4", "gamma-p-1e6", "beta-1e7"],
+)
+def test_large_shape_tails_run_their_loops_to_convergence(got, ref, tol):
+    assert got() == pytest.approx(ref(), abs=tol)
+
+
+def test_a_stand_in_element_runs_no_term(monkeypatch):
+    # The series element (a = 1e8, x = 1) stands in the continued fraction
+    # at x = a + 1.5, where the fraction would take about 1e5 terms.
+    drawn = []
+    lentz = numerics._lentz
+
+    def counting(h, c, d, terms, n_terms):
+        return lentz(h, c, d, (drawn.append(t) or t for t in terms), n_terms)
+
+    monkeypatch.setattr(numerics, "_lentz", counting)
+    a, x = np.array([1e8, 2.0]), np.array([1.0, 50.0])
+    assert np.allclose(regularized_gamma_p(a, x), sp.gammainc(a, x), rtol=1e-13, atol=0.0)
+    assert len(drawn) < 50
+
+
 def test_normal_cdf_matches_scipy():
     z = np.linspace(-10.0, 10.0, 401)
     assert np.allclose(normal_cdf(z), st.norm.cdf(z), atol=1e-14)

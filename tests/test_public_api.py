@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 import simplexstats
-from simplexstats import dirichlet, inference, nested, simulate, treesearch
+from simplexstats import dirichlet, inference, nested, numerics, simulate, treesearch
 
 
 def _public_callables(module):
@@ -19,7 +19,9 @@ def _public_callables(module):
             yield f"{module.__name__}.{name}", obj
 
 
-@pytest.mark.parametrize("module", [dirichlet, nested, inference, treesearch, simulate, simplexstats])
+@pytest.mark.parametrize(
+    "module", [dirichlet, nested, inference, treesearch, simulate, numerics, simplexstats]
+)
 def test_no_public_function_takes_a_tolerance(module):
     for name, obj in _public_callables(module):
         assert "tol" not in inspect.signature(obj).parameters, name
@@ -29,3 +31,4 @@ def test_study_configuration_has_no_tolerance_and_the_package_exports_none():
     assert "tol" not in {f.name for f in dataclasses.fields(simulate.SimSpec)}
     assert "Tolerance" not in simplexstats.__all__
     assert not hasattr(simplexstats, "Tolerance")
+    assert "Tolerance" not in numerics.__all__
