@@ -38,6 +38,15 @@ def _row_tag(index: int | None) -> str:
     return "" if index is None else f" (row {index})"
 
 
+def _check_sum_tolerance(sum_tolerance: float) -> None:
+    """Refuse a row-sum tolerance that is NaN or infinite, which every row
+    would pass, or negative, which every row would fail."""
+    if not 0.0 <= sum_tolerance < np.inf:
+        raise InputError(
+            f"sum_tolerance must be finite and nonnegative, got {sum_tolerance}"
+        )
+
+
 def validate(x, sum_tolerance: float = DEFAULT_SUM_TOLERANCE) -> np.ndarray:
     """Check a composition vector or matrix and return it exactly normalized.
 
@@ -45,6 +54,7 @@ def validate(x, sum_tolerance: float = DEFAULT_SUM_TOLERANCE) -> np.ndarray:
     within ``sum_tolerance``. Rows are then rescaled so they sum to one at
     machine precision. Returns a fresh float array, 1-D in, 1-D out.
     """
+    _check_sum_tolerance(sum_tolerance)
     arr = np.asarray(x, dtype=float)
     if arr.ndim not in (1, 2):
         raise InputError(f"expected a vector or matrix, got ndim={arr.ndim}")

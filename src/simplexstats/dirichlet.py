@@ -15,19 +15,20 @@ that of 5 full steps to within that step's rounding. All three fits of the
 library, this one and the common-mean and uniform-mean nulls of the
 inference module, run one damped Newton driver (_newton_ascent) over one
 iteration loop (_ascend) and one line search (_backtrack), on one Dirichlet
-objective (_per_obs_loglik). Every fit stops by one policy, which no
-public function lets a caller change: it converges when the gradient
-max-norm falls below 1e-8 or the largest parameter move below 1e-10, within
-1000 steps (numerics.Tolerance, the fits' private setting). A private batch
-variant runs many independent fits as one array program; the public API
-wraps the single-dataset case. Each row of a batch is fitted by itself, bit
-for bit, so _ascend may run a batch in fixed blocks of rows and callers may
-stack independent fits into one batch.
+objective (_per_obs_loglik). Every fit stops by one policy, three module
+constants that no public function lets a caller change: a row converges
+when its gradient max-norm falls below _GRAD_TOL = 1e-8 or its largest
+parameter move below _STEP_TOL = 1e-10, within _MAX_ITER = 1000 steps (this
+fit's warmup included). A private batch variant runs many independent fits
+as one array program; the public API wraps the single-dataset case. Each
+row of a batch is fitted by itself, bit for bit, so _ascend may run a batch
+in fixed blocks of rows and callers may stack independent fits into one
+batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +45,9 @@ from .errors import (
 from .numerics import (
     _SHIFT_TO,
     EULER_GAMMA,
-    Tolerance,
     _digamma_core,
     _digamma_trigamma_core,
+    _is_integer,
     _lgamma_core,
     _trigamma_core,
 )
@@ -136,8 +137,8 @@ def moments(params: DirichletParams) -> tuple[np.ndarray, np.ndarray]:
 
 def sample(params: DirichletParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n compositions by normalizing independent gamma variates."""
-    if n < 1:
-        raise InputError(f"n must be at least 1, got {n}")
+    if not (_is_integer(n) and n >= 1):
+        raise InputError(f"n must be an integer at least 1, got {n!r}")
     # standard_gamma draws the same stream and values as gamma(shape,
     # scale=1.0), without gamma's second check of its array arguments.
     g = rng.standard_gamma(params.alpha, size=(n, params.n_components))
@@ -221,6 +222,11 @@ def _per_obs_loglik(alpha: np.ndarray, mean_log: np.ndarray, total: np.ndarray) 
     return np.where(fine, ll, -np.inf)
 
 
+# The stopping policy of every fit (see the module docstring), read when a
+# fit is called.
+_GRAD_TOL = 1.0e-8
+_STEP_TOL = 1.0e-10
+_MAX_ITER = 1000
 _FIXED_POINT_WARMUP = 15
 _MAX_BACKTRACK = 30
 
@@ -252,17 +258,17 @@ def _backtrack(objective, x: np.ndarray, step: np.ndarray, base: np.ndarray):
 _BLOCK_ROWS = 4096
 
 
-def _ascend(step, rows: np.ndarray, b: int, tol: Tolerance):
+def _ascend(step, rows: np.ndarray, b: int, max_iter: int):
     """Iterate a batched ascent over the given rows of a batch of b, for at
-    most tol.max_iter steps.
+    most max_iter steps (none if max_iter < 1).
 
     step(rows, it) takes iteration it on the active rows and returns
     (done, stuck, move), the first two masks over rows. Rows marked done
-    meet rel_tol on the gradient and converge without moving; rows marked
+    meet _GRAD_TOL on the gradient and converge without moving; rows marked
     stuck cannot move on and stop unconverged; every other row took the
-    step, move holds its largest parameter change, and a move below abs_tol
-    converges it. Returns (converged, iterations), where iterations counts
-    the steps each row took.
+    step, move holds its largest parameter change, and a move below
+    _STEP_TOL converges it. Returns (converged, iterations), where
+    iterations counts the steps each row took.
 
     The rows run in blocks of _BLOCK_ROWS, in order, each from iteration 0
     to completion. A step treats each row by itself, bit for bit, so the
@@ -273,14 +279,14 @@ def _ascend(step, rows: np.ndarray, b: int, tol: Tolerance):
     iterations = np.zeros(b, dtype=int)
     for lo in range(0, rows.size, _BLOCK_ROWS):
         active = rows[lo : lo + _BLOCK_ROWS]
-        for it in range(tol.max_iter):
+        for it in range(max_iter):
             if active.size == 0:
                 break
             done, stuck, move = step(active, it)
             converged[active[done]] = True
             active = active[~(done | stuck)]
             iterations[active] = it + 1
-            small = move < tol.abs_tol
+            small = move < _STEP_TOL
             converged[active[small]] = True
             active = active[~small]
     return converged, iterations
@@ -315,9 +321,10 @@ def _newton_step(alpha: np.ndarray, grad: np.ndarray) -> np.ndarray:
 _T_CAP = 34.0  # log-precision cap, beyond which the data are degenerate
 
 
-def _newton_ascent(x: np.ndarray, t0: int, value, newton, tol: Tolerance):
+def _newton_ascent(x: np.ndarray, t0: int, value, newton, max_iter: int):
     """Damped Newton ascent of a per-row objective, in place on x (B, d),
-    under the stopping rule of _ascend; returns (converged, iterations).
+    for at most max_iter steps under the stopping rule of _ascend; returns
+    (converged, iterations).
 
     newton(rows, xs) gives the gradient and an ascent direction at the
     points xs of those rows, and value(rows) their objective as a function
@@ -328,7 +335,7 @@ def _newton_ascent(x: np.ndarray, t0: int, value, newton, tol: Tolerance):
     unconverged. Each other row takes one _backtrack search from the value
     its last accepted trial found, which is the objective at its point, bit
     for bit. A row whose search is rejected stays where it is, so its move
-    of 0 stops it under abs_tol.
+    of 0 stops it under _STEP_TOL.
     """
     b = x.shape[0]
     x[:, t0:] = np.minimum(x[:, t0:], _T_CAP)
@@ -339,7 +346,7 @@ def _newton_ascent(x: np.ndarray, t0: int, value, newton, tol: Tolerance):
         if it == 0:
             fval[rows] = value(rows)(xs)
         grad, direction = newton(rows, xs)
-        done = np.abs(grad).max(axis=1) < tol.rel_tol
+        done = np.abs(grad).max(axis=1) < _GRAD_TOL
         stuck = ((xs[:, t0:] >= _T_CAP) & (grad[:, t0:] >= 0.0)).any(axis=1)
         keep = ~(done | stuck)
         rows, xs, direction = rows[keep], xs[keep], direction[keep]
@@ -357,18 +364,18 @@ def _newton_ascent(x: np.ndarray, t0: int, value, newton, tol: Tolerance):
         fval[rows] = np.where(accepted, last[0], base)
         return done, stuck, np.abs(x[rows] - xs).max(axis=1)
 
-    return _ascend(step, np.arange(b), b, tol)
+    return _ascend(step, np.arange(b), b, max_iter)
 
 
-def _fit_batch(stats: SufficientStats, tol: Tolerance = Tolerance()):
+def _fit_batch(stats: SufficientStats):
     """Maximum-likelihood fits over one dataset or a stack of datasets.
 
     Every result is per row of the stack, (1, ...) for one dataset. Runs
     _FIXED_POINT_WARMUP steps of the fixed-point update as one _ascend, then
     _newton_ascent in alpha along _newton_step on the rows not yet converged,
-    for the steps of max_iter left (the likelihood is strictly concave in
-    alpha, so backtracking on it is a safe globalizer); iterations add up
-    over both phases.
+    for the steps of _MAX_ITER left, if any (the likelihood is strictly
+    concave in alpha, so backtracking on it is a safe globalizer); iterations
+    add up over both phases.
 
     Returns (alpha, log_likelihood, iterations, converged, usable) where
     usable marks rows that were fit at all (non-degenerate input).
@@ -388,25 +395,23 @@ def _fit_batch(stats: SufficientStats, tol: Tolerance = Tolerance()):
         none = np.zeros(rows.size, dtype=bool)
         return none, none, np.abs(new - cur).max(axis=1)
 
-    warmup = replace(tol, max_iter=min(tol.max_iter, _FIXED_POINT_WARMUP))
+    warmup = min(_MAX_ITER, _FIXED_POINT_WARMUP)
     converged, iterations = _ascend(fixed_point, np.flatnonzero(usable), b, warmup)
-    if tol.max_iter > _FIXED_POINT_WARMUP:
-        todo = np.flatnonzero(usable & ~converged)
-        x, ml = alpha[todo], mean_log[todo]
+    todo = np.flatnonzero(usable & ~converged)
+    x, ml = alpha[todo], mean_log[todo]
 
-        def value(rows):
-            m = ml[rows]
-            return lambda xs: _per_obs_loglik(xs, m, xs.sum(axis=1))
+    def value(rows):
+        m = ml[rows]
+        return lambda xs: _per_obs_loglik(xs, m, xs.sum(axis=1))
 
-        def newton(rows, xs):
-            psi = _digamma_core(_with_column(xs, xs.sum(axis=1)))
-            grad = psi[:, -1:] - psi[:, :-1] + ml[rows]
-            return grad, _newton_step(xs, grad)
+    def newton(rows, xs):
+        psi = _digamma_core(_with_column(xs, xs.sum(axis=1)))
+        grad = psi[:, -1:] - psi[:, :-1] + ml[rows]
+        return grad, _newton_step(xs, grad)
 
-        rest = replace(tol, max_iter=tol.max_iter - _FIXED_POINT_WARMUP)
-        converged[todo], its = _newton_ascent(x, k, value, newton, rest)
-        alpha[todo] = x
-        iterations[todo] += its
+    converged[todo], its = _newton_ascent(x, k, value, newton, _MAX_ITER - warmup)
+    alpha[todo] = x
+    iterations[todo] += its
     loglik = _blockwise(
         lambda s: n[s] * _per_obs_loglik(alpha[s], mean_log[s], alpha[s].sum(axis=1)), b
     )

@@ -20,9 +20,12 @@ batch per child count on the carriers nested._node_stats reduces (``nested``
 holds all per-node work). The two-sample batch fits
 both groups' alternatives as one stacked batch too. The simulation harness
 drives the batch forms directly.
-Every fit runs the one stopping policy of the library (README, "Models");
-no public function takes a tolerance. The likelihood-ratio tests report a
-fit that does not converge as converged=False instead of raising.
+Every fit runs the one stopping policy of the library (README, "Models"):
+the constants dirichlet._GRAD_TOL = 1e-8 on the gradient max-norm,
+dirichlet._STEP_TOL = 1e-10 on the largest move and dirichlet._MAX_ITER =
+1000 steps; no public function takes a tolerance. The likelihood-ratio
+tests report a fit that does not converge as converged=False instead of
+raising.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .errors import (
     SingularMatrixError,
 )
 from .numerics import (
-    Tolerance,
     _digamma_trigamma_core,
     _is_integer,
     chi_square_sf,
@@ -109,9 +111,7 @@ class MeanDifferenceCI:
 # ---------------------------------------------------------------------------
 # One-sample uniformity test
 
-def _uniformity_null_batch(
-    mean_log: np.ndarray, n: int | np.ndarray, init_a: np.ndarray, tol: Tolerance = Tolerance()
-):
+def _uniformity_null_batch(mean_log: np.ndarray, n: int | np.ndarray, init_a: np.ndarray):
     """Maximize the uniform-mean likelihood over the precision, per row.
 
     The uniform mean is the common-mean model at pi = 1/K, one group: this
@@ -140,7 +140,7 @@ def _uniformity_null_batch(
         return dt[:, None], np.clip(step, -10.0, 10.0)[:, None]
 
     x = np.log(np.maximum(init_a, 1.0e-6))[:, None]
-    converged, _ = dirichlet._newton_ascent(x, 0, value, newton, tol)
+    converged, _ = dirichlet._newton_ascent(x, 0, value, newton, dirichlet._MAX_ITER)
     a_opt = np.exp(x[:, 0])
     loglik_full = n * dirichlet._blockwise(lambda s: loglik(a_opt[s], mean_log[s]), b)
     bounded = np.log(k) + mean_log.mean(axis=1) < -(k - 1) / (2.0 * np.exp(_T_CAP))
@@ -504,15 +504,15 @@ def _common_mean_fit(
     init_pi: np.ndarray,
     init_a1: np.ndarray,
     init_a2: np.ndarray,
-    tol: Tolerance = Tolerance(),
 ):
     """Maximize the pooled log-likelihood under a common mean composition.
 
     _newton_ascent in x = (theta, t1, t2) per row, theta the softmax
     coordinates of the shared mean (last component pinned) and t_g = log
     A_g, along the _null_newton direction on the objective _null_ll, with
-    the gradient max-norm against rel_tol and the largest move of x against
-    abs_tol. Start values and the results are evaluated per block of rows.
+    the gradient max-norm against dirichlet._GRAD_TOL and the largest move of
+    x against dirichlet._STEP_TOL, within dirichlet._MAX_ITER steps. Start
+    values and the results are evaluated per block of rows.
 
     Returns (pi, a1, a2, total_loglik, converged, iterations).
     """
@@ -541,7 +541,7 @@ def _common_mean_fit(
         return _null_newton(_softmax_pinned(xs[:, :k1]), np.exp(xs[:, k1:]).T, w, m)
 
     x = dirichlet._blockwise(start, b)
-    converged, iterations = dirichlet._newton_ascent(x, k1, value, newton, tol)
+    converged, iterations = dirichlet._newton_ascent(x, k1, value, newton, dirichlet._MAX_ITER)
     pi = dirichlet._blockwise(lambda s: _softmax_pinned(x[s, :k1]), b)
     total = dirichlet._blockwise(lambda s: _null_ll(x[s], pair(s, "n"), pair(s, "mean_log")), b)
     return pi, np.exp(x[:, k1]), np.exp(x[:, k]), total, converged, iterations

@@ -49,6 +49,7 @@ from .errors import (
     TreeFormatError,
     TreeStructureError,
 )
+from .numerics import _is_integer
 
 __all__ = [
     "TreeNode",
@@ -216,8 +217,8 @@ class NestingTree:
 
 def flat_tree(k: int, leaf_names: tuple[str, ...] | None = None) -> NestingTree:
     """The tree with all K components directly under the root."""
-    if k < 2:
-        raise DomainError(f"need at least 2 components, got {k}")
+    if not (_is_integer(k) and k >= 2):
+        raise DomainError(f"need an integer of at least 2 components, got {k!r}")
     kids = tuple(TreeNode(component=j) for j in range(k))
     return NestingTree(root=TreeNode(children=kids), leaf_names=leaf_names)
 
@@ -652,8 +653,8 @@ def sample(params: NddParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n compositions: independent branch splits multiplied down the
     tree. One Dirichlet split is drawn per internal node, in pre-order; its
     columns follow the children's canonical order."""
-    if n < 1:
-        raise InputError(f"n must be at least 1, got {n}")
+    if not (_is_integer(n) and n >= 1):
+        raise InputError(f"n must be an integer at least 1, got {n!r}")
     splits = (dirichlet.sample(dd, n, rng) for dd in params._splits)
     return _assemble(params.tree, splits, n)
 

@@ -31,7 +31,6 @@ argument the tails and log-gamma return their limits.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,28 +99,6 @@ _TRIGAMMA_TAIL = (
 # below these arguments, as scipy's do; the public functions refuse them.
 _DIGAMMA_MIN = float(np.nextafter(1.0 / np.finfo(float).max, 1.0))
 _TRIGAMMA_MIN = float(1.0 / np.sqrt(np.finfo(float).max))
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Convergence policy of the library's fits, private to them: no public
-    function takes one, and every production fit runs at the defaults.
-
-    abs_tol bounds the parameter change between iterations, rel_tol bounds the
-    scaled gradient max-norm, and max_iter caps the iteration count.
-    """
-
-    abs_tol: float = 1.0e-10
-    rel_tol: float = 1.0e-8
-    max_iter: int = 1000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if not (self.rel_tol > 0.0):
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 def _prepare(

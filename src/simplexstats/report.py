@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import DEFAULT_SUM_TOLERANCE, CompositionDataset
+from .composition import DEFAULT_SUM_TOLERANCE, CompositionDataset, _check_sum_tolerance
 from .errors import (
     EmptyGroupError,
     InputError,
@@ -151,6 +151,7 @@ def parse_csv(
     value for exact zeros and renormalizes the row, a standard small-value
     replacement for compositions with structural zeros.
     """
+    _check_sum_tolerance(sum_tolerance)
     if zero_replace is not None and not (0.0 < zero_replace < 1.0):
         raise InputError(
             f"zero replacement must be in (0, 1), got {zero_replace}"

@@ -28,7 +28,9 @@ alternatives of a two-sample test, and the nodes of a tree that have the
 same number of children. Each batch runs in fixed blocks of rows
 (dirichlet._BLOCK_ROWS), so its temporaries do not grow with R; every row's
 fit is the one it gets alone, bit for bit. Every fit runs the library's one
-stopping policy (README, "Models"): a study has no tolerance setting.
+stopping policy (README, "Models"), the constants dirichlet._GRAD_TOL =
+1e-8, dirichlet._STEP_TOL = 1e-10 and dirichlet._MAX_ITER = 1000: a study
+has no tolerance setting.
 """
 
 from __future__ import annotations
@@ -535,7 +537,7 @@ def run_correlation_check(
     Used to check that a nested fit actually reproduces the correlation
     pattern it was selected for.
     """
-    if n < 3:
-        raise InputError(f"need at least 3 draws for a correlation, got {n}")
+    if not (_is_integer(n) and n >= 3):
+        raise InputError(f"need an integer of at least 3 draws for a correlation, got {n!r}")
     x = _draw(params, n, next(_replicate_rngs(master_seed, 0, 1)))
     return np.corrcoef(x, rowvar=False)

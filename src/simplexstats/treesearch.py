@@ -34,6 +34,7 @@ from . import dirichlet, nested
 from .composition import CompositionDataset, sample_correlation, validate
 from .errors import DimensionMismatchError, InputError, NumericalError
 from .nested import NddParams, NestingTree, TreeNode
+from .numerics import _is_integer
 
 __all__ = [
     "TreeCandidate",
@@ -116,9 +117,9 @@ def enumerate_trees(
     Trees are canonical, so the result has no duplicates; it is sorted
     by rendered form, which fixes the tie-break order used downstream.
     """
-    if not (2 <= k <= MAX_COMPONENTS):
+    if not (_is_integer(k) and 2 <= k <= MAX_COMPONENTS):
         raise InputError(
-            f"component count must be between 2 and {MAX_COMPONENTS}, got {k}"
+            f"component count must be an integer between 2 and {MAX_COMPONENTS}, got {k!r}"
         )
     if components is None:
         components = tuple(f"c{j + 1}" for j in range(k))

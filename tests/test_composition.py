@@ -57,6 +57,18 @@ def test_validate_tolerance_is_configurable():
     assert out.shape == (2,)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+def test_sum_tolerance_must_be_finite_and_nonnegative(bad):
+    # NaN and infinity used to let every row through; a negative value
+    # rejected every row as "differs from 1 by more than -1".
+    x = np.array([[0.2, 0.8], [0.4, 0.6]])
+    with pytest.raises(InputError, match="sum_tolerance must be finite and nonnegative"):
+        validate(x, sum_tolerance=bad)
+    with pytest.raises(InputError, match="sum_tolerance must be finite and nonnegative"):
+        CompositionDataset.from_arrays(x, ["a", "b"], sum_tolerance=bad)
+    assert validate(x, sum_tolerance=0.0).shape == (2, 2)
+
+
 def test_sufficient_stats_from_matrix():
     x = np.array([[0.2, 0.8], [0.4, 0.6]])
     s = SufficientStats.from_matrix(x)

@@ -14,7 +14,6 @@ from simplexstats.dirichlet import DirichletParams
 from simplexstats.errors import DegenerateDataError, DomainError, NumericalError
 from simplexstats.numerics import (
     EULER_GAMMA,
-    Tolerance,
     _digamma_core,
     _digamma_trigamma_core,
     digamma,
@@ -193,7 +192,6 @@ def test_fit_batch_degenerate_row_is_silent_and_leaves_other_rows_unchanged():
     p = np.array([0.2, 0.3, 0.5])
     # Zero variance in every component: no moment ratio to average.
     flat = SufficientStats(n=30, mean_log=np.log(p), mean=p, mean_sq=p * p)
-    tol = Tolerance()
 
     def fit(*stats):
         stack = SufficientStats(
@@ -202,22 +200,22 @@ def test_fit_batch_degenerate_row_is_silent_and_leaves_other_rows_unchanged():
             mean=np.array([s.mean for s in stats]),
             mean_sq=np.array([s.mean_sq for s in stats]),
         )
-        return dirichlet._fit_batch(stack, tol)
+        return dirichlet._fit_batch(stack)
 
     alone = fit(good)
     batch = fit(good, flat)
-    unstacked = dirichlet._fit_batch(good, tol)
+    unstacked = dirichlet._fit_batch(good)
     assert batch[4].tolist() == [True, False]
     for a, b, c in zip(alone, batch, unstacked):
         assert np.array_equal(a[0], b[0])
         assert c.shape == a.shape and np.array_equal(c, a)
 
 
-def test_ascend_stopping_rule():
+def test_ascend_stopping_rule(monkeypatch):
     # A per-row contraction x <- x * rate[row]: row 0 starts at its optimum,
     # row 1 is stuck from the first call, row 2 halves its move each step
-    # until it falls below abs_tol, and row 3 keeps moving by 1 forever.
-    tol = Tolerance(abs_tol=1.0e-3, max_iter=20)
+    # until it falls below _STEP_TOL, and row 3 keeps moving by 1 forever.
+    monkeypatch.setattr(dirichlet, "_STEP_TOL", 1.0e-3)
     x = np.array([0.0, 1.0, 1.0, 1.0])
     rate = np.array([0.5, 0.5, 0.5, 1.0])
     calls = []
@@ -232,7 +230,7 @@ def test_ascend_stopping_rule():
         x[moving] = new
         return done, stuck, move
 
-    converged, iterations = dirichlet._ascend(step, np.arange(4), 5, tol)
+    converged, iterations = dirichlet._ascend(step, np.arange(4), 5, 20)
     # Moves of row 2 are 2**-1, 2**-2, ...; 2**-10 < 1e-3 <= 2**-9.
     assert converged.tolist() == [True, False, True, False, False]
     assert iterations.tolist() == [0, 0, 10, 20, 0]
@@ -241,7 +239,7 @@ def test_ascend_stopping_rule():
     assert calls[-1] == ([3], 19)
     assert len(calls) == 20
     # A batch with no rows to fit takes no step.
-    converged, iterations = dirichlet._ascend(step, np.arange(0), 3, tol)
+    converged, iterations = dirichlet._ascend(step, np.arange(0), 3, 20)
     assert len(calls) == 20 and not converged.any() and not iterations.any()
 
 

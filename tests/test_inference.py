@@ -1,6 +1,5 @@
 """Hypothesis tests, screening, and confidence intervals."""
 
-import functools
 import json
 import pathlib
 
@@ -29,7 +28,7 @@ from simplexstats.inference import (
     two_sample_ndd_lrt,
 )
 from simplexstats.nested import NddParams, flat_tree, parse_tree
-from simplexstats.numerics import Tolerance, chi_square_sf
+from simplexstats.numerics import chi_square_sf
 from simplexstats.simulate import DirichletLRT, SimSpec
 
 
@@ -223,15 +222,12 @@ def test_fixed_row_blocks_change_no_fit_bitwise(monkeypatch, block):
     # _ascend runs a batch in blocks of _BLOCK_ROWS rows; at the default
     # the 23 rows are one block.
     s1, s2 = _mixed_carriers()
-    tol = Tolerance()
 
     def fits():
-        fit = dirichlet._fit_batch(s1, tol)
+        fit = dirichlet._fit_batch(s1)
         a1 = fit[0].sum(axis=1)
-        null = inference._common_mean_fit(
-            s1, s2, fit[0] / a1[:, None], a1, np.maximum(a1, 2.0), tol
-        )
-        unif = inference._uniformity_null_batch(s2.mean_log, s2.n, np.maximum(a1, 1.0), tol)
+        null = inference._common_mean_fit(s1, s2, fit[0] / a1[:, None], a1, np.maximum(a1, 2.0))
+        unif = inference._uniformity_null_batch(s2.mean_log, s2.n, np.maximum(a1, 1.0))
         return [*fit, *null, *unif]
 
     want = fits()
@@ -247,7 +243,7 @@ FIT_BATCH_PINS = pathlib.Path(__file__).parent / "data" / "fit_batch_max_iter.js
 
 
 @pytest.mark.parametrize("max_iter", [3, 15, 16, 17, 1000])
-def test_fit_batch_matches_recorded_fits_at_each_max_iter(max_iter):
+def test_fit_batch_matches_recorded_fits_at_each_max_iter(monkeypatch, max_iter):
     # The alternative fit runs its fixed-point warmup and then its Newton
     # steps as two ascents whose iteration counts add up. Against fits
     # recorded when both ran in one loop, no count and no converged flag
@@ -255,7 +251,8 @@ def test_fit_batch_matches_recorded_fits_at_each_max_iter(max_iter):
     # the default; alpha agrees to rounding.
     pins = json.loads(FIT_BATCH_PINS.read_text())["fits"][str(max_iter)]
     stats = SufficientStats.concat([*_mixed_carriers(), *_alpha_005_rows(range(120, 130))])
-    alpha, _, iterations, converged, _ = dirichlet._fit_batch(stats, Tolerance(max_iter=max_iter))
+    monkeypatch.setattr(dirichlet, "_MAX_ITER", max_iter)
+    alpha, _, iterations, converged, _ = dirichlet._fit_batch(stats)
     assert iterations.tolist() == pins["iterations"]
     assert converged.astype(int).tolist() == pins["converged"]
     np.testing.assert_allclose(alpha, pins["alpha"], rtol=1e-12, atol=0.0)
@@ -409,11 +406,8 @@ def test_two_sample_lrt_with_a_constant_column_raises_degenerate_at_any_cap(monk
          [0.99948388877055394, 3.6193091331537094e-27, 1.0153665529989982e-10, 5.1611112790940375e-04],
          [0.73116691668595379, 2.2910613321678531e-04, 1.8176560062071172e-03, 0.26678632117462225]]
     ds = CompositionDataset.from_arrays(np.array(a + b), ["a"] * 3 + ["b"] * 3)
-    fits = dirichlet._fit_batch, inference._common_mean_fit
     for max_iter in (16, 17, 1000):
-        short = Tolerance(max_iter=max_iter)
-        monkeypatch.setattr(dirichlet, "_fit_batch", functools.partial(fits[0], tol=short))
-        monkeypatch.setattr(inference, "_common_mean_fit", functools.partial(fits[1], tol=short))
+        monkeypatch.setattr(dirichlet, "_MAX_ITER", max_iter)
         with pytest.raises(DegenerateDataError):
             two_sample_dirichlet_lrt(ds)
 
@@ -510,14 +504,13 @@ def test_uniformity_null_row_at_the_centre_stops_at_the_cap():
     # Every part's mean log at log(1/K): the likelihood rises without bound
     # in the precision, so the row has to stop at the cap, unconverged, and
     # leave its neighbour's fit as it is alone.
-    tol = Tolerance()
     for k in (2, 3, 4, 6):
         alpha = (6.0, 4.0, 3.0, 5.0, 2.0, 7.0)[:k]
         ml = np.log(np.random.default_rng(43).dirichlet(alpha, size=8)).mean(axis=0)
         centre = np.full(k, np.log(1.0 / k))
-        alone = inference._uniformity_null_batch(ml[None], np.array([8.0]), np.array([10.0]), tol)
+        alone = inference._uniformity_null_batch(ml[None], np.array([8.0]), np.array([10.0]))
         a, ll, converged = inference._uniformity_null_batch(
-            np.stack([ml, centre]), np.array([8.0, 8.0]), np.array([10.0, 10.0]), tol
+            np.stack([ml, centre]), np.array([8.0, 8.0]), np.array([10.0, 10.0])
         )
         assert np.isfinite(a[1]) and a[1] <= np.exp(dirichlet._T_CAP)
         assert np.isfinite(ll[1])
@@ -536,7 +529,7 @@ def test_uniformity_null_centre_rows_are_unconverged_from_every_start():
     for k in (2, 3, 4, 6):
         centre = np.full((starts.size, k), np.log(1.0 / k))
         _, _, converged = inference._uniformity_null_batch(
-            centre, np.full(starts.size, 8.0), starts, Tolerance()
+            centre, np.full(starts.size, 8.0), starts
         )
         assert not converged.any(), (k, starts[converged])
 
@@ -565,8 +558,7 @@ def test_uniformity_test_equals_its_row_of_the_batch_path(alpha, n, small):
 def test_uniformity_test_reports_nonconvergence(monkeypatch):
     x = np.random.default_rng(53).dirichlet([6.0, 4.0, 3.0, 5.0], size=9)
     with monkeypatch.context() as m:
-        short = functools.partial(dirichlet._fit_batch, tol=Tolerance(max_iter=3))
-        m.setattr(dirichlet, "_fit_batch", short)
+        m.setattr(dirichlet, "_MAX_ITER", 3)
         tr = one_sample_uniformity_test(x)
     assert tr.converged is False
     assert tr.statistic >= 0.0

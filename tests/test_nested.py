@@ -1,7 +1,6 @@
 """Tree-structured model: parsing, decomposition, density, fitting, sampling."""
 
 import dataclasses
-import functools
 import json
 import pathlib
 
@@ -26,7 +25,6 @@ from simplexstats.nested import (
     parse_tree,
     render_tree,
 )
-from simplexstats.numerics import Tolerance
 
 BEST_TREE_TEXT = "((AQ1:11.6,OQ:10.3):8.1,(AQ2:5.6,TQ:9.2):11.2)"
 
@@ -312,8 +310,7 @@ def test_mle_names_the_subtree_whose_fit_fails(monkeypatch):
     with pytest.raises(DegenerateDataError, match="subtree 'N1': a component is constant"):
         nested.mle(tree, fixed)
     free = np.random.default_rng(43).dirichlet([3.0, 4.0, 5.0, 2.0], size=30)
-    short = functools.partial(dirichlet._fit_batch, tol=Tolerance(max_iter=3))
-    monkeypatch.setattr(dirichlet, "_fit_batch", short)
+    monkeypatch.setattr(dirichlet, "_MAX_ITER", 3)
     with pytest.raises(NonConvergenceError) as direct:
         dirichlet.mle(nested.decompose(tree, free).blocks[0].matrix)
     with pytest.raises(NonConvergenceError, match="subtree 'root': ") as info:

@@ -14,7 +14,6 @@ from simplexstats.numerics import (
     _LN_SQRT_2PI,
     _SHIFT_TO,
     _TRIGAMMA_TAIL,
-    Tolerance,
     chi_square_cdf,
     chi_square_sf,
     digamma,
@@ -298,15 +297,6 @@ def test_normal_quantile_rejects_boundary():
     for bad in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(DomainError):
             normal_quantile(bad)
-
-
-def test_tolerance_validates_fields():
-    tol = Tolerance()
-    assert tol.abs_tol > 0 and tol.rel_tol > 0 and tol.max_iter >= 1
-    with pytest.raises(DomainError):
-        Tolerance(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        Tolerance(max_iter=0)
 
 
 # Reference cores: the np.where forms of the three shift loops, kept

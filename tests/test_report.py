@@ -86,6 +86,17 @@ def test_parse_csv_zero_replacement(tmp_path):
     assert np.allclose(ds.matrix[1], [0.2, 0.3, 0.5])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_parse_csv_sum_tolerance_must_be_finite_and_nonnegative(tmp_path, bad):
+    # Rows 1,4 and 2,3 sum to 5: a NaN tolerance used to pass them and
+    # return them renormalized.
+    path = _write(tmp_path, "group,a,b\ng1,1,4\ng2,2,3\n")
+    with pytest.raises(InputError, match="sum_tolerance must be finite and nonnegative"):
+        parse_csv(path, sum_tolerance=bad)
+    with pytest.raises(NotNormalizedError):
+        parse_csv(path)
+
+
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0])
 def test_parse_csv_zero_replace_must_be_fractional(tmp_path, bad):
     with pytest.raises(InputError):

@@ -6,12 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from simplexstats import dirichlet, inference, nested, simulate
+from simplexstats import dirichlet, inference, nested, simulate, treesearch
 from simplexstats.composition import CompositionDataset, SufficientStats
 from simplexstats.dirichlet import DirichletParams
 from simplexstats.errors import InputError, NumericalError
 from simplexstats.nested import NddParams, NestingTree, flat_tree, parse_tree
-from simplexstats.numerics import Tolerance, chi_square_sf
+from simplexstats.numerics import chi_square_sf
 from simplexstats.simulate import (
     FAIL_TO_REJECT,
     FIT_FAILURE,
@@ -107,6 +107,32 @@ def test_spec_accepts_numpy_integer_sizes():
     spec = _spec(replicates=np.int64(3), n_per_group=(np.int32(5), 6))
     assert spec.n_pair == (5, 6)
     assert sum(run_type1_study(spec).counts.values()) == 3
+
+
+_COUNT_GEN = DirichletParams(alpha=(2.0, 3.0, 4.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: dirichlet.sample(_COUNT_GEN, n, np.random.default_rng(0)),
+        lambda n: nested.sample(NddParams(tree=parse_tree("((a:2,b:3):4,c:1)")), n,
+                                np.random.default_rng(0)),
+        lambda n: simulate.run_correlation_check(_COUNT_GEN, n),
+        treesearch.enumerate_trees,
+        nested.flat_tree,
+    ],
+    ids=["dirichlet.sample", "nested.sample", "run_correlation_check", "enumerate_trees",
+         "flat_tree"],
+)
+@pytest.mark.parametrize("n", [3.0, 3.5, np.float64(3.0), True])
+def test_counts_must_be_integers(call, n):
+    # A float count used to reach range() or numpy's size argument and raise
+    # TypeError; a bool read as 1.
+    with pytest.raises(InputError, match="integer"):
+        call(n)
+    # The same count as an integer, numpy's included, is accepted.
+    call(np.int64(3))
 
 
 SEEDS = (0, 1, 987654321, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1)
@@ -635,7 +661,7 @@ def test_common_mean_fit_temporaries_do_not_grow_with_the_batch():
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            out = inference._common_mean_fit(s1, s2, *init, Tolerance())
+            out = inference._common_mean_fit(s1, s2, *init)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -17,7 +17,6 @@ import numpy as np
 from simplexstats import dirichlet, inference, simulate, treesearch
 from simplexstats.composition import SufficientStats
 from simplexstats.dirichlet import DirichletParams
-from simplexstats.numerics import Tolerance
 from simplexstats.simulate import DirichletLRT, SimSpec
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -57,8 +56,7 @@ def test_after_hooks_read_real_results_of_their_targets():
     x1 = drawn[0].copy()
     x1[2] = x1[2, 0]  # one repeated composition: an unusable fit
     s1, s2 = SufficientStats.reduce(x1), SufficientStats.reduce(drawn[1])
-    tol = Tolerance()
-    fit = dirichlet._fit_batch(s1, tol)
+    fit = dirichlet._fit_batch(s1)
     a1 = fit[0].sum(axis=1)
     # Row 6 has every mean log at log(1/3): its uniform null is unconverged.
     mean_log = np.vstack((s2.mean_log, np.full((1, 3), np.log(1.0 / 3.0))))
@@ -69,10 +67,10 @@ def test_after_hooks_read_real_results_of_their_targets():
         "simulate._draw_stacks": drawn,
         "dirichlet._fit_batch": fit,
         "inference._common_mean_fit": inference._common_mean_fit(
-            s1, s2, fit[0] / a1[:, None], a1, a1, tol
+            s1, s2, fit[0] / a1[:, None], a1, a1
         ),
         "inference._uniformity_null_batch": inference._uniformity_null_batch(
-            mean_log, np.full(7, 7.0), np.full(7, 5.0), tol
+            mean_log, np.full(7, 7.0), np.full(7, 5.0)
         ),
         "treesearch.enumerate_trees": candidates,
         "treesearch.filter_impossible": treesearch.filter_impossible(candidates, corr),
