@@ -171,11 +171,14 @@ def _inv_digamma(y: np.ndarray) -> np.ndarray:
         np.exp(np.maximum(y, -2.22)) + 0.5,
         -1.0 / (np.minimum(y, -2.22) + EULER_GAMMA),
     )
-    x = np.maximum(x, 1.0e-300)
+    np.maximum(x, 1.0e-300, out=x)
     for shift_to in (_INV_DIGAMMA_SHIFT,) * 4 + (_SHIFT_TO,):
         psi, psi1 = _digamma_trigamma_core(x, shift_to)
-        x = x - (psi - y) / psi1
-        x = np.maximum(x, 1.0e-300)
+        # x - (psi - y) / psi1, in place
+        psi -= y
+        psi /= psi1
+        x -= psi
+        np.maximum(x, 1.0e-300, out=x)
     return x
 
 
@@ -465,8 +468,8 @@ def fisher_information(params: DirichletParams, n: int) -> np.ndarray:
     The last mean coordinate is eliminated through the sum constraint, so the
     matrix is K x K for K components: K-1 mean rows plus one precision row.
     """
-    if n < 1:
-        raise InputError(f"n must be at least 1, got {n}")
+    if not (_is_integer(n) and n >= 1):
+        raise InputError(f"n must be an integer at least 1, got {n!r}")
     pi = params.mean
     a = params.precision
     k = params.n_components

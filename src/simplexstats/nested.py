@@ -667,8 +667,8 @@ def delta_method_ses(params: NddParams, n: int) -> np.ndarray:
     estimates' relative variances: Var(p_j) = p_j^2 * sum_i Var(m_i)/m_i^2.
     Branch variances come from each subtree's inverse information.
     """
-    if n < 1:
-        raise InputError(f"n must be at least 1, got {n}")
+    if not (_is_integer(n) and n >= 1):
+        raise InputError(f"n must be an integer at least 1, got {n!r}")
     rel_vars = (
         ((dirichlet.mean_standard_errors(dd, n) / dd.mean) ** 2)[None, :]
         for dd in params._splits

@@ -11,7 +11,7 @@ import scipy.stats as st
 from simplexstats import dirichlet
 from simplexstats.composition import SufficientStats
 from simplexstats.dirichlet import DirichletParams
-from simplexstats.errors import DegenerateDataError, DomainError, NumericalError
+from simplexstats.errors import DegenerateDataError, DomainError, InputError, NumericalError
 from simplexstats.numerics import (
     EULER_GAMMA,
     _digamma_core,
@@ -374,6 +374,15 @@ def test_fisher_information_scales_linearly_in_n():
     one = dirichlet.fisher_information(params, 1)
     many = dirichlet.fisher_information(params, 13)
     assert np.allclose(many, 13.0 * one, rtol=1e-12)
+
+
+@pytest.mark.parametrize("fn", [dirichlet.fisher_information, dirichlet.mean_standard_errors])
+def test_information_and_standard_errors_take_n_as_a_count(fn):
+    params = DirichletParams(alpha=[3.0, 4.0, 5.0])
+    for bad in (True, 2.5, 7.0, 0):
+        with pytest.raises(InputError, match="n must be an integer at least 1"):
+            fn(params, bad)
+    assert np.array_equal(fn(params, np.int64(7)), fn(params, 7))
 
 
 def test_mean_standard_errors_invariant_under_component_rotation():

@@ -13,6 +13,7 @@ from simplexstats.composition import CompositionDataset
 from simplexstats.dirichlet import DirichletParams
 from simplexstats.errors import (
     DegenerateDataError,
+    InputError,
     NonConvergenceError,
     TreeFormatError,
     TreeStructureError,
@@ -424,6 +425,16 @@ def test_nesting_can_produce_positive_correlation():
     # AQ1 and OQ share a node: positively correlated; across nodes: negative.
     assert corr[0, 1] > 0.1
     assert corr[0, 2] < 0.0 and corr[0, 3] < 0.0
+
+
+def test_delta_method_ses_take_n_as_a_count():
+    params = NddParams(tree=parse_tree(BEST_TREE_TEXT))
+    for bad in (True, 2.5, 7.0, 0):
+        with pytest.raises(InputError, match="n must be an integer at least 1"):
+            nested.delta_method_ses(params, bad)
+    assert np.array_equal(
+        nested.delta_method_ses(params, np.int64(7)), nested.delta_method_ses(params, 7)
+    )
 
 
 def test_delta_method_ses_match_parametric_bootstrap():

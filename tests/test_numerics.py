@@ -1,5 +1,7 @@
 """Special functions and distribution tails checked against scipy and mpmath."""
 
+import functools
+
 import mpmath
 import numpy as np
 import pytest
@@ -302,7 +304,7 @@ def test_normal_quantile_rejects_boundary():
 # Reference cores: the np.where forms of the three shift loops, kept
 # verbatim. The cores in numerics compute the same expressions in place, and
 # digamma and trigamma share one loop, so every output must match these bit
-# for bit.
+# for bit, at both shift points the library uses.
 
 
 def _ref_tail_sum(w, coeffs):
@@ -326,11 +328,11 @@ def _ref_lgamma_core(x):
     return (z - 0.5) * np.log(z) - z + _LN_SQRT_2PI + series - shift
 
 
-def _ref_digamma_core(x):
+def _ref_digamma_core(x, shift_to=_SHIFT_TO):
     z = x.astype(float, copy=True)
     shift = np.zeros_like(z)
-    for _ in range(10):
-        low = z < _SHIFT_TO
+    for _ in range(shift_to):
+        low = z < shift_to
         if not low.any():
             break
         shift = np.where(low, shift + 1.0 / np.where(low, z, 1.0), shift)
@@ -339,11 +341,11 @@ def _ref_digamma_core(x):
     return np.log(z) - 0.5 / z - _ref_tail_sum(w, _DIGAMMA_TAIL) - shift
 
 
-def _ref_trigamma_core(x):
+def _ref_trigamma_core(x, shift_to=_SHIFT_TO):
     z = x.astype(float, copy=True)
     shift = np.zeros_like(z)
-    for _ in range(10):
-        low = z < _SHIFT_TO
+    for _ in range(shift_to):
+        low = z < shift_to
         if not low.any():
             break
         zz = np.where(low, z, 1.0)
@@ -351,6 +353,39 @@ def _ref_trigamma_core(x):
         z = np.where(low, z + 1.0, z)
     w = 1.0 / (z * z)
     return 1.0 / z + 0.5 * w + _ref_tail_sum(w, _TRIGAMMA_TAIL) / z + shift
+
+
+def _ref_digamma_trigamma_core(x, shift_to=_SHIFT_TO):
+    return _ref_digamma_core(x, shift_to), _ref_trigamma_core(x, shift_to)
+
+
+# (core, reference, least argument): trigamma leaves the double range below
+# _TRIGAMMA_MIN, digamma and log-gamma below _DIGAMMA_MIN.
+REFERENCE_CORES = {
+    "lgamma": (numerics._lgamma_core, _ref_lgamma_core, numerics._DIGAMMA_MIN),
+    "digamma": (numerics._digamma_core, _ref_digamma_core, numerics._DIGAMMA_MIN),
+    "trigamma": (numerics._trigamma_core, _ref_trigamma_core, numerics._TRIGAMMA_MIN),
+    "digamma_trigamma_10": (
+        numerics._digamma_trigamma_core,
+        _ref_digamma_trigamma_core,
+        numerics._TRIGAMMA_MIN,
+    ),
+    "digamma_trigamma_4": (
+        functools.partial(numerics._digamma_trigamma_core, shift_to=4),
+        functools.partial(_ref_digamma_trigamma_core, shift_to=4),
+        numerics._TRIGAMMA_MIN,
+    ),
+}
+
+
+def assert_bitwise(got, want, shape):
+    """got equals want bit for bit, each output an array of the given shape."""
+    if not isinstance(got, tuple):
+        got, want = (got,), (want,)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert isinstance(g, np.ndarray) and g.shape == shape
+        assert g.tobytes() == np.asarray(w).tobytes()
 
 
 BITWISE_GRID = np.concatenate(
@@ -361,38 +396,58 @@ BITWISE_GRID = np.concatenate(
     ]
 )
 
+_rng = np.random.default_rng(27)
+_ALPHA = np.concatenate(
+    [
+        _rng.uniform(0.9, 1.1, (40, 4)),
+        _rng.uniform(4.0, 14.0, (40, 4)),
+        _rng.gamma(2.0, 3.0, (40, 4)),
+    ]
+)
+# The grid; arguments from digamma's range bound up to 1e150, with alpha near
+# 1 and in 4-14, where the shift loop takes from none to all of its passes;
+# 0-d arguments; and (B, K) and (B, K + 1) batches, the second with each
+# row's total, as the fits pass them.
+BITWISE_INPUTS = [
+    BITWISE_GRID,
+    np.concatenate(
+        [
+            np.geomspace(numerics._DIGAMMA_MIN, 1e150, 3001),
+            _rng.uniform(0.9, 1.1, 300),
+            _rng.uniform(4.0, 14.0, 300),
+            np.nextafter([1.0, 4.0, 10.0], 0.0),
+        ]
+    ),
+    *(np.array(v) for v in (0.5, 3.25, 10.0, 1e150)),
+    _ALPHA,
+    np.column_stack([_ALPHA, _ALPHA.sum(axis=1)]),
+]
+
 
 def _reference_warns(ref, x):
     """Mask of the arguments at which the reference core raises a
     floating-point warning."""
-    out = np.zeros(x.shape, dtype=bool)
+    flat = x.reshape(-1)
+    out = np.zeros(flat.shape, dtype=bool)
     with np.errstate(all="raise"):
-        for i in range(x.size):
+        for i in range(flat.size):
             try:
-                ref(x[i : i + 1])
+                ref(flat[i : i + 1])
             except FloatingPointError:
                 out[i] = True
-    return out
+    return out.reshape(x.shape)
 
 
 def _evaluate(fn, x, loud):
-    """fn over x; warnings are silenced only at the loud arguments, so a
-    warning anywhere else fails the test."""
-    quiet_part = fn(x[~loud])
+    """fn over x, with warnings silenced. A first run over x with 1.0 in
+    place of the loud arguments must raise none, so a warning anywhere else
+    fails the test."""
+    fn(np.where(loud, 1.0, x))
     with np.errstate(all="ignore"):
-        loud_part = fn(x[loud])
-    if isinstance(quiet_part, tuple):
-        return tuple(_stitch(q, l, loud) for q, l in zip(quiet_part, loud_part))
-    return _stitch(quiet_part, loud_part, loud)
+        return fn(x)
 
 
-def _stitch(quiet_part, loud_part, loud):
-    out = np.empty(loud.shape)
-    out[~loud] = quiet_part
-    out[loud] = loud_part
-    return out
-
-
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "core, ref",
     [
@@ -402,17 +457,34 @@ def _stitch(quiet_part, loud_part, loud):
     ],
 )
 def test_special_cores_match_reference_bitwise(core, ref):
-    x = BITWISE_GRID
-    loud = _reference_warns(ref, x)
-    assert _evaluate(core, x, loud).tobytes() == _evaluate(ref, x, loud).tobytes()
+    for x in BITWISE_INPUTS:
+        loud = _reference_warns(ref, x)
+        assert_bitwise(_evaluate(core, x, loud), _evaluate(ref, x, loud), x.shape)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fused_digamma_trigamma_matches_reference_bitwise():
     x = BITWISE_GRID
     loud = _reference_warns(_ref_trigamma_core, x)
-    # Trigamma warns only where x * x underflows.
+    # On the grid, trigamma warns only where x * x underflows.
     assert loud.any() and x[loud].max() < 1e-150
     assert not _reference_warns(_ref_digamma_core, x).any()
-    psi, psi1 = _evaluate(numerics._digamma_trigamma_core, x, loud)
-    assert psi.tobytes() == _evaluate(_ref_digamma_core, x, loud).tobytes()
-    assert psi1.tobytes() == _evaluate(_ref_trigamma_core, x, loud).tobytes()
+    for form in ("digamma_trigamma_10", "digamma_trigamma_4"):
+        core, ref, _ = REFERENCE_CORES[form]
+        for x in BITWISE_INPUTS:
+            loud = _reference_warns(ref, x)
+            assert_bitwise(_evaluate(core, x, loud), _evaluate(ref, x, loud), x.shape)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x", [1e200, 1e300])
+def test_special_functions_at_huge_arguments_match_scipy_without_overflow(x):
+    assert log_gamma(x) == pytest.approx(sp.gammaln(x), rel=1e-15)
+    assert digamma(x) == pytest.approx(sp.digamma(x), rel=1e-15)
+    assert trigamma(x) == pytest.approx(sp.polygamma(1, x), rel=1e-15)
+    # Beside a huge argument, every other element keeps its bits.
+    mixed = np.array([0.5, 12.0, 1e150, x])
+    for fn in (log_gamma, digamma, trigamma):
+        got = fn(mixed)
+        assert np.array_equal(got[:3], fn(mixed[:3]))
+        assert got[3] == fn(x)

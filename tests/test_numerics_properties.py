@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from simplexstats import numerics
 from simplexstats.numerics import (
@@ -16,6 +17,7 @@ from simplexstats.numerics import (
     regularized_gamma_q,
     trigamma,
 )
+from test_numerics import REFERENCE_CORES, assert_bitwise
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -56,3 +58,18 @@ def test_digamma_recurrence_holds_down_to_its_range_bound(x):
 def test_trigamma_recurrence_holds_down_to_its_range_bound(x):
     # psi1(x) = psi1(x + 1) + 1/x^2.
     assert np.isclose(trigamma(x), trigamma(x + 1.0) + 1.0 / (x * x), rtol=1e-10, atol=1e-12)
+
+
+@derandomized
+@given(
+    form=st.sampled_from(sorted(REFERENCE_CORES)),
+    x=arrays(
+        float,
+        array_shapes(min_dims=0, max_dims=2, max_side=6),
+        elements=st.floats(min_value=numerics._DIGAMMA_MIN, max_value=1e150),
+    ),
+)
+def test_special_cores_match_reference_bitwise_anywhere(form, x):
+    core, ref, least = REFERENCE_CORES[form]
+    x = np.asarray(np.maximum(x, least))
+    assert_bitwise(core(x), ref(x), x.shape)
