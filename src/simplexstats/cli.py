@@ -489,6 +489,9 @@ def _cmd_simulate(args) -> int:
         config["generator_2"] = _generator_config(gen2)
     if isinstance(procedure, simulate.NddLRT):
         config["tree"] = procedure.tree.render(include_alphas=False)
+    if isinstance(procedure, simulate.MaugardProcedure):
+        # null: the asymptotic decision (--no-calibration)
+        config["calibration_replicates"] = procedure.calibration_replicates
     results = {
         "counts": dict(res.counts),
         "rates": dict(res.rates),

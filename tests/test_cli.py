@@ -483,6 +483,31 @@ def test_simulate_reruns_are_byte_identical(capsys):
     assert doc["config"]["mode"] == "type1"
 
 
+def test_simulate_records_the_maugard_calibration(capsys):
+    base = ["simulate", "type1", "--alpha", "12,5,5,5", "--n", "7", "--replicates", "30", "--json"]
+    docs = {}
+    for name, flags in (
+        ("default", []),
+        ("asymptotic", ["--no-calibration"]),
+        ("1000", ["--calibration-replicates", "1000"]),
+    ):
+        assert main(base + ["--procedure", "maugard"] + flags) == 0
+        docs[name] = capsys.readouterr().out
+    assert docs["asymptotic"] != docs["1000"]
+    calibration = {name: json.loads(doc)["config"]["calibration_replicates"] for name, doc in docs.items()}
+    assert calibration == {
+        "default": inference.CALIBRATION_REPLICATES,
+        "asymptotic": None,
+        "1000": 1000,
+    }
+    # Only the maugard procedure has a calibration to record.
+    assert main(base) == 0
+    assert "calibration_replicates" not in _json_out(capsys)["config"]
+    ndd = ["--procedure", "ndd-lrt", "--tree", "((a,b),(c,d))"]
+    assert main(base[:2] + ["--gen-tree", "((a:3,b:4):5,(c:2,d:6):4)"] + base[4:] + ndd) == 0
+    assert "calibration_replicates" not in _json_out(capsys)["config"]
+
+
 def test_simulate_power_with_tree_generators(capsys):
     argv = [
         "simulate",

@@ -1,6 +1,10 @@
 """Special functions and distribution tails checked against scipy and mpmath."""
 
 import functools
+import os
+import pathlib
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -158,18 +162,42 @@ def test_a_stand_in_element_runs_no_term(monkeypatch):
 
 def test_normal_cdf_matches_scipy():
     z = np.linspace(-10.0, 10.0, 401)
-    assert np.allclose(normal_cdf(z), st.norm.cdf(z), atol=1e-14)
+    assert np.allclose(normal_cdf(z), st.norm.cdf(z), atol=1e-15)
 
 
 def test_normal_quantile_matches_scipy():
+    # The Bonferroni points of pairwise_mean_cis, 1 - (1 - level) / (2K).
+    bonferroni = [1.0 - (1.0 - level) / (2.0 * k) for k in range(3, 7) for level in (0.9, 0.95, 0.99)]
     p = np.concatenate(
         [
-            np.array([1e-15, 1e-10, 1e-6, 1e-3]),
+            np.array([1e-300, 1e-15, 1e-10, 1e-6, 1e-3]),
             np.linspace(0.01, 0.99, 197),
             np.array([1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-10]),
+            # Within a few ulps of 1, where 1 - p keeps few digits of p.
+            np.array([0.9999999999999741, 1.0 - 2.0**-45, 1.0 - 1e-16]),
+            bonferroni,
         ]
     )
-    assert np.allclose(normal_quantile(p), st.norm.ppf(p), rtol=1e-9, atol=1e-12)
+    assert np.allclose(normal_quantile(p), st.norm.ppf(p), rtol=1e-14, atol=1e-13)
+
+
+def test_normal_quantile_is_exactly_odd_about_one_half():
+    # 1 - k/64 is exact, so the two quantiles must be exact negatives.
+    p = np.arange(1, 64) / 64.0
+    assert np.array_equal(normal_quantile(p), -normal_quantile(1.0 - p))
+
+
+def test_importing_the_cli_loads_no_statistics_module():
+    # normal_quantile imports statistics when called: at import time it would
+    # load statistics, fractions and decimal into every command and study.
+    code = (
+        "import sys, simplexstats.cli; "
+        "print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    src = str(pathlib.Path(numerics.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_normal_quantile_round_trips_through_cdf():
@@ -474,6 +502,17 @@ def test_fused_digamma_trigamma_matches_reference_bitwise():
         for x in BITWISE_INPUTS:
             loud = _reference_warns(ref, x)
             assert_bitwise(_evaluate(core, x, loud), _evaluate(ref, x, loud), x.shape)
+
+
+@pytest.mark.filterwarnings("error")
+def test_log_gamma_is_infinite_without_a_warning_past_the_double_range():
+    # (z - 0.5) log z overflows from about 2.5563e305; scipy's is inf there.
+    for x in (3e305, 1.7e308, np.finfo(float).max):
+        assert log_gamma(x) == sp.gammaln(x) == np.inf
+    assert log_gamma(2.5e305) == pytest.approx(sp.gammaln(2.5e305), rel=1e-15)
+    mixed = np.array([0.5, 2.5e305, 3e305, np.inf])
+    assert log_gamma(mixed)[:2].tobytes() == log_gamma(mixed[:2]).tobytes()
+    assert np.isinf(log_gamma(mixed)[2:]).all()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
