@@ -19,7 +19,10 @@ is the one-row case of nested._fit_nodes over _two_sample_lrt_batch, one
 batch per child count on the carriers nested._node_stats reduces (``nested``
 holds all per-node work). The two-sample batch fits
 both groups' alternatives as one stacked batch too. The simulation harness
-drives the batch forms directly.
+drives the batch forms directly. Both null fits, the two-sample test's
+common mean and the uniformity test's mean held at 1/K, are one ascent
+(_null_ascent) of one mean-precision objective (_null_ll) along one Newton
+direction (_null_newton), over G groups.
 Every fit runs the one stopping policy of the library (README, "Models"):
 the constants dirichlet._GRAD_TOL = 1e-8 on the gradient max-norm,
 dirichlet._STEP_TOL = 1e-10 on the largest move and dirichlet._MAX_ITER =
@@ -114,37 +117,20 @@ class MeanDifferenceCI:
 def _uniformity_null_batch(mean_log: np.ndarray, n: int | np.ndarray, init_a: np.ndarray):
     """Maximize the uniform-mean likelihood over the precision, per row.
 
-    The uniform mean is the common-mean model at pi = 1/K, one group: this
-    runs _newton_ascent in t = log A, with the Newton step where the second
-    derivative is negative and a unit step uphill elsewhere, clipped to +-10.
-    For large A the likelihood's slope in A is D + (K - 1) / (2A), with D =
-    log K + mean_j(mean_log_j) <= 0 (Jensen), so it has a maximum below the
-    cap only where D < -(K - 1) / (2 exp(_T_CAP)); every other row, such as
-    one whose mean logs all sit at log(1/K), is unconverged, however small
-    its steps, since its likelihood is flat to rounding up to the cap.
+    The common-mean model with one group and the mean held at 1/K:
+    _null_ascent in x = (t,), t = log A, with no mean coordinate. For large
+    A the likelihood's slope in A is D + (K - 1) / (2A), with D = log K +
+    mean_j(mean_log_j) <= 0 (Jensen), so it has a maximum below the cap
+    only where D < -(K - 1) / (2 exp(_T_CAP)); every other row, such as one
+    whose mean logs all sit at log(1/K), is unconverged, however small its
+    steps, since its likelihood is flat to rounding up to the cap.
     Returns (a_opt, loglik_full, converged).
     """
     b, k = mean_log.shape
-    pi = np.full(k, 1.0 / k)
-
-    def loglik(a, ml):
-        return dirichlet._per_obs_loglik(a[:, None] * pi, ml, a)
-
-    def value(rows):
-        ml = mean_log[rows]
-        return lambda x: loglik(np.exp(np.minimum(x[:, 0], _T_CAP)), ml)
-
-    def newton(rows, x):
-        dt, dtt = _prec_derivs(pi, np.exp(x[:, 0]), mean_log[rows])
-        step = np.where(dtt < -1.0e-300, -dt / dtt, np.sign(dt))
-        return dt[:, None], np.clip(step, -10.0, 10.0)[:, None]
-
     x = np.log(np.maximum(init_a, 1.0e-6))[:, None]
-    converged, _ = dirichlet._newton_ascent(x, 0, value, newton, dirichlet._MAX_ITER)
-    a_opt = np.exp(x[:, 0])
-    loglik_full = n * dirichlet._blockwise(lambda s: loglik(a_opt[s], mean_log[s]), b)
+    converged, _, loglik_full = _null_ascent(x, [(np.broadcast_to(n, (b,)), mean_log)])
     bounded = np.log(k) + mean_log.mean(axis=1) < -(k - 1) / (2.0 * np.exp(_T_CAP))
-    return a_opt, loglik_full, converged & bounded
+    return np.exp(x[:, 0]), loglik_full, converged & bounded
 
 
 # ---------------------------------------------------------------------------
@@ -384,20 +370,16 @@ def maugard_procedure(
 # Two-sample test: common mean, free precisions
 
 
-def _softmax_pinned(theta: np.ndarray) -> np.ndarray:
-    z = np.concatenate([theta, np.zeros((theta.shape[0], 1))], axis=1)
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _prec_derivs(pi: np.ndarray, a: np.ndarray, ml: np.ndarray):
-    """First and second derivative of the group log-likelihood in t = log
-    A."""
-    psi, psi1 = _digamma_trigamma_core(dirichlet._with_column(a[:, None] * pi, a))
-    g1 = psi[:, -1] - (pi * psi[:, :-1]).sum(axis=1) + (pi * ml).sum(axis=1)
-    g2 = psi1[:, -1] - (pi * pi * psi1[:, :-1]).sum(axis=1)
-    return a * g1, a * g1 + a * a * g2
+def _softmax_pinned(theta: np.ndarray, k: int) -> np.ndarray:
+    """Softmax of theta (B, d) padded with pinned zeros to K columns: the
+    last K - d shares are tied, and d = 0 is the uniform mean."""
+    z = np.concatenate([theta, np.zeros((theta.shape[0], k - theta.shape[1]))], axis=1)
+    # Row maxima from a column-major copy: exact in any order, and numpy
+    # reduces the short rows of a row-major z one row at a time.
+    z -= np.asfortranarray(z).max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _solve_positive_definite(m: np.ndarray, rhs: np.ndarray):
@@ -422,26 +404,30 @@ def _solve_positive_definite(m: np.ndarray, rhs: np.ndarray):
 
 
 def _null_ll(x: np.ndarray, w: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Common-mean objective per row at x = (theta, t1, t2): the groups'
-    log-likelihoods per observation (mean logs m, (2, B, K)) at mean
-    softmax(theta) and precisions exp(min(t_g, _T_CAP)), weighted by w (2, B).
-    A row with a concentration a_g pi_j of 0 (a share softmaxed or a
-    precision exponentiated to 0) scores -inf."""
-    k = m.shape[2]
-    pi = _softmax_pinned(x[:, : k - 1])
-    a = np.exp(np.minimum(x[:, k - 1 :], _T_CAP)).T.ravel()
-    f = dirichlet._per_obs_loglik(a[:, None] * np.concatenate((pi, pi)), m.reshape(-1, k), a)
-    return (w * f.reshape(2, -1)).sum(axis=0)
+    """Mean-precision objective per row at x = (theta, t_1, ..., t_G): the
+    G groups' log-likelihoods per observation (mean logs m, (G, B, K)) at
+    mean _softmax_pinned(theta, K) and precisions exp(min(t_g, _T_CAP)),
+    weighted by w (G, B). theta has K - 1 columns for a shared mean and none
+    for the mean held at 1/K. A row with a concentration a_g pi_j of 0 (a
+    share softmaxed or a precision exponentiated to 0) scores -inf."""
+    g, _, k = m.shape
+    d = x.shape[1] - g
+    pi = _softmax_pinned(x[:, :d], k)
+    a = np.exp(np.minimum(x[:, d:], _T_CAP)).T[:, :, None]
+    f = dirichlet._per_obs_loglik((a * pi).reshape(-1, k), m.reshape(-1, k), a.ravel())
+    return (w * f.reshape(g, -1)).sum(axis=0)
 
 
-def _null_newton(pi, a, w, m):
-    """Gradient of _null_ll and a modified Newton direction, per row, at
-    mean pi (B, K) and precisions a (2, B).
+def _null_newton(x: np.ndarray, w: np.ndarray, m: np.ndarray):
+    """Gradient of _null_ll and a modified Newton direction, per row, at x
+    = (theta, t_1, ..., t_G); theta's width d, K - 1 or 0, is the number of
+    free mean coordinates.
 
     Digamma and trigamma come from one call at z + 1, z = (a_g pi, a_g), as
     psi(z) = psi(z + 1) - 1/z and z^2 psi1(z) = 1 + z^2 psi1(z + 1): no tiny
     argument. The t block of the negative Hessian is diagonal, so the t's
-    are eliminated and the (K-1) x (K-1) Schur complement is solved. Where
+    are eliminated and the d x d Schur complement is solved; at d = 0 it is
+    empty and the step is d_t = g_t / (t block + tau). Where
     the negative Hessian is not positive definite, tau is added to its
     diagonal, from beta minus its smallest diagonal entry and doubling, with
     beta 1e-3 of the largest (Nocedal & Wright 2006, sec. 3.4); one
@@ -450,32 +436,34 @@ def _null_newton(pi, a, w, m):
     64 doublings takes the gradient. A direction moving a t by more than 10
     is shortened to 10.
     """
-    k1 = pi.shape[1] - 1
-    ar = np.arange(k1)
+    g, _, k = m.shape
+    d = x.shape[1] - g
+    pi, a = _softmax_pinned(x[:, :d], k), np.exp(x[:, d:]).T
+    ar = np.arange(d)
     z = np.concatenate((a[:, :, None] * pi, a[:, :, None]), axis=2)
     psi, psi1 = _digamma_trigamma_core(z + 1.0)
     ap, psi_ap, wa = z[:, :, :-1], psi[:, :, :-1], w * a
     # d2/(d theta_j d t_g) = w_g a_g pi_j (c_gj - sum_k pi_k c_gk), c = m -
     # psi(a pi) - a pi psi1(a pi); negated, as all of neg_h.
     c = m - psi_ap - ap * psi1[:, :, :-1]
-    cross = (wa[:, :, None] * pi * ((pi * c).sum(axis=2, keepdims=True) - c))[:, :, :k1]
+    cross = wa[:, :, None] * pi[:, :d] * ((pi * c).sum(axis=2, keepdims=True) - c[:, :, :d])
     h = 1.0 + z * z * psi1  # z^2 psi1(z)
     g_ap = m + 1.0 / ap - psi_ap  # m_j - psi(a pi_j)
     gt = wa * (psi[:, :, -1] - 1.0 / a + (pi * g_ap).sum(axis=2))
     u = pi * (wa[:, :, None] * g_ap).sum(axis=0)
     s = u.sum(axis=1)
-    g_theta = u[:, :k1] - s[:, None] * pi[:, :k1]
+    g_theta = u[:, :d] - s[:, None] * pi[:, :d]
     t_block = -gt - w * (h[:, :, -1] - h[:, :, :-1].sum(axis=2))
     v = (w[:, :, None] * h[:, :, :-1]).sum(axis=0)
-    pk, q = pi[:, :k1], u[:, :k1] - v[:, :k1]
+    pk, q = pi[:, :d], u[:, :d] - v[:, :d]
     neg_h = q[:, :, None] * pk[:, None, :]
     neg_h = neg_h + neg_h.transpose(0, 2, 1)
     neg_h += (v.sum(axis=1) - 2.0 * s)[:, None, None] * pk[:, :, None] * pk[:, None, :]
-    neg_h[:, ar, ar] += v[:, :k1] - g_theta
+    neg_h[:, ar, ar] += v[:, :d] - g_theta
     del z, psi, psi1, ap, psi_ap, c, h, g_ap  # before the shift loop's temporaries
 
-    diag = np.concatenate((neg_h[:, ar, ar], t_block.T), axis=1)
-    beta, low = 1.0e-3 * np.abs(diag).max(axis=1), diag.min(axis=1)
+    diag = np.concatenate((neg_h[:, ar, ar].T, t_block))  # (d + G, B)
+    beta, low = 1.0e-3 * np.abs(diag).max(axis=0), diag.min(axis=0)
     tau = np.where(low > 0.0, 0.0, beta - low)
     d_theta, todo = np.empty_like(g_theta), np.arange(pi.shape[0])
     for _ in range(64):
@@ -498,6 +486,31 @@ def _null_newton(pi, a, w, m):
     return np.concatenate((g_theta, gt.T), axis=1), direction
 
 
+def _null_ascent(x: np.ndarray, groups):
+    """_newton_ascent of _null_ll along _null_newton, in place on x = (theta,
+    t_1, ..., t_G), for G groups of per-row counts (B,) and mean logs (B, K),
+    given as (n, mean_log) pairs; each call gathers its own rows' data.
+    Returns (converged, iterations, total), total the groups' summed
+    log-likelihood at the final x."""
+
+    def data(rows):
+        return np.stack([n[rows] for n, _ in groups]), np.stack([m[rows] for _, m in groups])
+
+    def value(rows):
+        n, m = data(rows)
+        w = n / n.sum(axis=0)
+        return lambda xs: _null_ll(xs, w, m)
+
+    def newton(rows, xs):
+        n, m = data(rows)
+        return _null_newton(xs, n / n.sum(axis=0), m)
+
+    t0 = x.shape[1] - len(groups)
+    converged, iterations = dirichlet._newton_ascent(x, t0, value, newton, dirichlet._MAX_ITER)
+    total = dirichlet._blockwise(lambda s: _null_ll(x[s], *data(s)), x.shape[0])
+    return converged, iterations, total
+
+
 def _common_mean_fit(
     stats1: SufficientStats,
     stats2: SufficientStats,
@@ -507,20 +520,14 @@ def _common_mean_fit(
 ):
     """Maximize the pooled log-likelihood under a common mean composition.
 
-    _newton_ascent in x = (theta, t1, t2) per row, theta the softmax
+    _null_ascent in x = (theta, t1, t2) per row, theta the softmax
     coordinates of the shared mean (last component pinned) and t_g = log
-    A_g, along the _null_newton direction on the objective _null_ll, with
-    the gradient max-norm against dirichlet._GRAD_TOL and the largest move of
-    x against dirichlet._STEP_TOL, within dirichlet._MAX_ITER steps. Start
-    values and the results are evaluated per block of rows.
+    A_g. Start values and the results are evaluated per block of rows.
 
     Returns (pi, a1, a2, total_loglik, converged, iterations).
     """
     b, k = stats1.mean_log.shape
     k1 = k - 1
-
-    def pair(s, field):
-        return np.stack((getattr(stats1, field)[s], getattr(stats2, field)[s]))
 
     def start(s):
         pi0 = np.clip(init_pi[s], 1.0e-12, None)
@@ -528,22 +535,9 @@ def _common_mean_fit(
         t = np.log(np.stack((init_a1[s], init_a2[s]), axis=1))
         return np.concatenate((np.log(pi0[:, :k1] / pi0[:, k1:]), t), axis=1)
 
-    def data(rows):
-        w = pair(rows, "n")
-        return w / w.sum(axis=0), pair(rows, "mean_log")
-
-    def value(rows):
-        w, m = data(rows)
-        return lambda xs: _null_ll(xs, w, m)
-
-    def newton(rows, xs):
-        w, m = data(rows)
-        return _null_newton(_softmax_pinned(xs[:, :k1]), np.exp(xs[:, k1:]).T, w, m)
-
     x = dirichlet._blockwise(start, b)
-    converged, iterations = dirichlet._newton_ascent(x, k1, value, newton, dirichlet._MAX_ITER)
-    pi = dirichlet._blockwise(lambda s: _softmax_pinned(x[s, :k1]), b)
-    total = dirichlet._blockwise(lambda s: _null_ll(x[s], pair(s, "n"), pair(s, "mean_log")), b)
+    converged, iterations, total = _null_ascent(x, [(s.n, s.mean_log) for s in (stats1, stats2)])
+    pi = dirichlet._blockwise(lambda s: _softmax_pinned(x[s, :k1], k), b)
     return pi, np.exp(x[:, k1]), np.exp(x[:, k]), total, converged, iterations
 
 

@@ -170,21 +170,24 @@ def _shift_up(x: np.ndarray, orders, shift_to: int = _SHIFT_TO):
     shifts, counted up front, are the passes. Each pass turns z < shift_to
     into a 0.0/1.0 step, and each term is written as step / z,
     step / (z*z) or log(z) * step into one reused buffer: exactly the term
-    below the shift point, exactly 0 past it.
+    below the shift point, exactly 0 past it. With no pass to make, z is a
+    copy of x.
     """
     # A float bound: np.less into a float out takes about 1.7 times as long
     # against an int as against a float, and a fit calls this on a handful
     # of elements at a time.
     cap = float(shift_to)
     z = np.fmin(x, cap, out=np.empty(np.shape(x)))
-    step = np.empty_like(z)
-    buf = np.empty_like(z)
     sums = [np.zeros(z.shape) for _ in orders]
     least = float(z.min(initial=cap))
     passes = 0
     while passes < shift_to and least < cap:
         least += 1.0
         passes += 1
+    if passes == 0:
+        return np.array(x, dtype=float), sums
+    step = np.empty_like(z)
+    buf = np.empty_like(z)
     for _ in range(passes):
         np.less(z, cap, out=step)
         for acc, order in zip(sums, orders):

@@ -73,3 +73,18 @@ def test_two_sample_lrt_rows_equal_their_single_row_tests_bitwise(groups):
             assert whole[key][i : i + 1].tobytes() == want.tobytes(), key
     lam = whole["statistic"][whole["usable"]]
     assert np.all(np.isfinite(lam)) and np.all(lam >= 0.0)
+
+
+@derandomized
+@given(stacks(groups=2))
+def test_two_sample_lrt_is_invariant_to_swapping_the_groups(groups):
+    # The null fit's group axis carries no order: with the groups swapped,
+    # every row keeps its usable and converged flags, and its statistic
+    # moves by rounding alone, at most 1e-8 (1 + lambda).
+    stats1, stats2 = groups
+    ab = inference._two_sample_lrt_batch(stats1, stats2)
+    ba = inference._two_sample_lrt_batch(stats2, stats1)
+    assert ab["usable"].tolist() == ba["usable"].tolist()
+    assert ab["converged"].tolist() == ba["converged"].tolist()
+    lam = ab["statistic"][ab["usable"]]
+    assert np.all(np.abs(ba["statistic"][ab["usable"]] - lam) <= 1e-8 * (1.0 + lam))

@@ -469,27 +469,60 @@ def test_clr_hotelling_matches_manual_computation():
     assert tr.p_value == pytest.approx(st.f.sf(f_stat, k - 1, n1 + n2 - k), abs=1e-10)
 
 
-def test_uniformity_null_matches_direct_optimizer():
-    rng = np.random.default_rng(23)
-    x = rng.dirichlet([4.0, 2.0, 3.0], size=8)
+def _uniform_oracle_cases():
+    # 12 seeded cases, K = 2..6 and n = 3..20 (seed 23 is the Dirichlet(4,
+    # 2, 3) sample of eight this test began with); both groups of rows 131
+    # and 328 of the alpha = 0.05, n = 3 cell; and one (1e4,)*4, n = 7 row,
+    # whose null is flat to about 2e-9 in log-likelihood.
+    x = np.random.default_rng(23).dirichlet([4.0, 2.0, 3.0], size=8)
+    cases = [pytest.param(x, id="seed-23")]
+    for seed in range(11):
+        rng = np.random.default_rng(2000 + seed)
+        k, n = int(rng.integers(2, 7)), int(rng.integers(3, 21))
+        x = rng.dirichlet(rng.uniform(0.3, 12.0, size=k), size=n)
+        cases.append(pytest.param(x, id=f"seed-{2000 + seed}-k{k}-n{n}"))
+    for r in (131, 328):
+        gen = DirichletParams(alpha=(0.05,) * 4)
+        spec = SimSpec(gen, gen, 3, DirichletLRT(), replicates=2000, master_seed=0)
+        for g, x in enumerate(simulate._draw_stacks(spec, r, r + 1)[:2]):
+            cases.append(pytest.param(x[0], id=f"alpha-0.05-row-{r}-group-{g + 1}"))
+    x = np.random.default_rng(29).dirichlet((1e4,) * 4, size=7)
+    cases.append(pytest.param(x, id="alpha-1e4-n7"))
+    return cases
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x", _uniform_oracle_cases())
+def test_uniformity_null_matches_direct_optimizer(x):
+    # The uniform-mean null log-likelihood is at least the best scipy finds
+    # over t = log A (bounded Brent, then Nelder-Mead from there and from
+    # the alternative's precision), less 1e-9 of it; the rest of the
+    # report is the alternative fit and the statistic built from the two.
+    n, k = x.shape
     tr = one_sample_uniformity_test(x)
     ml = np.log(x).mean(axis=0)
+    alt = dirichlet.mle(x)
 
-    def negative_null(log_a):
-        a = np.exp(log_a[0])
-        return -_loglik(np.full(3, a / 3.0), ml, 8)
+    def negative_null(t):
+        return -_loglik(np.full(k, np.exp(np.ravel(t)[0]) / k), ml, n)
 
-    opt = scipy.optimize.minimize(
-        negative_null, [np.log(9.0)], method="Nelder-Mead",
-        options={"xatol": 1e-13, "fatol": 1e-13},
+    brent = scipy.optimize.minimize_scalar(
+        negative_null, bounds=(-12.0, 30.0), method="bounded", options={"xatol": 1e-12}
     )
-    assert tr.details["log_likelihood_null"] == pytest.approx(-opt.fun, abs=1e-9)
-    alt = dirichlet.mle(x).log_likelihood
-    assert tr.details["log_likelihood_alt"] == pytest.approx(alt, rel=1e-10)
-    lam = -2.0 * (tr.details["log_likelihood_null"] - alt)
+    options = {"xatol": 1e-13, "fatol": 1e-13, "maxiter": 4000}
+    nelder_mead = [
+        scipy.optimize.minimize(negative_null, [t0], method="Nelder-Mead", options=options)
+        for t0 in (brent.x, np.log(alt.params.precision))
+    ]
+    best = -min(opt.fun for opt in [brent, *nelder_mead])
+    ours = tr.details["log_likelihood_null"]
+    assert tr.converged
+    assert ours >= best - 1e-9 * abs(best), (ours, best)
+    assert tr.details["log_likelihood_alt"] == pytest.approx(alt.log_likelihood, rel=1e-10)
+    lam = -2.0 * (ours - alt.log_likelihood)
     assert tr.statistic == pytest.approx(max(lam, 0.0), abs=1e-9)
-    assert tr.df == (2,)
-    assert tr.p_value == pytest.approx(chi_square_sf(tr.statistic, 2), abs=1e-14)
+    assert tr.df == (k - 1,)
+    assert tr.p_value == pytest.approx(chi_square_sf(tr.statistic, k - 1), abs=1e-14)
 
 
 @pytest.mark.parametrize("fit", [dirichlet.mle, one_sample_uniformity_test])
@@ -775,8 +808,8 @@ def test_pairwise_mean_cis_level_controls_width():
 
 
 def test_null_newton_matches_central_differences_of_the_null_objective():
-    # The gradient against central differences of _null_ll in (theta, t1,
-    # t2), and, where the negative Hessian is positive definite and no t
+    # The gradient against central differences of _null_ll in x = (theta,
+    # t1, t2), and, where the negative Hessian is positive definite and no t
     # moves by more than 10, the direction against the Newton step on the
     # finite-difference Hessian. Where it is indefinite, the direction must
     # be another (shifted) one; every direction must ascend.
@@ -786,9 +819,7 @@ def test_null_newton_matches_central_differences_of_the_null_objective():
     m = np.log(rng.dirichlet(np.full(k, 3.0), size=(2, b, 8))).mean(axis=2)
     w = rng.uniform(0.2, 0.8, b)
     w = np.stack((w, 1.0 - w))
-    grad, direction = inference._null_newton(
-        inference._softmax_pinned(x[:, : k - 1]), np.exp(x[:, k - 1 :]).T, w, m
-    )
+    grad, direction = inference._null_newton(x, w, m)
 
     def f(xx):
         return inference._null_ll(xx, w, m)
@@ -808,19 +839,24 @@ def test_null_newton_matches_central_differences_of_the_null_objective():
 
 
 def test_prec_derivs_match_central_differences_of_group_loglik():
+    # The mean held at 1/K (G = 1, theta of width 0), as the uniform-mean
+    # null fits it: the gradient in t = log a against a central difference
+    # of the group log-likelihood, and the step against -g/h on its central
+    # second difference h, which is negative for every t from -1 to 8.
     rng = np.random.default_rng(7)
     b, k = 12, 4
-    pi = rng.dirichlet(np.full(k, 2.0), size=b)
     ml = np.log(rng.dirichlet(np.full(k, 3.0), size=(b, 9))).mean(axis=1)
     t = np.linspace(-1.0, 8.0, b)
-    d1, d2 = inference._prec_derivs(pi, np.exp(t), ml)
+    grad, direction = inference._null_newton(t[:, None], np.ones((1, b)), ml[None])
 
     def f(tt):
         a = np.exp(tt)
-        return dirichlet._per_obs_loglik(a[:, None] * pi, ml, a)
+        return dirichlet._per_obs_loglik(np.repeat(a[:, None] / k, k, axis=1), ml, a)
 
     h1, h2 = 1e-5, 1e-3
     num1 = (f(t + h1) - f(t - h1)) / (2.0 * h1)
     num2 = (f(t + h2) - 2.0 * f(t) + f(t - h2)) / (h2 * h2)
-    assert np.max(np.abs(num1 - d1) / np.abs(d1)) < 1e-7
-    assert np.max(np.abs(num2 - d2) / np.abs(d2)) < 1e-4
+    assert np.max(np.abs(num1 - grad[:, 0]) / np.abs(num1)) < 1e-7
+    assert (num2 < 0.0).all()
+    step = -num1 / num2
+    assert np.max(np.abs(step - direction[:, 0]) / np.abs(step)) < 1e-4
