@@ -231,14 +231,15 @@ def _emit(kind: str, config: dict, results: dict, args) -> int:
 
         created = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     doc = report.ResultDocument(kind=kind, version=__version__, config=config, results=results, created=created)
+    text = doc.to_json() if args.out or args.json else None
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(doc.to_json())
+                fh.write(text)
         except OSError as exc:
             raise InputError(f"cannot write {args.out!r}: {exc}") from exc
     if args.json:
-        sys.stdout.write(doc.to_json())
+        sys.stdout.write(text)
     else:
         sys.stdout.write(report.render_text(doc))
     return 0

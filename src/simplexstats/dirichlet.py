@@ -15,7 +15,10 @@ that of 5 full steps to within that step's rounding. All three fits of the
 library, this one and the common-mean and uniform-mean nulls of the
 inference module, run one damped Newton driver (_newton_ascent) over one
 iteration loop (_ascend) and one line search (_backtrack), on one Dirichlet
-objective (_per_obs_loglik). Every fit stops by one policy, three module
+objective (_per_obs_loglik). Each fit plugs into the driver the same way:
+a point-wise objective, a Newton direction returning (grad, direction) and
+a function gathering its rows' data, here _per_obs_loglik, _newton_step and
+the rows' mean logs. Every fit stops by one policy, three module
 constants that no public function lets a caller change: a row converges
 when its gradient max-norm falls below _GRAD_TOL = 1e-8 or its largest
 parameter move below _STEP_TOL = 1e-10, within _MAX_ITER = 1000 steps (this
@@ -213,11 +216,15 @@ def _with_column(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.concatenate((m, v[:, None]), axis=1)
 
 
-def _per_obs_loglik(alpha: np.ndarray, mean_log: np.ndarray, total: np.ndarray) -> np.ndarray:
+def _per_obs_loglik(
+    alpha: np.ndarray, mean_log: np.ndarray, total: np.ndarray | None = None
+) -> np.ndarray:
     """Mean log-likelihood per observation for each row of a batch, at
-    concentrations alpha (B, K) that sum to total (B,). A row with a
-    concentration that is not positive is infeasible and scores -inf; no
-    special function sees it."""
+    concentrations alpha (B, K) that sum to total (B,), their row sums by
+    default. A row with a concentration that is not positive is infeasible
+    and scores -inf; no special function sees it."""
+    if total is None:
+        total = alpha.sum(axis=1)
     fine = (alpha > 0.0).all(axis=1)
     alpha, total = np.where(fine[:, None], alpha, 1.0), np.where(fine, total, 1.0)
     lg = _lgamma_core(_with_column(alpha, total))
@@ -237,21 +244,22 @@ _MAX_BACKTRACK = 30
 def _backtrack(objective, x: np.ndarray, step: np.ndarray, base: np.ndarray):
     """Backtracking line search for an ascent step, per row of a batch.
 
-    x and step are (B,) or (B, K); objective maps a trial point to (B,)
+    x and step are (B, d); objective maps trial points (B, d) to (B,)
     values. Each row's step length t starts at 1 and halves until
     objective(x + t * step) is no lower than base, up to a relative slack of
-    1e-12, for at most _MAX_BACKTRACK trials. Returns (t, accepted); a row
-    that never passed should not move.
+    1e-12, for at most _MAX_BACKTRACK trials. Returns (t, accepted, value):
+    an accepted row's value is the objective at x + t * step, bit for bit;
+    a row that never passed should not move, and its value is its base.
     """
     slack = 1.0e-12 * (1.0 + np.abs(base))
     t = np.ones(base.shape[0])
     for _ in range(_MAX_BACKTRACK):
-        scale = t if step.ndim == 1 else t[:, None]
-        accepted = objective(x + scale * step) >= base - slack
+        value = objective(x + t[:, None] * step)
+        accepted = value >= base - slack
         if accepted.all():
             break
         t = np.where(accepted, t, t / 2.0)
-    return t, accepted
+    return t, accepted, np.where(accepted, value, base)
 
 
 # Rows per block of a batched fit. _ascend runs each block to completion, so
@@ -304,35 +312,41 @@ def _blockwise(fn, b: int) -> np.ndarray:
     )
 
 
-def _newton_step(alpha: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Newton direction for the per-observation log-likelihood in alpha.
+def _newton_step(alpha: np.ndarray, mean_log: np.ndarray):
+    """Gradient of the per-observation log-likelihood in alpha, at mean log
+    proportions mean_log, and its Newton direction: (grad, direction).
 
     The Hessian is psi1(A) ones - diag(psi1(alpha)), inverted in closed form.
     A row whose closed form is untrustworthy (its denominator at most 1e-12)
     takes the gradient, as a null fit's row with no positive definite shift
     does.
     """
-    psi1 = _trigamma_core(_with_column(alpha, alpha.sum(axis=1)))
+    z = _with_column(alpha, alpha.sum(axis=1))
+    psi = _digamma_core(z)
+    grad = psi[:, -1:] - psi[:, :-1] + mean_log
+    psi1 = _trigamma_core(z)
     c = psi1[:, -1]
     inv_q = 1.0 / psi1[:, :-1]
     denom = 1.0 - c * inv_q.sum(axis=1)
     trusted = denom > 1.0e-12
     coef = c * (grad * inv_q).sum(axis=1) / np.where(trusted, denom, 1.0)
-    return np.where(trusted[:, None], (grad + coef[:, None]) * inv_q, grad)
+    return grad, np.where(trusted[:, None], (grad + coef[:, None]) * inv_q, grad)
 
 
 _T_CAP = 34.0  # log-precision cap, beyond which the data are degenerate
 
 
-def _newton_ascent(x: np.ndarray, t0: int, value, newton, max_iter: int):
-    """Damped Newton ascent of a per-row objective, in place on x (B, d),
-    for at most max_iter steps under the stopping rule of _ascend; returns
-    (converged, iterations).
+def _newton_ascent(
+    x: np.ndarray, rows: np.ndarray, t0: int, objective, newton, data, max_iter: int
+):
+    """Damped Newton ascent of a per-row objective, in place on the given
+    rows of x (B, d), for at most max_iter steps under the stopping rule of
+    _ascend; returns (converged, iterations) over all B rows.
 
-    newton(rows, xs) gives the gradient and an ascent direction at the
-    points xs of those rows, and value(rows) their objective as a function
-    of their points, from their data gathered once. Columns t0 on are
-    log-precisions (none for the Dirichlet fit, t0 = K), held at or below
+    Each step gathers its rows' data once, as the tuple data(rows), and
+    calls objective(xs, *data) for their values (B,) at points xs and
+    newton(xs, *data) for their (grad, direction). Columns t0 on are
+    log-precisions (none for the Dirichlet fit, t0 = d), held at or below
     _T_CAP, and the objective reads one above it as the cap; a row at the
     cap with that derivative not negative cannot move on and stops
     unconverged. Each other row takes one _backtrack search from the value
@@ -340,34 +354,29 @@ def _newton_ascent(x: np.ndarray, t0: int, value, newton, max_iter: int):
     for bit. A row whose search is rejected stays where it is, so its move
     of 0 stops it under _STEP_TOL.
     """
-    b = x.shape[0]
-    x[:, t0:] = np.minimum(x[:, t0:], _T_CAP)
-    fval = np.empty(b)  # the objective at x
+    x[rows, t0:] = np.minimum(x[rows, t0:], _T_CAP)
+    fval = np.empty(x.shape[0])  # the objective at x, on the rows fitted
 
     def step(rows, it):
-        xs = x[rows]
+        xs, d = x[rows], data(rows)
         if it == 0:
-            fval[rows] = value(rows)(xs)
-        grad, direction = newton(rows, xs)
+            fval[rows] = objective(xs, *d)
+        grad, direction = newton(xs, *d)
         done = np.abs(grad).max(axis=1) < _GRAD_TOL
         stuck = ((xs[:, t0:] >= _T_CAP) & (grad[:, t0:] >= 0.0)).any(axis=1)
         keep = ~(done | stuck)
-        rows, xs, direction = rows[keep], xs[keep], direction[keep]
-        objective, base, last = value(rows), fval[rows], []
-
-        def trial_value(trial):
-            last[:] = [objective(trial)]
-            return last[0]
-
-        scale, accepted = _backtrack(trial_value, xs, direction, base)
+        if not keep.all():
+            rows, xs, direction = rows[keep], xs[keep], direction[keep]
+            d = data(rows)
+        scale, accepted, fval[rows] = _backtrack(
+            lambda trial: objective(trial, *d), xs, direction, fval[rows]
+        )
         new = xs + scale[:, None] * direction
         new[:, t0:] = np.minimum(new[:, t0:], _T_CAP)
         x[rows] = np.where(accepted[:, None], new, xs)
-        # An accepted row's last trial is its new point, bit for bit.
-        fval[rows] = np.where(accepted, last[0], base)
         return done, stuck, np.abs(x[rows] - xs).max(axis=1)
 
-    return _ascend(step, np.arange(b), b, max_iter)
+    return _ascend(step, rows, x.shape[0], max_iter)
 
 
 def _fit_batch(stats: SufficientStats):
@@ -375,10 +384,10 @@ def _fit_batch(stats: SufficientStats):
 
     Every result is per row of the stack, (1, ...) for one dataset. Runs
     _FIXED_POINT_WARMUP steps of the fixed-point update as one _ascend, then
-    _newton_ascent in alpha along _newton_step on the rows not yet converged,
-    for the steps of _MAX_ITER left, if any (the likelihood is strictly
-    concave in alpha, so backtracking on it is a safe globalizer); iterations
-    add up over both phases.
+    _newton_ascent of _per_obs_loglik along _newton_step, in place on alpha
+    over the rows not yet converged, for the steps of _MAX_ITER left, if any
+    (the likelihood is strictly concave in alpha, so backtracking on it is a
+    safe globalizer); iterations add up over both phases.
 
     Returns (alpha, log_likelihood, iterations, converged, usable) where
     usable marks rows that were fit at all (non-degenerate input).
@@ -401,23 +410,13 @@ def _fit_batch(stats: SufficientStats):
     warmup = min(_MAX_ITER, _FIXED_POINT_WARMUP)
     converged, iterations = _ascend(fixed_point, np.flatnonzero(usable), b, warmup)
     todo = np.flatnonzero(usable & ~converged)
-    x, ml = alpha[todo], mean_log[todo]
-
-    def value(rows):
-        m = ml[rows]
-        return lambda xs: _per_obs_loglik(xs, m, xs.sum(axis=1))
-
-    def newton(rows, xs):
-        psi = _digamma_core(_with_column(xs, xs.sum(axis=1)))
-        grad = psi[:, -1:] - psi[:, :-1] + ml[rows]
-        return grad, _newton_step(xs, grad)
-
-    converged[todo], its = _newton_ascent(x, k, value, newton, _MAX_ITER - warmup)
-    alpha[todo] = x
-    iterations[todo] += its
-    loglik = _blockwise(
-        lambda s: n[s] * _per_obs_loglik(alpha[s], mean_log[s], alpha[s].sum(axis=1)), b
+    newton_converged, newton_iterations = _newton_ascent(
+        alpha, todo, k, _per_obs_loglik, _newton_step, lambda rows: (mean_log[rows],),
+        _MAX_ITER - warmup,
     )
+    converged |= newton_converged
+    iterations += newton_iterations
+    loglik = _blockwise(lambda s: n[s] * _per_obs_loglik(alpha[s], mean_log[s]), b)
     loglik = np.where(usable, loglik, np.nan)
     return alpha, loglik, iterations, converged, usable
 

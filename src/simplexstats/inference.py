@@ -489,25 +489,22 @@ def _null_newton(x: np.ndarray, w: np.ndarray, m: np.ndarray):
 def _null_ascent(x: np.ndarray, groups):
     """_newton_ascent of _null_ll along _null_newton, in place on x = (theta,
     t_1, ..., t_G), for G groups of per-row counts (B,) and mean logs (B, K),
-    given as (n, mean_log) pairs; each call gathers its own rows' data.
-    Returns (converged, iterations, total), total the groups' summed
-    log-likelihood at the final x."""
+    given as (n, mean_log) pairs. Each step gathers its rows' weights n_g /
+    sum(n) and mean logs. Returns (converged, iterations, total), total the
+    groups' summed log-likelihood at the final x, from the raw counts."""
 
-    def data(rows):
+    def counts(rows):
         return np.stack([n[rows] for n, _ in groups]), np.stack([m[rows] for _, m in groups])
 
-    def value(rows):
-        n, m = data(rows)
-        w = n / n.sum(axis=0)
-        return lambda xs: _null_ll(xs, w, m)
+    def data(rows):
+        n, m = counts(rows)
+        return n / n.sum(axis=0), m
 
-    def newton(rows, xs):
-        n, m = data(rows)
-        return _null_newton(xs, n / n.sum(axis=0), m)
-
-    t0 = x.shape[1] - len(groups)
-    converged, iterations = dirichlet._newton_ascent(x, t0, value, newton, dirichlet._MAX_ITER)
-    total = dirichlet._blockwise(lambda s: _null_ll(x[s], *data(s)), x.shape[0])
+    b, t0 = x.shape[0], x.shape[1] - len(groups)
+    converged, iterations = dirichlet._newton_ascent(
+        x, np.arange(b), t0, _null_ll, _null_newton, data, dirichlet._MAX_ITER
+    )
+    total = dirichlet._blockwise(lambda s: _null_ll(x[s], *counts(s)), b)
     return converged, iterations, total
 
 
@@ -618,9 +615,9 @@ def two_sample_ndd_lrt(
     the degrees of freedom add up to sum(k_i - 1) = K - 1. For the flat tree
     this reduces to the plain two-sample test.
     """
-    g1, g2, x1, x2 = _two_group_dataset(dataset, groups)
-    m1 = nested._bind_matrix(tree, dataset.group_dataset(g1))
-    m2 = nested._bind_matrix(tree, dataset.group_dataset(g2))
+    g1, g2, _, _ = _two_group_dataset(dataset, groups)
+    matrix, group_of = nested._bind_matrix(tree, dataset), np.asarray(dataset.labels)
+    m1, m2 = (matrix[group_of == g] for g in (g1, g2))
     keys = nested._child_leaf_sets(tree)
     nodes1, nodes2 = (
         [stats for stats, _ in nested._node_stats(keys, m[None])] for m in (m1, m2)

@@ -609,8 +609,11 @@ def test_out_file_and_stamp(small_csv, tmp_path, capsys):
             "--json",
         ]
     ) == 0
-    stamped = json.loads(capsys.readouterr().out)
+    printed = capsys.readouterr().out
+    stamped = json.loads(printed)
     assert stamped["created"] is not None
+    # The file and the printed document are one serialization.
+    assert out.read_text(encoding="utf-8") == printed
 
 
 def test_missing_csv_and_bad_rows_exit_1(tmp_path, capsys):

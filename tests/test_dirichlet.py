@@ -8,7 +8,7 @@ import pytest
 import scipy.optimize
 import scipy.stats as st
 
-from simplexstats import dirichlet
+from simplexstats import dirichlet, inference
 from simplexstats.composition import SufficientStats
 from simplexstats.dirichlet import DirichletParams
 from simplexstats.errors import DegenerateDataError, DomainError, InputError, NumericalError
@@ -246,14 +246,85 @@ def test_ascend_stopping_rule(monkeypatch):
 def test_newton_step_solves_the_closed_form_hessian_or_takes_the_gradient():
     rng = np.random.default_rng(29)
     alpha = rng.uniform(0.3, 40.0, size=(6, 4))
-    grad = rng.normal(size=(6, 4))
+    want_grad = rng.normal(size=(6, 4))
+    # The gradient is psi(A) - psi(alpha) + mean_log.
+    mean_log = want_grad - digamma(alpha.sum(axis=1))[:, None] + digamma(alpha)
+    grad, direction = dirichlet._newton_step(alpha, mean_log)
+    np.testing.assert_allclose(grad, want_grad, rtol=0.0, atol=1e-13)
     hess = trigamma(alpha.sum(axis=1))[:, None, None] - np.stack([np.diag(v) for v in trigamma(alpha)])
     want = np.linalg.solve(-hess, grad[..., None])[..., 0]
-    np.testing.assert_allclose(dirichlet._newton_step(alpha, grad), want, rtol=1e-10)
+    np.testing.assert_allclose(direction, want, rtol=1e-10)
     # At alpha = 1e13 the closed form's denominator rounds to at most 1e-12.
     huge = np.full((1, 4), 1e13)
     g = np.array([[1e-15, -2e-15, 3e-15, -1e-15]])
-    assert dirichlet._newton_step(huge, g).tobytes() == g.tobytes()
+    grad, direction = dirichlet._newton_step(huge, g - digamma(4e13) + digamma(1e13))
+    assert np.abs(grad).max() > 0.0
+    assert direction.tobytes() == grad.tobytes()
+
+
+def _ascent_problem(fit):
+    # A batch of 10 datasets at K = 4 from concentrations 0.4 to 9, as the
+    # alternative fit (x = alpha, no log-precision) or the common-mean null
+    # (x = (theta, t1, t2), started at the uniform mean) plugs into the driver.
+    rng = np.random.default_rng(41)
+    alphas = rng.choice([0.4, 1.5, 9.0], size=(10, 4))
+    s1, s2 = (
+        SufficientStats.reduce(np.stack([rng.dirichlet(a, size=n) for a in alphas])) for n in (7, 9)
+    )
+    if fit == "alternative":
+        x = dirichlet._init_alpha(s1.mean, s1.mean_sq)
+        ml = s1.mean_log
+        return x, 4, dirichlet._per_obs_loglik, dirichlet._newton_step, lambda rows: (ml[rows],)
+    x = np.concatenate((np.zeros((10, 3)), np.log(np.full((10, 2), 5.0))), axis=1)
+    w = np.stack((s1.n, s2.n)) / (s1.n + s2.n)
+    m = np.stack((s1.mean_log, s2.mean_log))
+    return x, 3, inference._null_ll, inference._null_newton, lambda rows: (w[:, rows], m[:, rows])
+
+
+@pytest.mark.parametrize("fit", ["alternative", "common-mean"])
+def test_newton_ascent_over_a_subset_of_rows_equals_the_compacted_batch(fit, monkeypatch):
+    # Blocks of 3 rows: the subset runs in blocks of the same rows as the
+    # compacted batch does.
+    monkeypatch.setattr(dirichlet, "_BLOCK_ROWS", 3)
+    x, t0, objective, newton, data = _ascent_problem(fit)
+    rows, others = np.array([1, 2, 4, 5, 8]), np.array([0, 3, 6, 7, 9])
+    start = x.copy()
+    converged, iterations = dirichlet._newton_ascent(x, rows, t0, objective, newton, data, 200)
+    assert x[others].tobytes() == start[others].tobytes()
+    assert not converged[others].any() and not iterations[others].any()
+    assert converged[rows].all() and (x[rows] != start[rows]).any(axis=1).all()
+
+    packed = start[rows].copy()
+    packed_converged, packed_iterations = dirichlet._newton_ascent(
+        packed, np.arange(rows.size), t0, objective, newton, lambda r: data(rows[r]), 200
+    )
+    assert packed.tobytes() == x[rows].tobytes()
+    assert packed_converged.tolist() == converged[rows].tolist()
+    assert packed_iterations.tolist() == iterations[rows].tolist()
+
+
+def test_backtrack_returns_the_accepted_value_or_keeps_the_base():
+    # Ascent on -|x - c|^2 from x along multiples of c - x: a multiple of 1
+    # or 0.5 passes at t = 1, one of 3 or 2.5 at t = 0.5, and the last row's
+    # base lies above the maximum, so it fails every trial.
+    rng = np.random.default_rng(43)
+    x, c = rng.normal(size=(5, 3)), rng.normal(size=3)
+    step = np.array([1.0, 3.0, 0.5, 2.5, 1.0])[:, None] * (c - x)
+    calls = []
+
+    def objective(trial):
+        calls.append(trial.shape[0])
+        return -((trial - c) ** 2).sum(axis=1)
+
+    base = objective(x)
+    base[4] = 1.0
+    calls.clear()
+    t, accepted, value = dirichlet._backtrack(objective, x, step, base)
+    assert accepted.tolist() == [True, True, True, True, False]
+    assert t.tolist() == [1.0, 0.5, 1.0, 0.5, 2.0**-dirichlet._MAX_BACKTRACK]
+    assert len(calls) == dirichlet._MAX_BACKTRACK
+    assert value[:4].tobytes() == objective(x + t[:, None] * step)[:4].tobytes()
+    assert value[4] == base[4]
 
 
 def test_init_alpha_matches_nanmean_reference():

@@ -838,7 +838,7 @@ def test_null_newton_matches_central_differences_of_the_null_objective():
     assert ((direction * grad).sum(axis=1) > 0.0).all()
 
 
-def test_prec_derivs_match_central_differences_of_group_loglik():
+def test_held_mean_null_newton_matches_central_differences_of_group_loglik():
     # The mean held at 1/K (G = 1, theta of width 0), as the uniform-mean
     # null fits it: the gradient in t = log a against a central difference
     # of the group log-likelihood, and the step against -g/h on its central
